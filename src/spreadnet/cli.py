@@ -70,13 +70,16 @@ def _apply_overrides(data: dict, overrides: list[str]) -> dict:
 
 
 def _load_config(args) -> PipelineConfig:
-    path = Path(args.config)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if args.set:
-        data = _apply_overrides(data, args.set)
-    if args.output_dir:
-        data.setdefault("output", {})["directory"] = args.output_dir
-    return PipelineConfig.from_dict(data)
+    """Read, override and parse the config; any fault in it exits as "config"."""
+    try:
+        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if args.set:
+            data = _apply_overrides(data, args.set)
+        if args.output_dir:
+            data.setdefault("output", {})["directory"] = args.output_dir
+        return PipelineConfig.from_dict(data)
+    except (OSError, ValueError, TypeError) as exc:
+        raise PipelineStageError("config", exc) from exc
 
 
 def _run_to(args, stage: str):

@@ -258,12 +258,25 @@ def split(matrix: TrainingMatrix, cfg: TrainConfig) -> tuple[TrainingMatrix, Tra
 # ---------------------------------------------------------------------------
 
 
-def _epoch_math(weights, hidden_act, output_act, aug0, y_scaled):
-    """Fused forward + backward over one full batch.
+def _augment(x: np.ndarray) -> np.ndarray:
+    """Append the bias column of ones along the last axis."""
+    x = np.atleast_2d(x)
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
-    ``aug0`` is the input matrix with the bias column already appended.
-    Returns (loss, grads, scaled MAE); loss is the half mean squared error
-    in scaled space.
+
+def _epoch_math(weights, aug0, y_scaled, hidden_act="tanh", output_act="identity"):
+    """Fused forward + backward over one full batch, for a stack of networks.
+
+    ``weights[l]`` has shape (R, fan_out, fan_in + 1): layer ``l`` of each
+    of R networks. ``aug0`` is the (rows, inputs + 1) input matrix with the
+    bias column already appended, shared by the whole stack. Returns
+    per-network (loss, grads, scaled MAE) with a leading axis of length R;
+    loss is the half mean squared error in scaled space.
+
+    Every product is ``np.matmul`` on the stacked arrays, which runs the
+    same 2-D product for each network, and every mean reduces along the
+    last axis, so a network's numbers are bit-identical whatever else is
+    in the stack. (``einsum`` sums in another order and drifts.)
     """
     n_layers = len(weights)
     n = aug0.shape[0]
@@ -271,45 +284,41 @@ def _epoch_math(weights, hidden_act, output_act, aug0, y_scaled):
     zs = []
     h = None
     for l, w in enumerate(weights):
-        z = augs[l] @ w.T
+        z = augs[l] @ w.transpose(0, 2, 1)
         act = hidden_act if l < n_layers - 1 else output_act
         h = ACTIVATIONS[act][0](z)
         zs.append(z)
         if l < n_layers - 1:
-            augs.append(np.hstack([h, np.ones((n, 1))]))
+            augs.append(_augment(h))
 
-    err = h[:, 0] - y_scaled
-    loss = 0.5 * float(np.mean(err * err))
-    mae = float(np.mean(np.abs(err)))
+    err = h[..., 0] - y_scaled
+    loss = 0.5 * np.mean(err * err, axis=-1)
+    mae = np.mean(np.abs(err), axis=-1)
 
     grads = [None] * n_layers
-    delta = (err[:, None] / n) * ACTIVATIONS[output_act][1](zs[-1])
+    delta = (err / n)[..., None] * ACTIVATIONS[output_act][1](zs[-1])
     for l in range(n_layers - 1, -1, -1):
-        grads[l] = delta.T @ augs[l]
+        grads[l] = delta.transpose(0, 2, 1) @ augs[l]
         if l > 0:
-            back = delta @ weights[l][:, :-1]
+            back = delta @ weights[l][..., :-1]
             delta = back * ACTIVATIONS[hidden_act][1](zs[l - 1])
     return loss, grads, mae
-
-
-def _augment(x_scaled: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(x_scaled)
-    return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
 def _loss_and_grads(model: NetworkModel, x_scaled, y_scaled, want_grads=True):
     """Half-MSE loss in scaled space and its weight gradients."""
     loss, grads, _ = _epoch_math(
-        list(model.weights),
-        model.hidden_activation,
-        model.output_activation,
+        [w[None] for w in model.weights],
         _augment(x_scaled),
         y_scaled,
+        model.hidden_activation,
+        model.output_activation,
     )
-    return (loss, grads) if want_grads else (loss, None)
+    return float(loss[0]), ([g[0] for g in grads] if want_grads else None)
 
 
-def _init_weights(n_inputs: int, cfg: TrainConfig, rng: np.random.Generator):
+def _init_weights(n_inputs: int, cfg: TrainConfig, seed: int):
+    rng = np.random.default_rng(seed)
     hidden = cfg.hidden_size if cfg.hidden_size is not None else n_inputs
     sizes = (n_inputs, hidden, 1)
     weights = [
@@ -352,53 +361,71 @@ def _prepare(train_data: TrainingMatrix) -> _Prepared:
     )
 
 
-def _train_prepared(prep: _Prepared, cfg: TrainConfig, seed: int,
-                    history: list | None = None) -> NetworkModel:
-    """Training loop on a prepared batch; one fused pass per epoch.
+def _train_stack(prep: _Prepared, cfg: TrainConfig, seeds: list[int],
+                 histories: list[list] | None = None) -> list[NetworkModel | None]:
+    """Train one network per seed, all in lockstep on stacked weights.
 
-    The gradient computed at an accepted candidate is reused for the next
-    step, so each epoch costs a single forward+backward. Rejected steps
-    keep the current weights and gradient and halve the rate, which makes
-    the loss trace non-increasing by construction. The stop criterion
-    (training MAE below ``stop_error`` of the output range) is evaluated
-    on each accepted candidate; scaled MAE / 2 equals range-normalized MAE
-    because targets are scaled onto [-1, 1].
+    Each restart keeps its own rate, loss and stop test. The gradient
+    computed at an accepted candidate is reused for the next step, so each
+    epoch costs a single forward+backward. A rejected step keeps the
+    current weights and gradient and halves that restart's rate, which
+    makes its loss trace non-increasing by construction. The stop
+    criterion (training MAE below ``stop_error`` of the output range) is
+    evaluated on each accepted candidate; scaled MAE / 2 equals
+    range-normalized MAE because targets are scaled onto [-1, 1].
+
+    A restart leaves the stack when it stops, so its weights are exactly
+    those it would reach trained alone. The result holds None for a
+    restart whose initial loss is non-finite. ``histories[i]``, when given,
+    receives restart i's loss after every epoch, accepted or rejected.
     """
-    rng = np.random.default_rng(seed)
-    sizes, weights = _init_weights(prep.n_inputs, cfg, rng)
-    hidden_act, output_act = "tanh", "identity"
+    inits = [_init_weights(prep.n_inputs, cfg, seed) for seed in seeds]
+    sizes = inits[0][0]
+    weights = [np.stack(layer) for layer in zip(*(w for _, w in inits))]
+    loss, grads, _ = _epoch_math(weights, prep.aug0, prep.y_scaled)
 
-    loss, grads, _ = _epoch_math(weights, hidden_act, output_act, prep.aug0, prep.y_scaled)
-    if not np.isfinite(loss):
-        raise DivergedTraining("initial loss is non-finite")
-
-    lr = cfg.learning_rate
+    finals: list = [None] * len(seeds)
+    live = np.isfinite(loss)
+    idx = np.flatnonzero(live)  # batch position of each stacked restart
+    weights = [w[live] for w in weights]
+    grads = [g[live] for g in grads]
+    loss = loss[live]
+    lr = np.full(len(idx), cfg.learning_rate)
     for _ in range(cfg.cycles):
-        candidate = [w - lr * g for w, g in zip(weights, grads)]
-        c_loss, c_grads, c_mae = _epoch_math(
-            candidate, hidden_act, output_act, prep.aug0, prep.y_scaled
+        if len(idx) == 0:
+            break
+        step = lr[:, None, None]
+        candidate = [w - step * g for w, g in zip(weights, grads)]
+        c_loss, c_grads, c_mae = _epoch_math(candidate, prep.aug0, prep.y_scaled)
+        ok = np.isfinite(c_loss) & (c_loss <= loss)
+        pick = ok[:, None, None]
+        weights = [np.where(pick, c, w) for c, w in zip(candidate, weights)]
+        grads = [np.where(pick, c, g) for c, g in zip(c_grads, grads)]
+        loss = np.where(ok, c_loss, loss)
+        lr = np.where(ok, cfg.learning_rate, lr * 0.5)
+        if histories is not None:
+            for i, value in zip(idx, loss):
+                histories[i].append(float(value))
+        done = np.where(ok, c_mae / 2.0 < cfg.stop_error, lr < _MIN_LEARNING_RATE)
+        if done.any():
+            for k in np.flatnonzero(done):
+                finals[idx[k]] = [w[k].copy() for w in weights]
+            keep = ~done
+            idx = idx[keep]
+            weights = [w[keep] for w in weights]
+            grads = [g[keep] for g in grads]
+            loss, lr = loss[keep], lr[keep]
+    for k, i in enumerate(idx):
+        finals[i] = [w[k].copy() for w in weights]
+    return [
+        None if f is None else NetworkModel(
+            layer_sizes=sizes,
+            weights=tuple(f),
+            input_scaling=prep.input_scaling,
+            output_scaling=prep.output_scaling,
         )
-        if np.isfinite(c_loss) and c_loss <= loss:
-            weights, loss, grads = candidate, c_loss, c_grads
-            lr = cfg.learning_rate
-            if history is not None:
-                history.append(loss)
-            if c_mae / 2.0 < cfg.stop_error:
-                break
-        else:
-            lr *= 0.5
-            if history is not None:
-                history.append(loss)
-            if lr < _MIN_LEARNING_RATE:
-                break
-    return NetworkModel(
-        layer_sizes=sizes,
-        weights=tuple(weights),
-        hidden_activation=hidden_act,
-        output_activation=output_act,
-        input_scaling=prep.input_scaling,
-        output_scaling=prep.output_scaling,
-    )
+        for f in finals
+    ]
 
 
 def train(
@@ -413,16 +440,26 @@ def train(
     the loss is rejected and the step halved, so the loss trace is
     non-increasing. Stops early once the training MAE falls below
     ``cfg.stop_error`` of the output range. Same seed + same data give
-    bit-identical weights. Pass a list as ``history`` to capture the
-    post-epoch loss trace.
+    bit-identical weights, equal to that seed's restart in
+    ``multi_restart_train``. Pass a list as ``history`` to capture the
+    post-epoch loss trace (one entry per epoch, accepted or rejected).
     """
     prep = _prepare(train_data)
-    return _train_prepared(prep, cfg, cfg.rng_seed if seed is None else int(seed), history)
+    seed = cfg.rng_seed if seed is None else int(seed)
+    (model,) = _train_stack(prep, cfg, [seed], None if history is None else [history])
+    if model is None:
+        raise DivergedTraining("initial loss is non-finite")
+    return model
 
 
 # ---------------------------------------------------------------------------
 # Multi-restart search
 # ---------------------------------------------------------------------------
+
+# Seeds per stacked training call. Cost per restart is flat from about 40
+# restarts up, while the working arrays (and peak memory) grow with the
+# block, so a fixed block keeps memory bounded at any restart count.
+RESTART_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -442,22 +479,24 @@ def restart_seeds(master_seed: int, restarts: int) -> np.ndarray:
 def multi_restart_train(matrix: TrainingMatrix, cfg: TrainConfig, scorer) -> list[RestartResult]:
     """Train ``cfg.restarts`` independently seeded networks and rank them.
 
+    Restarts train together in stacked blocks of ``RESTART_BLOCK`` seeds;
+    each one's weights are bit-identical to ``train`` with its seed.
     ``scorer(model, train_part, test_part)`` returns the out-of-sample
     score (higher is better; the perfect-strategy sentinel ranks first).
-    Restarts whose training diverges are skipped; if none finish,
+    Restarts whose initial loss is non-finite are skipped; if none finish,
     AllDiverged is raised. The returned list is sorted by descending
     score with the seed as a deterministic tiebreak.
     """
     train_part, test_part = split(matrix, cfg)
     prep = _prepare(train_part)
+    seeds = [int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
     results: list[RestartResult] = []
-    for s in restart_seeds(cfg.rng_seed, cfg.restarts):
-        try:
-            model = _train_prepared(prep, cfg, seed=int(s))
-        except DivergedTraining:
-            continue
-        score = scorer(model, train_part, test_part)
-        results.append(RestartResult(model=model, score=score, seed=int(s)))
+    for start in range(0, len(seeds), RESTART_BLOCK):
+        block = seeds[start:start + RESTART_BLOCK]
+        for seed, model in zip(block, _train_stack(prep, cfg, block)):
+            if model is not None:
+                score = scorer(model, train_part, test_part)
+                results.append(RestartResult(model=model, score=score, seed=seed))
     if not results:
         raise AllDiverged(f"all {cfg.restarts} restarts diverged")
     results.sort(key=lambda r: (-ism_sort_key(r.score), r.seed))

@@ -356,16 +356,19 @@ class TrainingMatrix:
 
     def level_history(self, row: int) -> np.ndarray:
         """Actual levels at the three months before row's output month."""
-        vals = []
-        for back in (3, 2, 1):
-            j = row - back
-            if j >= 0:
-                vals.append(self.output_levels[j])
-            else:
-                if self.prior_levels is None:
-                    raise ValueError("no prior levels stored for this matrix")
-                vals.append(self.prior_levels[3 + j])
-        return np.asarray(vals)
+        return self._level_histories(row, 1)[0]
+
+    def _level_histories(self, start_row: int, count: int) -> np.ndarray:
+        """``level_history`` of ``count`` consecutive rows: shape (count, 3)."""
+        if start_row < 0 or start_row + count > self.rows + 1:
+            raise ValueError(f"no level history for rows [{start_row}:{start_row + count}] "
+                             f"of {self.rows}")
+        levels, first = self.output_levels, start_row - 3
+        if first < 0:
+            if self.prior_levels is None:
+                raise ValueError("no prior levels stored for this matrix")
+            levels, first = np.concatenate([self.prior_levels, levels]), start_row
+        return np.lib.stride_tricks.sliding_window_view(levels, 3)[first:first + count]
 
     def denormalize_predictions(self, predicted: np.ndarray, start_row: int = 0) -> np.ndarray:
         """Map predictions in recipe units back to actual levels.
@@ -376,10 +379,11 @@ class TrainingMatrix:
         predicted = np.asarray(predicted, dtype=np.float64)
         if self.output_recipe == RAW_OUTPUT:
             return predicted.copy()
-        out = np.empty_like(predicted)
-        for i, mod in enumerate(predicted):
-            out[i] = denormalize_output(mod, self.level_history(start_row + i))
-        return out
+        h = self._level_histories(start_row, len(predicted))
+        m = np.mean(h, axis=1)
+        if np.any(m == 0.0):
+            raise ZeroTrailingMean("trailing 3-sample mean is zero")
+        return predicted * m + h[:, 2]
 
     def slice_rows(self, start: int, stop: int) -> "TrainingMatrix":
         """Contiguous row slice carrying its own inverse-normalization history."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_matrix
 from spreadnet.errors import (
@@ -222,15 +224,169 @@ class TestMultiRestart:
         seeds = restart_seeds(123, 50)
         assert len(set(seeds.tolist())) == 50
 
+    @staticmethod
+    def poison_seeds(monkeypatch, poisoned):
+        """Give the listed seeds a NaN output weight, so their initial loss is NaN."""
+        real = neural._init_weights
+
+        def init(n_inputs, cfg, seed):
+            sizes, weights = real(n_inputs, cfg, seed)
+            if seed in poisoned:
+                weights[1][0, 0] = np.nan
+            return sizes, weights
+
+        monkeypatch.setattr(neural, "_init_weights", init)
+
     def test_all_diverged(self, monkeypatch):
         matrix = make_matrix(n_rows=40, seed=13)
-
-        def always_diverges(*args, **kwargs):
-            raise DivergedTraining("boom")
-
-        monkeypatch.setattr(neural, "_train_prepared", always_diverges)
+        cfg = TrainConfig(restarts=3)
+        self.poison_seeds(monkeypatch, {int(s) for s in restart_seeds(cfg.rng_seed, 3)})
         with pytest.raises(AllDiverged):
-            multi_restart_train(matrix, TrainConfig(restarts=3), lambda *a: 0.0)
+            multi_restart_train(matrix, cfg, lambda *a: 0.0)
+
+    def test_diverged_restarts_dropped_rest_ranked(self, monkeypatch):
+        from spreadnet.scoring import ism_scorer
+
+        matrix = make_matrix(n_rows=40, seed=13, noise=0.4)
+        cfg = TrainConfig(restarts=9, rng_seed=6, cycles=80)
+        clean = multi_restart_train(matrix, cfg, ism_scorer)
+        poisoned = {int(s) for s in restart_seeds(cfg.rng_seed, 9)[::3]}
+        self.poison_seeds(monkeypatch, poisoned)
+        partial = multi_restart_train(matrix, cfg, ism_scorer)
+
+        survivors = [r for r in clean if r.seed not in poisoned]
+        assert len(partial) == 6
+        assert [r.seed for r in partial] == [r.seed for r in survivors]
+        for rp, rc in zip(partial, survivors):
+            assert ism_sort_key(rp.score) == ism_sort_key(rc.score)
+            for wp, wc in zip(rp.model.weights, rc.model.weights):
+                assert np.array_equal(wp, wc)
+        keys = [(-ism_sort_key(r.score), r.seed) for r in partial]
+        assert keys == sorted(keys)
+
+    def test_train_raises_on_nonfinite_initial_loss(self, monkeypatch):
+        self.poison_seeds(monkeypatch, {4})
+        with pytest.raises(DivergedTraining):
+            train(make_matrix(n_rows=30), TrainConfig(restarts=1), seed=4)
+
+
+def oracle_train(prep, cfg: TrainConfig, seed: int):
+    """Reference: one restart trained alone, 2-D arrays, one epoch at a time."""
+    aug0, y, n = prep.aug0, prep.y_scaled, len(prep.y_scaled)
+
+    def epoch(w1, w2):
+        t = np.tanh(aug0 @ w1.T)
+        aug1 = np.hstack([t, np.ones((n, 1))])
+        err = (aug1 @ w2.T)[:, 0] - y
+        delta2 = err[:, None] / n
+        delta1 = (delta2 @ w2[:, :-1]) * (1.0 - t * t)
+        grads = [delta1.T @ aug0, delta2.T @ aug1]
+        return 0.5 * float(np.mean(err * err)), grads, float(np.mean(np.abs(err)))
+
+    rng = np.random.default_rng(seed)
+    n_in = aug0.shape[1] - 1
+    hidden = cfg.hidden_size or n_in
+    weights = [rng.uniform(-0.5, 0.5, size=(hidden, n_in + 1)),
+               rng.uniform(-0.5, 0.5, size=(1, hidden + 1))]
+    loss, grads, _ = epoch(*weights)
+    lr, history = cfg.learning_rate, []
+    for _ in range(cfg.cycles):
+        candidate = [w - lr * g for w, g in zip(weights, grads)]
+        c_loss, c_grads, c_mae = epoch(*candidate)
+        if np.isfinite(c_loss) and c_loss <= loss:
+            weights, loss, grads, lr = candidate, c_loss, c_grads, cfg.learning_rate
+            history.append(loss)
+            if c_mae / 2.0 < cfg.stop_error:
+                break
+        else:
+            lr *= 0.5
+            history.append(loss)
+            if lr < 1e-15:
+                break
+    return weights, history
+
+
+def assert_same_weights(model, weights):
+    assert len(model.weights) == len(weights)
+    for got, want in zip(model.weights, weights):
+        assert np.array_equal(got, want)
+
+
+class TestStackedKernel:
+    """Restart s gives the same bits trained alone, in any batch, and by the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**16),
+        n_rows=st.integers(20, 45),
+        n_inputs=st.integers(1, 4),
+        hidden=st.one_of(st.none(), st.integers(1, 5)),
+        cycles=st.integers(1, 60),
+        stop_error=st.sampled_from([0.01, 0.1, 0.3, 0.9]),
+        learning_rate=st.sampled_from([0.1, 1.0, 8.0, 40.0]),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+        cuts=st.lists(st.integers(1, 7), max_size=3),
+    )
+    def test_alone_batched_and_oracle_agree(self, data_seed, n_rows, n_inputs, hidden,
+                                            cycles, stop_error, learning_rate, seeds, cuts):
+        matrix = make_matrix(n_rows=n_rows, n_inputs=n_inputs, seed=data_seed, noise=0.5)
+        cfg = TrainConfig(cycles=cycles, stop_error=stop_error, learning_rate=learning_rate,
+                          restarts=len(seeds), hidden_size=hidden)
+        prep = neural._prepare(matrix)
+        whole = neural._train_stack(prep, cfg, seeds)
+        bounds = [0] + sorted({c for c in cuts if c < len(seeds)}) + [len(seeds)]
+        pieces = [m for a, b in zip(bounds, bounds[1:])
+                  for m in neural._train_stack(prep, cfg, seeds[a:b])]
+        for seed, in_whole, in_piece in zip(seeds, whole, pieces):
+            history: list = []
+            alone = train(matrix, cfg, seed=seed, history=history)
+            want_weights, want_history = oracle_train(prep, cfg, seed)
+            assert history == want_history
+            for model in (alone, in_whole, in_piece):
+                assert_same_weights(model, want_weights)
+
+    def test_early_stop_paths_differ_per_restart(self):
+        # a loose stop criterion: restarts leave the stack at different epochs
+        matrix = make_matrix(n_rows=40, seed=21, noise=0.3)
+        cfg = TrainConfig(cycles=200, stop_error=0.12, restarts=12, rng_seed=8)
+        prep = neural._prepare(matrix)
+        seeds = [int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
+        histories = [[] for _ in seeds]
+        models = neural._train_stack(prep, cfg, seeds, histories)
+        lengths = {len(h) for h in histories}
+        assert min(lengths) < cfg.cycles and len(lengths) > 1
+        for seed, model, history in zip(seeds, models, histories):
+            want_weights, want_history = oracle_train(prep, cfg, seed)
+            assert history == want_history
+            assert_same_weights(model, want_weights)
+
+    def test_reject_and_halve_path(self):
+        # an oversized rate: early steps overshoot, are rejected and halved
+        matrix = make_matrix(n_rows=35, seed=22, noise=0.3)
+        cfg = TrainConfig(cycles=40, stop_error=0.01, learning_rate=50.0, restarts=6)
+        prep = neural._prepare(matrix)
+        seeds = [int(s) for s in restart_seeds(3, cfg.restarts)]
+        histories = [[] for _ in seeds]
+        models = neural._train_stack(prep, cfg, seeds, histories)
+        for seed, model, history in zip(seeds, models, histories):
+            want_weights, want_history = oracle_train(prep, cfg, seed)
+            assert history == want_history
+            assert any(a == b for a, b in zip(history, history[1:]))  # a rejected epoch
+            assert_same_weights(model, want_weights)
+
+    def test_multi_restart_blocks_match_oracle(self, monkeypatch):
+        # seeds fed in blocks of 3: the block boundary changes no bit
+        from spreadnet.scoring import ism_scorer
+
+        matrix = make_matrix(n_rows=40, seed=23, noise=0.4)
+        cfg = TrainConfig(cycles=50, restarts=7, rng_seed=4)
+        monkeypatch.setattr(neural, "RESTART_BLOCK", 3)
+        results = multi_restart_train(matrix, cfg, ism_scorer)
+        prep = neural._prepare(split(matrix, cfg)[0])
+        assert sorted(r.seed for r in results) == sorted(
+            int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts))
+        for r in results:
+            assert_same_weights(r.model, oracle_train(prep, cfg, r.seed)[0])
 
 
 class TestGradientCheck:

@@ -246,3 +246,23 @@ class TestCli:
         assert code == 0
         manifest = load_run(tmp_path / "run")
         assert manifest["config"]["training"]["restarts"] == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--set", "var.window=5"],
+        ["--set", "training.split=0.9"],
+        ["--set", "var.window=abc"],
+    ])
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, extra):
+        _, config_path = write_demo_workspace(tmp_path, enabled_sets=[7])
+        assert cli_main(["validate", "-c", str(config_path), *extra]) == 1
+        assert "stage 'config' failed" in capsys.readouterr().err
+
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        assert cli_main(["validate", "-c", str(tmp_path / "nope.json")]) == 1
+        assert "stage 'config' failed" in capsys.readouterr().err
+
+    def test_malformed_config_json_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert cli_main(["validate", "-c", str(bad)]) == 1
+        assert "stage 'config' failed" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadnet.errors import (
     IndexOutOfRange,
@@ -275,6 +277,55 @@ class TestBuildLaggedMatrix:
         tail = m.slice_rows(30, m.rows)
         rebuilt = tail.denormalize_predictions(tail.output)
         assert np.allclose(rebuilt, tail.output_levels, rtol=1e-12)
+
+
+class TestDenormalizePredictions:
+    """The vectorised inverse equals the scalar ``denormalize_output`` row by row."""
+
+    @staticmethod
+    def normalized_matrix(levels, prior):
+        rows = len(levels)
+        return TrainingMatrix(
+            base_set_id=8,
+            lag=1,
+            input_names=("a",),
+            inputs=np.zeros((rows, 1)),
+            output=np.zeros(rows),
+            months_out=np.arange(rows),
+            output_recipe="normalized",
+            output_levels=levels,
+            prior_levels=prior,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.integers(1, 89),
+        scale=st.sampled_from([1e-3, 1.0, 250.0, 1e5]),
+        start=st.integers(0, 88),
+    )
+    def test_bit_identical_to_row_by_row(self, seed, rows, scale, start):
+        rng = np.random.default_rng(seed)
+        full = scale * rng.uniform(0.5, 2.0, size=rows + 3)
+        matrix = self.normalized_matrix(full[3:], full[:3])
+        if start < rows:  # also through a slice, whose prior comes from the parent
+            matrix = matrix.slice_rows(start, rows)
+            full = full[start:]
+        predicted = rng.normal(0.0, 0.2, size=matrix.rows)
+        rowwise = np.array(
+            [denormalize_output(p, full[i:i + 3]) for i, p in enumerate(predicted)]
+        )
+        assert np.array_equal(matrix.denormalize_predictions(predicted), rowwise)
+
+    def test_zero_trailing_mean(self):
+        matrix = self.normalized_matrix(np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 0.0]))
+        with pytest.raises(ZeroTrailingMean):
+            matrix.denormalize_predictions(np.zeros(3))
+
+    def test_missing_prior_levels(self):
+        matrix = self.normalized_matrix(np.arange(1.0, 6.0), None)
+        with pytest.raises(ValueError):
+            matrix.denormalize_predictions(np.zeros(5))
 
 
 class TestAssembleBaseSets:
