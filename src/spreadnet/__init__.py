@@ -68,11 +68,9 @@ from .neural import (
 from .scoring import ModelScore, ism_scorer, score_model
 from .ensemble import (
     Candidate,
-    EnsembleRecord,
     Forecast,
     MasterResult,
     build_master_matrix,
-    predict_next,
     select_best,
     train_master,
 )

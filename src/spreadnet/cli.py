@@ -63,8 +63,12 @@ def _apply_overrides(data: dict, overrides: list[str]) -> dict:
     for text in overrides:
         path, value = _parse_override(text)
         node = data
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
+        for depth, part in enumerate(path):
+            if not isinstance(node, dict):
+                where = ".".join(path[:depth]) or "document"
+                raise ValueError(f"config {where} is not an object")
+            if depth < len(path) - 1:
+                node = node.setdefault(part, {})
         node[path[-1]] = value
     return data
 
@@ -85,10 +89,6 @@ def _load_config(args) -> PipelineConfig:
 def _run_to(args, stage: str):
     config = _load_config(args)
     return run_pipeline(config, through=stage, run_dir=args.run_dir)
-
-
-def _print_ism(value) -> str:
-    return "perfect" if value == "perfect" else f"{value:.4f}"
 
 
 def cmd_validate(args) -> int:

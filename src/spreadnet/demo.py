@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .pipeline import VARIABLES, PipelineConfig
 from .series import MonthlySeries, format_month, parse_month
 
 DEFAULT_MONTHS = 190
@@ -89,44 +91,27 @@ def write_demo_csv(path: str | Path, **kwargs) -> Path:
 
 def write_demo_workspace(
     directory: str | Path,
-    restarts: int = 50,
+    restarts: int | None = None,
     rng_seed: int = 2024,
     enabled_sets: list[int] | None = None,
     **series_kwargs,
 ) -> tuple[Path, Path]:
-    """Write demo.csv plus a ready-to-run pipeline config; returns both paths."""
+    """Write demo.csv plus a ready-to-run pipeline config; returns both paths.
+
+    ``restarts`` and ``enabled_sets`` left as None keep the PipelineConfig
+    defaults.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = write_demo_csv(directory / "demo.csv", **series_kwargs)
 
-    config = {
-        "data": {
-            "date_column": "date",
-            "variables": {
-                name: {"path": str(csv_path), "column": name}
-                for name in ("igaem", "embi_venezuela", "embi_global", "tbill")
-            },
-        },
-        "var": {"window": 65, "confidence": 0.95},
-        "smoothing": {"beta": 0.1, "seed_value": None},
-        "ma_levels": [{"M": 2, "n": 2}, {"M": 4, "n": 3}],
-        "base_sets": {
-            "enabled": enabled_sets or list(range(1, 11)),
-            "single_lag": 1,
-        },
-        "training": {
-            "cycles": 1000,
-            "stop_error": 0.10,
-            "learning_rate": 0.10,
-            "restarts": restarts,
-            "full_scale": False,
-            "rng_seed": rng_seed,
-            "split": 0.60,
-            "hidden_size": None,
-        },
-        "selection": {"top_k": 10},
-        "output": {"directory": str(directory / "runs"), "formats": ["csv", "txt"]},
-    }
+    config = PipelineConfig(
+        variables={name: {"path": str(csv_path), "column": name} for name in VARIABLES},
+        output_dir=str(directory / "runs"),
+    )
+    restarts = config.training.restarts if restarts is None else restarts
+    training = replace(config.training, restarts=restarts, rng_seed=rng_seed)
+    config = replace(config, training=training, enabled_sets=enabled_sets or config.enabled_sets)
     config_path = directory / "config.json"
-    config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
+    config_path.write_text(json.dumps(config.to_dict(), indent=2), encoding="utf-8")
     return csv_path, config_path

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DateMismatch, DimensionMismatch, NoCandidates
+from .errors import DateMismatch, NoCandidates
 from .metrics import ism_sort_key
 from .neural import NetworkModel, TrainConfig, forward, multi_restart_train, split
 from .preprocess import MASTER_SET_ID, TrainingMatrix
@@ -62,6 +62,21 @@ def select_best(candidates: list[Candidate], k: int = 10) -> list[Candidate]:
     return ranked[:k]
 
 
+def shared_window(spans: list[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
+    """The months that every member's test window covers.
+
+    ``spans`` holds each member's first and last test month (windows are
+    consecutive months). Returns the shared months and, per member, the
+    index of the first shared month in its own window. Raises DateMismatch
+    when the windows do not intersect.
+    """
+    start = max(int(first) for first, _ in spans)
+    stop = min(int(last) for _, last in spans)
+    if start > stop:
+        raise DateMismatch("member test windows do not intersect")
+    return np.arange(start, stop + 1, dtype=np.int64), [start - int(first) for first, _ in spans]
+
+
 def build_master_matrix(members: list[Candidate]) -> TrainingMatrix:
     """Stack same-month member forecasts against the realized target.
 
@@ -71,16 +86,11 @@ def build_master_matrix(members: list[Candidate]) -> TrainingMatrix:
     """
     if not members:
         raise NoCandidates("no members to stack")
-    start = max(int(m.score.months[0]) for m in members)
-    stop = min(int(m.score.months[-1]) for m in members)
-    if start > stop:
-        raise DateMismatch("member forecast date ranges do not intersect")
-    months = np.arange(start, stop + 1, dtype=np.int64)
+    months, offsets = shared_window([(m.score.months[0], m.score.months[-1]) for m in members])
 
     cols = []
     actual = None
-    for m in members:
-        lo = start - int(m.score.months[0])
+    for m, lo in zip(members, offsets):
         cols.append(m.score.predicted_levels[lo : lo + len(months)])
         window = m.score.actual_levels[lo : lo + len(months)]
         if actual is None:
@@ -119,24 +129,6 @@ def train_master(matrix: TrainingMatrix, cfg: TrainConfig) -> MasterResult:
 
 
 @dataclass(frozen=True)
-class EnsembleRecord:
-    """Selected members plus the trained master; enough to predict."""
-
-    members: list[Candidate]
-    master: MasterResult
-
-    def __post_init__(self):
-        keys = [ism_sort_key(m.score.ism) for m in self.members]
-        if any(a < b for a, b in zip(keys, keys[1:])):
-            raise ValueError("members must be sorted by descending ISM")
-        if self.master.model.n_inputs != len(self.members):
-            raise DimensionMismatch(
-                f"master expects {self.master.model.n_inputs} inputs, "
-                f"{len(self.members)} members given"
-            )
-
-
-@dataclass(frozen=True)
 class Forecast:
     """One next-month call: level, direction (+1 rise / -1 fall), vote split."""
 
@@ -156,25 +148,8 @@ def master_forecast(
     actual, not from the member votes; the vote split is reported alongside.
     """
     inputs = np.asarray(member_forecasts, dtype=np.float64)
-    if inputs.shape != (master_model.n_inputs,):
-        raise DimensionMismatch(
-            f"need {master_model.n_inputs} member forecasts, got shape {inputs.shape}"
-        )
-    value = forward(master_model, inputs)
+    value = forward(master_model, inputs)  # raises DimensionMismatch on a wrong width
     direction = 1 if value >= last_actual else -1
     up = float(np.mean(inputs >= last_actual) * 100.0)
     return Forecast(value=value, direction=direction, up_vote_percent=up)
 
-
-def predict_next(
-    record: EnsembleRecord,
-    latest_member_forecasts: np.ndarray,
-    last_actual: float,
-) -> Forecast:
-    """Run the ensemble's master on the members' forthcoming-month forecasts."""
-    inputs = np.asarray(latest_member_forecasts, dtype=np.float64)
-    if inputs.shape != (len(record.members),):
-        raise DimensionMismatch(
-            f"need {len(record.members)} member forecasts, got shape {inputs.shape}"
-        )
-    return master_forecast(record.master.model, inputs, last_actual)

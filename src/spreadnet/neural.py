@@ -1,6 +1,7 @@
 """From-scratch feedforward network with gradient training and restarts.
 
-The trainer is plain reverse-mode gradient descent over full-batch squared
+The network family is fixed: tanh hidden units and a linear output. The
+trainer is plain reverse-mode gradient descent over full-batch squared
 error, with a monotone step rule: an epoch whose loss would rise is
 rejected and the rate halved; a successful epoch restores the initial
 rate. Inputs and the target are min-max scaled to [-1, 1] on the training
@@ -34,44 +35,6 @@ MODEL_FORMAT_VERSION = 1
 
 _MIN_LEARNING_RATE = 1e-15
 _INIT_WEIGHT_RANGE = 0.5
-
-
-# ---------------------------------------------------------------------------
-# Activations
-# ---------------------------------------------------------------------------
-
-
-def _tanh(z):
-    return np.tanh(z)
-
-
-def _dtanh(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
-def _identity(z):
-    return z
-
-
-def _didentity(z):
-    return np.ones_like(z)
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def _dsigmoid(z):
-    s = _sigmoid(z)
-    return s * (1.0 - s)
-
-
-ACTIVATIONS = {
-    "tanh": (_tanh, _dtanh),
-    "identity": (_identity, _didentity),
-    "sigmoid": (_sigmoid, _dsigmoid),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +89,13 @@ class NetworkModel:
     """Layer sizes, weight matrices (bias folded in), and fitted scalings.
 
     ``weights[l]`` has shape (fan_out, fan_in + 1); the last column is the
-    bias. The target scaling is inverted on the way out, so ``forward``
-    speaks original units.
+    bias. Hidden layers apply tanh and the output layer is linear. The
+    target scaling is inverted on the way out, so ``forward`` speaks
+    original units.
     """
 
     layer_sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
-    hidden_activation: str = "tanh"
-    output_activation: str = "identity"
     input_scaling: AffineMap | None = None
     output_scaling: AffineMap | None = None
 
@@ -155,9 +117,6 @@ class NetworkModel:
             w.setflags(write=False)
             frozen.append(w)
         object.__setattr__(self, "weights", tuple(frozen))
-        for name in (self.hidden_activation, self.output_activation):
-            if name not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {name!r}")
 
     @property
     def n_inputs(self) -> int:
@@ -167,13 +126,9 @@ class NetworkModel:
 def _forward_scaled(model: NetworkModel, x_scaled: np.ndarray) -> np.ndarray:
     """Batch forward pass in scaled space; returns shape (rows,)."""
     h = np.atleast_2d(x_scaled)
-    n_layers = len(model.weights)
-    for l, w in enumerate(model.weights):
-        aug = np.hstack([h, np.ones((h.shape[0], 1))])
-        z = aug @ w.T
-        act = model.hidden_activation if l < n_layers - 1 else model.output_activation
-        h = ACTIVATIONS[act][0](z)
-    return h[:, 0]
+    for w in model.weights[:-1]:
+        h = np.tanh(_augment(h) @ w.T)
+    return (_augment(h) @ model.weights[-1].T)[:, 0]
 
 
 def forward(model: NetworkModel, inputs: np.ndarray) -> float:
@@ -264,7 +219,7 @@ def _augment(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-def _epoch_math(weights, aug0, y_scaled, hidden_act="tanh", output_act="identity"):
+def _epoch_math(weights, aug0, y_scaled):
     """Fused forward + backward over one full batch, for a stack of networks.
 
     ``weights[l]`` has shape (R, fan_out, fan_in + 1): layer ``l`` of each
@@ -281,40 +236,25 @@ def _epoch_math(weights, aug0, y_scaled, hidden_act="tanh", output_act="identity
     n_layers = len(weights)
     n = aug0.shape[0]
     augs = [aug0]
-    zs = []
-    h = None
-    for l, w in enumerate(weights):
-        z = augs[l] @ w.transpose(0, 2, 1)
-        act = hidden_act if l < n_layers - 1 else output_act
-        h = ACTIVATIONS[act][0](z)
-        zs.append(z)
-        if l < n_layers - 1:
-            augs.append(_augment(h))
+    hidden = []  # tanh outputs, reused for the derivative 1 - t*t
+    for w in weights[:-1]:
+        t = np.tanh(augs[-1] @ w.transpose(0, 2, 1))
+        hidden.append(t)
+        augs.append(_augment(t))
+    out = augs[-1] @ weights[-1].transpose(0, 2, 1)
 
-    err = h[..., 0] - y_scaled
+    err = out[..., 0] - y_scaled
     loss = 0.5 * np.mean(err * err, axis=-1)
     mae = np.mean(np.abs(err), axis=-1)
 
     grads = [None] * n_layers
-    delta = (err / n)[..., None] * ACTIVATIONS[output_act][1](zs[-1])
+    delta = (err / n)[..., None]
     for l in range(n_layers - 1, -1, -1):
         grads[l] = delta.transpose(0, 2, 1) @ augs[l]
         if l > 0:
-            back = delta @ weights[l][..., :-1]
-            delta = back * ACTIVATIONS[hidden_act][1](zs[l - 1])
+            t = hidden[l - 1]
+            delta = (delta @ weights[l][..., :-1]) * (1.0 - t * t)
     return loss, grads, mae
-
-
-def _loss_and_grads(model: NetworkModel, x_scaled, y_scaled, want_grads=True):
-    """Half-MSE loss in scaled space and its weight gradients."""
-    loss, grads, _ = _epoch_math(
-        [w[None] for w in model.weights],
-        _augment(x_scaled),
-        y_scaled,
-        model.hidden_activation,
-        model.output_activation,
-    )
-    return float(loss[0]), ([g[0] for g in grads] if want_grads else None)
 
 
 def _init_weights(n_inputs: int, cfg: TrainConfig, seed: int):
@@ -326,13 +266,6 @@ def _init_weights(n_inputs: int, cfg: TrainConfig, seed: int):
         for l in range(len(sizes) - 1)
     ]
     return sizes, weights
-
-
-def gradient_descent_epoch(model: NetworkModel, x_scaled, y_scaled, learning_rate: float):
-    """One full-batch update; returns (candidate model, pre-update loss)."""
-    loss, grads = _loss_and_grads(model, x_scaled, y_scaled)
-    new_weights = tuple(w - learning_rate * g for w, g in zip(model.weights, grads))
-    return replace(model, weights=new_weights), loss
 
 
 @dataclass(frozen=True)
@@ -481,8 +414,7 @@ def multi_restart_train(matrix: TrainingMatrix, cfg: TrainConfig, scorer) -> lis
 
     Restarts train together in stacked blocks of ``RESTART_BLOCK`` seeds;
     each one's weights are bit-identical to ``train`` with its seed.
-    ``scorer(model, train_part, test_part)`` returns the out-of-sample
-    score (higher is better; the perfect-strategy sentinel ranks first).
+    ``scorer(model, test_part)`` returns the out-of-sample score (higher is better; the perfect-strategy sentinel ranks first).
     Restarts whose initial loss is non-finite are skipped; if none finish,
     AllDiverged is raised. The returned list is sorted by descending
     score with the seed as a deterministic tiebreak.
@@ -495,7 +427,7 @@ def multi_restart_train(matrix: TrainingMatrix, cfg: TrainConfig, scorer) -> lis
         block = seeds[start:start + RESTART_BLOCK]
         for seed, model in zip(block, _train_stack(prep, cfg, block)):
             if model is not None:
-                score = scorer(model, train_part, test_part)
+                score = scorer(model, test_part)
                 results.append(RestartResult(model=model, score=score, seed=seed))
     if not results:
         raise AllDiverged(f"all {cfg.restarts} restarts diverged")
@@ -527,13 +459,13 @@ def gradient_check(model: NetworkModel, sample: tuple[np.ndarray, float],
         else y_arr
     )
 
-    _, grads = _loss_and_grads(model, x_scaled, y_scaled)
+    aug = _augment(x_scaled)
+    _, grads, _ = _epoch_math([w[None] for w in model.weights], aug, y_scaled)
 
     def loss_with_bump(layer, idx, bump):
-        weights = [w.copy() for w in model.weights]
-        weights[layer][idx] += bump
-        bumped = replace(model, weights=tuple(weights))
-        return _loss_and_grads(bumped, x_scaled, y_scaled, want_grads=False)[0]
+        weights = [w[None].copy() for w in model.weights]
+        weights[layer][(0, *idx)] += bump
+        return float(_epoch_math(weights, aug, y_scaled)[0][0])
 
     worst = 0.0
     for l, w in enumerate(model.weights):
@@ -541,7 +473,7 @@ def gradient_check(model: NetworkModel, sample: tuple[np.ndarray, float],
             up = loss_with_bump(l, idx, epsilon)
             down = loss_with_bump(l, idx, -epsilon)
             numeric = (up - down) / (2 * epsilon)
-            analytic = grads[l][idx]
+            analytic = grads[l][(0, *idx)]
             denom = max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, abs(analytic - numeric) / denom)
     return worst
@@ -551,14 +483,16 @@ def gradient_check(model: NetworkModel, sample: tuple[np.ndarray, float],
 # Serialization (versioned JSON; floats round-trip bit-exactly)
 # ---------------------------------------------------------------------------
 
+# Format v1 names the activations; the network family only has these two.
+_V1_ACTIVATION_FIELDS = {"hidden_activation": "tanh", "output_activation": "identity"}
+
 
 def model_to_dict(model: NetworkModel) -> dict:
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
         "layer_sizes": list(model.layer_sizes),
-        "hidden_activation": model.hidden_activation,
-        "output_activation": model.output_activation,
+        **_V1_ACTIVATION_FIELDS,
         "weights": [w.tolist() for w in model.weights],
         "input_scaling": _scaling_to_dict(model.input_scaling),
         "output_scaling": _scaling_to_dict(model.output_scaling),
@@ -570,11 +504,12 @@ def model_from_dict(data: dict) -> NetworkModel:
         raise ValueError(f"not a {MODEL_FORMAT} document")
     if data.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {data.get('version')}")
+    for key, name in _V1_ACTIVATION_FIELDS.items():
+        if data.get(key) != name:
+            raise ValueError(f"{key} must be {name!r}, got {data.get(key)!r}")
     return NetworkModel(
         layer_sizes=tuple(data["layer_sizes"]),
         weights=tuple(np.asarray(w, dtype=np.float64) for w in data["weights"]),
-        hidden_activation=data["hidden_activation"],
-        output_activation=data["output_activation"],
         input_scaling=_scaling_from_dict(data["input_scaling"]),
         output_scaling=_scaling_from_dict(data["output_scaling"]),
     )

@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .ensemble import (
     build_master_matrix,
     master_forecast,
     select_best,
+    shared_window,
     train_master,
 )
 from .errors import (
@@ -64,7 +65,8 @@ VARIABLES = (pp.INDICATOR, pp.OUTPUT_VARIABLE, pp.GLOBAL_SPREAD, pp.TBILL)
 
 MANIFEST_FORMAT = 1
 MANIFEST_NAME = "manifest.json"
-FULL_SCALE_RESTARTS = 5000
+# The paper's regime: TrainConfig defaults to it, PipelineConfig to desk scale.
+FULL_SCALE_RESTARTS = TrainConfig.restarts
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +78,7 @@ FULL_SCALE_RESTARTS = 5000
 class PipelineConfig:
     """Typed view of the JSON pipeline config; round-trips exactly."""
 
-    variables: dict[str, dict[str, str]]
+    variables: dict[str, dict[str, str]] = field(default_factory=dict)
     date_column: str = "date"
     var_cfg: VarConfig = field(default_factory=VarConfig)
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
@@ -93,10 +95,13 @@ class PipelineConfig:
         missing = [v for v in VARIABLES if v not in self.variables]
         if missing:
             raise MissingColumn(f"config lacks data entries for {missing}")
+        for name, kind in (("enabled_sets", tuple), ("single_lag", int), ("full_scale", bool),
+                           ("top_k", int), ("formats", tuple)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     @property
     def train_cfg(self) -> TrainConfig:
-        """The effective training config; full_scale forces the 5000-restart regime."""
+        """The effective training config; full_scale forces the paper's restart count."""
         if self.full_scale:
             return replace(self.training, restarts=FULL_SCALE_RESTARTS)
         return self.training
@@ -130,32 +135,34 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        d = data.get("data", {})
-        t = data.get("training", {})
-        return cls(
-            variables=d.get("variables", {}),
-            date_column=d.get("date_column", "date"),
-            var_cfg=VarConfig(**data.get("var", {})),
-            smoothing=SmoothingConfig(**data.get("smoothing", {})),
-            ma_levels=tuple(
-                BlockAverageConfig(**c) for c in data.get("ma_levels", [{"M": 2, "n": 2}, {"M": 4, "n": 3}])
-            ),
-            enabled_sets=tuple(data.get("base_sets", {}).get("enabled", range(1, 11))),
-            single_lag=int(data.get("base_sets", {}).get("single_lag", 1)),
-            training=TrainConfig(
-                cycles=t.get("cycles", 1000),
-                stop_error=t.get("stop_error", 0.10),
-                learning_rate=t.get("learning_rate", 0.10),
-                restarts=t.get("restarts", 50),
-                rng_seed=t.get("rng_seed", 0),
-                split=t.get("split", 0.60),
-                hidden_size=t.get("hidden_size"),
-            ),
-            full_scale=bool(t.get("full_scale", False)),
-            top_k=int(data.get("selection", {}).get("top_k", 10)),
-            output_dir=data.get("output", {}).get("directory", "runs"),
-            formats=tuple(data.get("output", {}).get("formats", ["csv", "txt"])),
-        )
+        """Parse the layout ``to_dict`` writes; absent keys keep the defaults.
+
+        An unknown key at any level, or a section that is not an object,
+        raises ValueError naming the dotted key.
+        """
+        sections = _config_object(data, "", (*_SECTIONS, "ma_levels"))
+        kwargs = {}
+        for name, (nested, keys) in _SECTIONS.items():
+            # a nested section overrides fields of that config field's default
+            base = cls.__dataclass_fields__[nested].default_factory() if nested else None
+            allowed = [*keys, *(f.name for f in fields(base))] if nested else keys
+            values = dict(_config_object(sections.get(name, {}), name, allowed))
+            kwargs.update((keys[k], values.pop(k)) for k in keys if k in values)
+            if nested:
+                kwargs[nested] = replace(base, **values)
+        if "ma_levels" in sections:
+            levels = sections["ma_levels"]
+            if not isinstance(levels, list):
+                raise ValueError(f"config ma_levels must be a list, got {levels!r}")
+            kwargs["ma_levels"] = tuple(
+                BlockAverageConfig(**_config_object(c, f"ma_levels.{i}", ("M", "n")))
+                for i, c in enumerate(levels)
+            )
+        variables = _config_object(kwargs.get("variables", {}), "data.variables", VARIABLES)
+        for name, entry in variables.items():
+            if set(_config_object(entry, f"data.variables.{name}", _ENTRY_KEYS)) != set(_ENTRY_KEYS):
+                raise ValueError(f"config data.variables.{name} needs both {_ENTRY_KEYS}")
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -163,6 +170,30 @@ class PipelineConfig:
         if not path.exists():
             raise MissingFile(f"config file not found: {path}")
         return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
+# JSON section -> (the PipelineConfig field whose config dataclass takes the
+# section's remaining keys, or None; {key: PipelineConfig field}).
+_SECTIONS = {
+    "data": (None, {"date_column": "date_column", "variables": "variables"}),
+    "var": ("var_cfg", {}),
+    "smoothing": ("smoothing", {}),
+    "base_sets": (None, {"enabled": "enabled_sets", "single_lag": "single_lag"}),
+    "training": ("training", {"full_scale": "full_scale"}),
+    "selection": (None, {"top_k": "top_k"}),
+    "output": (None, {"directory": "output_dir", "formats": "formats"}),
+}
+_ENTRY_KEYS = ("path", "column")
+
+
+def _config_object(value, where: str, keys) -> dict:
+    """``value``, checked to be an object whose keys are all in ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config {where or 'document'} must be an object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"unknown config key {where + '.' if where else ''}{key}")
+    return value
 
 
 def config_hash(config: PipelineConfig) -> str:
@@ -355,10 +386,6 @@ def _ism_to_json(value):
     return "perfect" if value is PERFECT_STRATEGY else float(value)
 
 
-def ism_from_json(value):
-    return PERFECT_STRATEGY if value == "perfect" else float(value)
-
-
 def _score_to_json(score) -> dict:
     return {
         "ism": _ism_to_json(score.ism),
@@ -495,15 +522,11 @@ def emit_reports(manifest: dict, run_dir: str | Path) -> list[Path]:
 
 def _member_votes(members: list[dict]) -> tuple[list[str], np.ndarray]:
     """Shared month labels and the (members x dates) direction-vote matrix."""
-    starts = [parse_month(e["test_months"][0]) for e in members]
-    stops = [parse_month(e["test_months"][-1]) for e in members]
-    start, stop = max(starts), min(stops)
-    if start > stop:
-        raise IncompleteManifest("member test windows do not intersect")
-    months = list(range(start, stop + 1))
+    months, offsets = shared_window(
+        [(parse_month(e["test_months"][0]), parse_month(e["test_months"][-1])) for e in members]
+    )
     votes = []
-    for e in members:
-        lo = start - parse_month(e["test_months"][0])
+    for e, lo in zip(members, offsets):
         pred = np.asarray(e["predicted_levels"][lo : lo + len(months)])
         act = np.asarray(e["actual_levels"][lo : lo + len(months)])
         votes.append(positions_from_forecasts(pred, act))

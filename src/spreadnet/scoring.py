@@ -65,17 +65,22 @@ def score_levels(predicted_levels: np.ndarray, actual_levels: np.ndarray,
     )
 
 
+def _predicted_levels(model: NetworkModel, test_part: TrainingMatrix) -> np.ndarray:
+    """Predict the test rows and invert the output normalization."""
+    return test_part.denormalize_predictions(predict(model, test_part.inputs))
+
+
 def score_model(model: NetworkModel, test_part: TrainingMatrix) -> ModelScore:
     """Predict the test rows, invert normalization, and score the levels."""
-    raw = predict(model, test_part.inputs)
-    levels = test_part.denormalize_predictions(raw)
+    levels = _predicted_levels(model, test_part)
     return score_levels(levels, test_part.output_levels, test_part.months_out)
 
 
-def ism_scorer(model: NetworkModel, train_part: TrainingMatrix,
-               test_part: TrainingMatrix):
-    """Ranking scorer for multi-restart training: out-of-sample ISM only."""
-    raw = predict(model, test_part.inputs)
-    levels = test_part.denormalize_predictions(raw)
-    report = equity_curves(levels, test_part.output_levels)
+def ism_scorer(model: NetworkModel, test_part: TrainingMatrix):
+    """Ranking scorer for multi-restart training: out-of-sample ISM only.
+
+    It runs once per restart, so it skips the EP test and hit rate that
+    ``score_model`` adds for the winner.
+    """
+    report = equity_curves(_predicted_levels(model, test_part), test_part.output_levels)
     return modified_sharpe(report)

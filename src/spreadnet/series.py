@@ -101,11 +101,6 @@ class MonthlySeries:
     def month_labels(self) -> list[str]:
         return [format_month(k) for k in self.months]
 
-    def slice_months(self, start: int, stop: int) -> "MonthlySeries":
-        """Restrict to month keys in [start, stop] (inclusive)."""
-        mask = (self.months >= start) & (self.months <= stop)
-        return MonthlySeries(self.name, self.months[mask], self.values[mask])
-
     def value_at(self, month: int) -> float:
         """Value at an exact month key; KeyError if absent."""
         idx = month - self.first_month

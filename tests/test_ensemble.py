@@ -7,10 +7,8 @@ import pytest
 
 from spreadnet.ensemble import (
     Candidate,
-    EnsembleRecord,
     build_master_matrix,
     master_forecast,
-    predict_next,
     select_best,
     train_master,
 )
@@ -26,8 +24,6 @@ def dummy_model(n_inputs=2):
     return NetworkModel(
         layer_sizes=(n_inputs, 1),
         weights=(np.zeros((1, n_inputs + 1)),),
-        hidden_activation="identity",
-        output_activation="identity",
     )
 
 
@@ -179,52 +175,23 @@ class TestTrainMaster:
 
 
 class TestPredictNext:
-    def consensus_master(self, k=10):
+    """Next-month calls through ``master_forecast``, the pipeline's predict path."""
+
+    @staticmethod
+    def consensus_master(k=10):
         # equal-weight linear stack: output is exactly the member mean
         weights = np.zeros((1, k + 1))
         weights[0, :k] = 1.0 / k
-        return NetworkModel(
-            layer_sizes=(k, 1),
-            weights=(weights,),
-            hidden_activation="identity",
-            output_activation="identity",
-        )
-
-    def build_record(self, k=10):
-        members = self.members(k)
-        from spreadnet.ensemble import MasterResult
-
-        months = members[0].score.months
-        score = score_levels(
-            members[0].score.actual_levels * 1.001,
-            members[0].score.actual_levels,
-            months,
-        )
-        return EnsembleRecord(
-            members=members,
-            master=MasterResult(model=self.consensus_master(k), seed=0, score=score),
-        )
-
-    def members(self, k):
-        months = np.arange(parse_month("2004-01"), parse_month("2004-01") + 12)
-        actual = level_path(np.full(11, 0.2))
-        out = []
-        for i in range(k):
-            m = make_member(i + 1, 1, months, actual * 1.001, actual)
-            m.score.ism = float(k - i)
-            out.append(m)
-        return out
+        return NetworkModel(layer_sizes=(k, 1), weights=(weights,))
 
     def test_consensus_output(self):
-        record = self.build_record()
         forecasts = np.linspace(90.0, 110.0, 10)
-        result = predict_next(record, forecasts, last_actual=100.0)
+        result = master_forecast(self.consensus_master(), forecasts, last_actual=100.0)
         assert result.value == pytest.approx(forecasts.mean(), abs=1e-12)
 
     def test_wrong_width(self):
-        record = self.build_record()
         with pytest.raises(DimensionMismatch):
-            predict_next(record, np.ones(9), last_actual=100.0)
+            master_forecast(self.consensus_master(), np.ones(9), last_actual=100.0)
 
     def test_direction_from_master_not_votes(self):
         # every member forecasts exactly the last actual (votes 100% up by the
@@ -232,35 +199,9 @@ class TestPredictNext:
         k = 10
         weights = np.zeros((1, k + 1))
         weights[0, :k] = 0.9 / k
-        model = NetworkModel(
-            layer_sizes=(k, 1), weights=(weights,),
-            hidden_activation="identity", output_activation="identity",
-        )
+        model = NetworkModel(layer_sizes=(k, 1), weights=(weights,))
         forecasts = np.full(k, 100.0)
         result = master_forecast(model, forecasts, last_actual=100.0)
         assert result.up_vote_percent == 100.0
         assert result.value == pytest.approx(90.0)
         assert result.direction == -1
-
-
-class TestEnsembleRecordInvariants:
-    def test_rejects_unsorted_members(self):
-        members = TestPredictNext().members(3)
-        members[0].score.ism = -5.0  # now out of order
-        from spreadnet.ensemble import MasterResult
-
-        master = MasterResult(
-            model=TestPredictNext().consensus_master(3), seed=0, score=members[0].score
-        )
-        with pytest.raises(ValueError):
-            EnsembleRecord(members=members, master=master)
-
-    def test_rejects_width_mismatch(self):
-        members = TestPredictNext().members(4)
-        from spreadnet.ensemble import MasterResult
-
-        master = MasterResult(
-            model=TestPredictNext().consensus_master(3), seed=0, score=members[0].score
-        )
-        with pytest.raises(DimensionMismatch):
-            EnsembleRecord(members=members, master=master)

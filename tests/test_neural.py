@@ -1,5 +1,7 @@
 """Forward pass, training behaviour, restarts, gradients, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from spreadnet.neural import (
     TrainConfig,
     forward,
     gradient_check,
-    gradient_descent_epoch,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -84,8 +85,6 @@ class TestForward:
         model = NetworkModel(
             layer_sizes=(2, 1),
             weights=(np.array([[2.0, 3.0, 0.0]]),),
-            hidden_activation="identity",
-            output_activation="identity",
         )
         assert forward(model, np.array([1.0, 1.0])) == 5.0
 
@@ -179,15 +178,6 @@ class TestTrain:
         train(matrix, TrainConfig(restarts=1, rng_seed=2, stop_error=0.99), history=history)
         assert len(history) == 1
 
-    def test_zero_learning_rate_keeps_weights(self):
-        matrix = make_matrix(n_rows=30, seed=9)
-        model = train(matrix, TrainConfig(restarts=1, cycles=1, stop_error=0.9))
-        x = model.input_scaling.apply(matrix.inputs)
-        y = model.output_scaling.apply(matrix.output[:, None])[:, 0]
-        stepped, _ = gradient_descent_epoch(model, x, y, learning_rate=0.0)
-        for wa, wb in zip(model.weights, stepped.weights):
-            assert np.array_equal(wa, wb)
-
     def test_config_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
@@ -196,7 +186,7 @@ class TestTrain:
 class TestMultiRestart:
     def test_single_restart_singleton(self):
         matrix = make_matrix(n_rows=40, seed=10)
-        scorer = lambda model, tr, te: 1.0
+        scorer = lambda model, test_part: 1.0
         results = multi_restart_train(matrix, TrainConfig(restarts=1), scorer)
         assert len(results) == 1
 
@@ -406,13 +396,9 @@ class TestGradientCheck:
         assert gradient_check(model, (np.zeros(2), 0.0)) == 0.0
 
     def test_linear_network_near_machine_precision(self):
+        # a single (linear) output layer: the loss is quadratic in the weights
         rng = np.random.default_rng(31)
-        model = NetworkModel(
-            layer_sizes=(3, 2, 1),
-            weights=(rng.uniform(-0.3, 0.3, (2, 4)), rng.uniform(-0.3, 0.3, (1, 3))),
-            hidden_activation="identity",
-            output_activation="identity",
-        )
+        model = NetworkModel(layer_sizes=(3, 1), weights=(rng.uniform(-0.3, 0.3, (1, 4)),))
         x = rng.uniform(-1, 1, size=3)
         assert gradient_check(model, (x, 0.7), epsilon=1e-4) < 1e-7
 
@@ -443,6 +429,24 @@ class TestSerialization:
     def test_format_gate(self):
         with pytest.raises(ValueError):
             model_from_dict({"format": "something-else"})
+
+    def test_saved_model_names_fixed_activations(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        data = json.loads(path.read_text())
+        assert data["hidden_activation"] == "tanh"
+        assert data["output_activation"] == "identity"
+
+    @pytest.mark.parametrize("key, name", [
+        ("hidden_activation", "sigmoid"),
+        ("output_activation", "tanh"),
+        ("hidden_activation", None),
+    ])
+    def test_other_activations_rejected(self, key, name):
+        data = model_to_dict(small_model())
+        data[key] = name
+        with pytest.raises(ValueError, match=key):
+            model_from_dict(data)
 
 
 class TestTrainedScalingConsistency:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
-from spreadnet.errors import PipelineStageError
+from spreadnet.errors import PipelineStageError, SpreadnetError
 from spreadnet.metrics import equity_curves
 from spreadnet.pipeline import (
     MANIFEST_NAME,
@@ -21,6 +22,7 @@ from spreadnet.pipeline import (
     predict_from_run,
     run_pipeline,
 )
+from spreadnet.series import format_month, parse_month
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +101,25 @@ class TestConfigRoundTrip:
         config = PipelineConfig.from_dict(data)
         assert config.training.restarts == 50
         assert config.train_cfg.restarts == 5000
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d["training"].update(restart=200), "training.restart"),
+        (lambda d: d.update(trainig={"restarts": 2}), "trainig"),
+        (lambda d: d["ma_levels"][1].update(m=4), "ma_levels.1.m"),
+        (lambda d: d["data"]["variables"]["igaem"].update(colum="x"),
+         "data.variables.igaem.colum"),
+        (lambda d: d["data"]["variables"].update(spx={"path": "x.csv", "column": "spx"}),
+         "data.variables.spx"),
+        (lambda d: d["data"]["variables"]["tbill"].pop("column"), "data.variables.tbill"),
+        (lambda d: d.update(output=["runs"]), "output"),
+        (lambda d: d.update(ma_levels={"M": 2}), "ma_levels"),
+    ])
+    def test_strict_keys_and_sections(self, small_run, edit, named):
+        config_path, _, _ = small_run
+        data = json.loads(Path(config_path).read_text())
+        edit(data)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            PipelineConfig.from_dict(data)
 
 
 class TestReports:
@@ -210,6 +231,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "summary.txt" in out
 
+    def test_report_on_disjoint_member_windows(self, small_run, tmp_path, capsys):
+        _, _, result = small_run
+        manifest = load_run(result.run_dir)
+        first = next(c for c in manifest["candidates"] if c["name"] == manifest["members"][0])
+        first["test_months"] = [format_month(parse_month(m) + 240) for m in first["test_months"]]
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(SpreadnetError, match="do not intersect"):
+            emit_reports(manifest, run)
+        assert cli_main(["report", "--run", str(run)]) == 7
+        assert "do not intersect" in capsys.readouterr().err
+
     def test_report_on_incomplete_run_exit_code(self, tmp_path, capsys):
         _, config_path = write_demo_workspace(tmp_path, restarts=2, enabled_sets=[7])
         config = PipelineConfig.from_file(config_path)
@@ -256,6 +290,27 @@ class TestCli:
         _, config_path = write_demo_workspace(tmp_path, enabled_sets=[7])
         assert cli_main(["validate", "-c", str(config_path), *extra]) == 1
         assert "stage 'config' failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--set", "training.restart=200"], "training.restart"),
+        (["--set", "trainig.restarts=2"], "trainig"),
+        (["--set", "training=5"], "training"),
+        (["--set", "data=5"], "data"),
+        (["--set", "training=5", "--set", "training.restarts=2"], "training"),
+        (["--set", "var.window.size=5"], "var.window"),
+    ])
+    def test_unknown_key_or_bad_section_exit_code(self, tmp_path, capsys, extra, named):
+        _, config_path = write_demo_workspace(tmp_path, enabled_sets=[7])
+        assert cli_main(["validate", "-c", str(config_path), *extra]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'config' failed" in err and named in err
+
+    @pytest.mark.parametrize("extra", [[], ["--set", "training.restarts=2"]])
+    def test_non_object_config_document_exit_code(self, tmp_path, capsys, extra):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        assert cli_main(["validate", "-c", str(listed), *extra]) == 1
+        assert "config document" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         assert cli_main(["validate", "-c", str(tmp_path / "nope.json")]) == 1
