@@ -69,7 +69,6 @@ from .scoring import ModelScore, ism_scorer, score_model
 from .ensemble import (
     Candidate,
     Forecast,
-    MasterResult,
     build_master_matrix,
     select_best,
     train_master,

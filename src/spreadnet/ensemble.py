@@ -22,7 +22,8 @@ from .scoring import ModelScore, ism_scorer, score_model
 
 @dataclass(frozen=True)
 class Candidate:
-    """Best network found for one (base set, lag) training matrix."""
+    """Best network found for one training matrix: a (base set, lag) member,
+    or the master at (MASTER_SET_ID, 0)."""
 
     base_set_id: int
     lag: int
@@ -40,8 +41,10 @@ def select_best(candidates: list[Candidate], k: int = 10) -> list[Candidate]:
 
     Ties break toward higher norm_EP, then earlier base set, then shorter
     lag, so the selection is fully deterministic. Returns everything (with
-    a warning) when fewer than k candidates exist.
+    a warning) when fewer than k candidates exist; k must be at least 1.
     """
+    if k < 1:
+        raise ValueError(f"top-k selection needs k >= 1, got {k}")
     if not candidates:
         raise NoCandidates("no candidates to select from")
     ranked = sorted(
@@ -109,23 +112,17 @@ def build_master_matrix(members: list[Candidate]) -> TrainingMatrix:
     )
 
 
-@dataclass(frozen=True)
-class MasterResult:
-    """Trained master network with its out-of-sample score."""
-
-    model: NetworkModel
-    seed: int
-    score: ModelScore
-
-
-def train_master(matrix: TrainingMatrix, cfg: TrainConfig) -> MasterResult:
-    """Multi-restart training of the stacking network, same regime as members."""
-    results = multi_restart_train(matrix, cfg, ism_scorer)
-    best = results[0]
+def fit_candidate(matrix: TrainingMatrix, cfg: TrainConfig) -> Candidate:
+    """Best of ``cfg.restarts`` restarts by out-of-sample ISM, scored in full."""
+    best = multi_restart_train(matrix, cfg, ism_scorer)[0]
     _, test_part = split(matrix, cfg)
-    return MasterResult(
-        model=best.model, seed=best.seed, score=score_model(best.model, test_part)
-    )
+    return Candidate(matrix.base_set_id, matrix.lag, best.seed, best.model,
+                     score_model(best.model, test_part))
+
+
+def train_master(matrix: TrainingMatrix, cfg: TrainConfig) -> Candidate:
+    """Multi-restart training of the stacking network, same regime as members."""
+    return fit_candidate(matrix, cfg)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from . import preprocess as pp
 from .ensemble import (
     Candidate,
     Forecast,
-    MasterResult,
     build_master_matrix,
+    fit_candidate,
     master_forecast,
     select_best,
     shared_window,
@@ -45,11 +45,10 @@ from .metrics import (
     equity_curves,
     positions_from_forecasts,
 )
-from .neural import TrainConfig, load_model, multi_restart_train, predict, save_model, split
+from .neural import TrainConfig, load_model, predict, save_model
 from .preprocess import (
     BaseSetSpec,
     BlockAverageConfig,
-    MASTER_SET_ID,
     SmoothingConfig,
     TrainingMatrix,
     VarConfig,
@@ -57,7 +56,6 @@ from .preprocess import (
     build_derived_columns,
     default_base_sets,
 )
-from .scoring import ism_scorer, score_model
 from .series import AlignedFrame, MonthlySeries, align, format_month, load_series, parse_month
 
 STAGES = ("ingest", "preprocess", "train", "select", "master", "report")
@@ -65,6 +63,7 @@ VARIABLES = (pp.INDICATOR, pp.OUTPUT_VARIABLE, pp.GLOBAL_SPREAD, pp.TBILL)
 
 MANIFEST_FORMAT = 1
 MANIFEST_NAME = "manifest.json"
+MASTER_MODEL_PATH = "models/master.json"
 # The paper's regime: TrainConfig defaults to it, PipelineConfig to desk scale.
 FULL_SCALE_RESTARTS = TrainConfig.restarts
 
@@ -98,6 +97,8 @@ class PipelineConfig:
         for name, kind in (("enabled_sets", tuple), ("single_lag", int), ("full_scale", bool),
                            ("top_k", int), ("formats", tuple)):
             object.__setattr__(self, name, kind(getattr(self, name)))
+        if self.top_k < 1:
+            raise ValueError(f"config selection.top_k must be at least 1, got {self.top_k}")
 
     @property
     def train_cfg(self) -> TrainConfig:
@@ -206,6 +207,11 @@ def derive_matrix_seed(root_seed: int, base_set_id: int, lag: int) -> int:
     return int(np.random.SeedSequence([int(root_seed), base_set_id, lag]).generate_state(1)[0])
 
 
+def _matrix_seed(config: PipelineConfig, fit) -> int:
+    """Seed of a training matrix, or of the Candidate fitted on it (master included)."""
+    return derive_matrix_seed(config.train_cfg.rng_seed, fit.base_set_id, fit.lag)
+
+
 # ---------------------------------------------------------------------------
 # Run state
 # ---------------------------------------------------------------------------
@@ -222,7 +228,7 @@ class RunResult:
     matrices: list[TrainingMatrix] = field(default_factory=list)
     candidates: list[Candidate] = field(default_factory=list)
     members: list[Candidate] = field(default_factory=list)
-    master: MasterResult | None = None
+    master: Candidate | None = None
     manifest: dict = field(default_factory=dict)
     report_paths: list[Path] = field(default_factory=list)
 
@@ -270,23 +276,8 @@ def assemble(config: PipelineConfig, frame: AlignedFrame) -> list[TrainingMatrix
 @_stage("train")
 def train_all(config: PipelineConfig, matrices: list[TrainingMatrix]) -> list[Candidate]:
     """Best-of-restarts network per training matrix."""
-    cfg = config.train_cfg
-    candidates = []
-    for matrix in matrices:
-        seed = derive_matrix_seed(cfg.rng_seed, matrix.base_set_id, matrix.lag)
-        matrix_cfg = cfg.with_seed(seed)
-        best = multi_restart_train(matrix, matrix_cfg, ism_scorer)[0]
-        _, test_part = split(matrix, matrix_cfg)
-        candidates.append(
-            Candidate(
-                base_set_id=matrix.base_set_id,
-                lag=matrix.lag,
-                seed=best.seed,
-                model=best.model,
-                score=score_model(best.model, test_part),
-            )
-        )
-    return candidates
+    return [fit_candidate(m, config.train_cfg.with_seed(_matrix_seed(config, m)))
+            for m in matrices]
 
 
 @_stage("select")
@@ -295,10 +286,9 @@ def select(config: PipelineConfig, candidates: list[Candidate]) -> list[Candidat
 
 
 @_stage("master")
-def master_stage(config: PipelineConfig, members: list[Candidate]) -> tuple[TrainingMatrix, MasterResult]:
+def master_stage(config: PipelineConfig, members: list[Candidate]) -> Candidate:
     matrix = build_master_matrix(members)
-    seed = derive_matrix_seed(config.train_cfg.rng_seed, MASTER_SET_ID, 0)
-    return matrix, train_master(matrix, config.train_cfg.with_seed(seed))
+    return train_master(matrix, config.train_cfg.with_seed(_matrix_seed(config, matrix)))
 
 
 def run_pipeline(
@@ -335,9 +325,8 @@ def run_pipeline(
         result.members = select(config, result.candidates)
         result.stages.append("select")
     if last >= 4:
-        matrix, master = master_stage(config, result.members)
-        result.master = master
-        save_model(master.model, run_dir / "models" / "master.json")
+        result.master = master_stage(config, result.members)
+        save_model(result.master.model, run_dir / MASTER_MODEL_PATH)
         result.stages.append("master")
 
     result.manifest = build_manifest(result)
@@ -382,13 +371,15 @@ def _write_manifest(run_dir: Path, manifest: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ism_to_json(value):
-    return "perfect" if value is PERFECT_STRATEGY else float(value)
-
-
-def _score_to_json(score) -> dict:
+def _fit_to_json(config: PipelineConfig, fit: Candidate, model_path: str) -> dict:
+    """The manifest fields that candidate and master entries share."""
+    score = fit.score
     return {
-        "ism": _ism_to_json(score.ism),
+        "matrix_seed": _matrix_seed(config, fit),
+        "winning_seed": fit.seed,
+        "restarts": config.train_cfg.restarts,
+        "model_path": model_path,
+        "ism": "perfect" if score.ism is PERFECT_STRATEGY else float(score.ism),
         "q_ratio": float(score.report.q_ratio),
         "ave_negative_vol": float(score.report.ave_negative_vol),
         "failures": len(score.report.failures),
@@ -426,9 +417,7 @@ def build_manifest(result: RunResult) -> dict:
                 "rows": m.rows,
                 "input_names": list(m.input_names),
                 "output_recipe": m.output_recipe,
-                "matrix_seed": derive_matrix_seed(
-                    config.train_cfg.rng_seed, m.base_set_id, m.lag
-                ),
+                "matrix_seed": _matrix_seed(config, m),
             }
             for m in result.matrices
         ]
@@ -442,13 +431,7 @@ def build_manifest(result: RunResult) -> dict:
                 "lag_swept": swept.get(c.base_set_id, False),
                 "input_names": list(by_key[(c.base_set_id, c.lag)].input_names),
                 "output_recipe": by_key[(c.base_set_id, c.lag)].output_recipe,
-                "matrix_seed": derive_matrix_seed(
-                    config.train_cfg.rng_seed, c.base_set_id, c.lag
-                ),
-                "winning_seed": c.seed,
-                "restarts": config.train_cfg.restarts,
-                "model_path": f"models/{c.name}.json",
-                **_score_to_json(c.score),
+                **_fit_to_json(config, c, f"models/{c.name}.json"),
             }
             for c in result.candidates
         ]
@@ -456,12 +439,8 @@ def build_manifest(result: RunResult) -> dict:
         manifest["members"] = [m.name for m in result.members]
     if result.master is not None:
         manifest["master"] = {
-            "matrix_seed": derive_matrix_seed(config.train_cfg.rng_seed, MASTER_SET_ID, 0),
-            "winning_seed": result.master.seed,
-            "restarts": config.train_cfg.restarts,
-            "model_path": "models/master.json",
             "member_count": len(result.members),
-            **_score_to_json(result.master.score),
+            **_fit_to_json(config, result.master, MASTER_MODEL_PATH),
         }
     return manifest
 
@@ -602,9 +581,26 @@ def _write_group_means(path: Path, candidates: list[dict], key: str) -> Path:
 def _fmt(value, width=10, digits=4):
     if value is None:
         return " " * (width - 1) + "-"
-    if isinstance(value, str):
-        return value.rjust(width)
     return f"{value:>{width}.{digits}f}"
+
+
+def _mean_table(title: str, key: str, label: str, candidates: list[dict]) -> list[str]:
+    """A summary.txt table of ``_group_means`` by ``key``, then a blank line."""
+    lines = [title,
+             f"{label:>4} {'models':>7} {'perfect':>8} {'mean ISM':>10} {'mean EP%':>10} {'hits':>7}"]
+    for row in _group_means(candidates, key):
+        lines.append(
+            f"{row[key]:>4} {row['models']:>7} {row['perfect']:>8}"
+            f" {_fmt(row['mean_ism'])} {_fmt(row['mean_norm_ep'])} {row['mean_hit_rate']:>7.2f}"
+        )
+    return lines + [""]
+
+
+def _score_text(entry: dict) -> str:
+    """ISM, normEP and hit rate of a candidate or master manifest entry."""
+    ism = "perfect" if entry["ism"] == "perfect" else f"{entry['ism']:.4f}"
+    ep = "-" if entry["norm_ep"] is None else f"{entry['norm_ep']:.2f}%"
+    return f"ISM={ism}  normEP={ep}  hits={entry['hit_rate']:.2f}"
 
 
 def _write_summary_text(path: Path, manifest: dict) -> Path:
@@ -617,40 +613,19 @@ def _write_summary_text(path: Path, manifest: dict) -> Path:
     )
     lines.append("")
 
-    lines.append("mean scores by base set")
-    lines.append(f"{'set':>4} {'models':>7} {'perfect':>8} {'mean ISM':>10} {'mean EP%':>10} {'hits':>7}")
-    for row in _group_means(manifest["candidates"], "base_set"):
-        lines.append(
-            f"{row['base_set']:>4} {row['models']:>7} {row['perfect']:>8}"
-            f" {_fmt(row['mean_ism'])} {_fmt(row['mean_norm_ep'])} {row['mean_hit_rate']:>7.2f}"
-        )
-    lines.append("")
-
+    lines += _mean_table("mean scores by base set", "base_set", "set", manifest["candidates"])
     swept = [c for c in manifest["candidates"] if c["lag_swept"]]
     if swept:
-        lines.append("mean scores by lag (lag-swept sets only)")
-        lines.append(f"{'lag':>4} {'models':>7} {'perfect':>8} {'mean ISM':>10} {'mean EP%':>10} {'hits':>7}")
-        for row in _group_means(swept, "lag"):
-            lines.append(
-                f"{row['lag']:>4} {row['models']:>7} {row['perfect']:>8}"
-                f" {_fmt(row['mean_ism'])} {_fmt(row['mean_norm_ep'])} {row['mean_hit_rate']:>7.2f}"
-            )
-        lines.append("")
+        lines += _mean_table("mean scores by lag (lag-swept sets only)", "lag", "lag", swept)
 
     lines.append("selected members (rank order)")
     by_name = _candidates_by_name(manifest)
     for rank, name in enumerate(manifest.get("members", []), start=1):
-        c = by_name[name]
-        ism = "perfect" if c["ism"] == "perfect" else f"{c['ism']:.4f}"
-        ep = "-" if c["norm_ep"] is None else f"{c['norm_ep']:.2f}%"
-        lines.append(f"{rank:>3}. {name}  ISM={ism}  normEP={ep}  hits={c['hit_rate']:.2f}")
+        lines.append(f"{rank:>3}. {name}  {_score_text(by_name[name])}")
     lines.append("")
 
     if "master" in manifest:
-        m = manifest["master"]
-        ism = "perfect" if m["ism"] == "perfect" else f"{m['ism']:.4f}"
-        ep = "-" if m["norm_ep"] is None else f"{m['norm_ep']:.2f}%"
-        lines.append(f"master: ISM={ism}  normEP={ep}  hits={m['hit_rate']:.2f}")
+        lines.append(f"master: {_score_text(manifest['master'])}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

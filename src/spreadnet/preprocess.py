@@ -219,19 +219,21 @@ def normalize_output(values: np.ndarray) -> np.ndarray:
     return (x[3:] - x[2:-1]) / trailing
 
 
-def denormalize_output(mod_value: float, history: np.ndarray) -> float:
+def denormalize_output(mod_value: float | np.ndarray, history: np.ndarray) -> float | np.ndarray:
     """Invert the normalized difference given the three preceding actuals.
 
-    ``history`` holds the actual levels at t-3, t-2, t-1 (oldest first);
-    returns the reconstructed level at t.
+    ``history`` has shape (..., 3): the actual levels at t-3, t-2, t-1
+    (oldest first) for each value of ``mod_value``. Returns the
+    reconstructed level at t: a float for a single value, else an array.
     """
     h = np.asarray(history, dtype=np.float64)
-    if h.shape != (3,):
-        raise ValueError(f"history must hold exactly 3 values, got shape {h.shape}")
-    m = float(np.mean(h))
-    if m == 0.0:
+    if h.shape[-1:] != (3,):
+        raise ValueError(f"history must hold 3 values per row, got shape {h.shape}")
+    m = h.mean(axis=-1)
+    if (m == 0.0).any():
         raise ZeroTrailingMean("trailing 3-sample mean is zero")
-    return float(mod_value) * m + float(h[2])
+    level = mod_value * m + h[..., 2]
+    return float(level) if level.ndim == 0 else level
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +381,7 @@ class TrainingMatrix:
         predicted = np.asarray(predicted, dtype=np.float64)
         if self.output_recipe == RAW_OUTPUT:
             return predicted.copy()
-        h = self._level_histories(start_row, len(predicted))
-        m = np.mean(h, axis=1)
-        if np.any(m == 0.0):
-            raise ZeroTrailingMean("trailing 3-sample mean is zero")
-        return predicted * m + h[:, 2]
+        return denormalize_output(predicted, self._level_histories(start_row, len(predicted)))
 
     def slice_rows(self, start: int, stop: int) -> "TrainingMatrix":
         """Contiguous row slice carrying its own inverse-normalization history."""

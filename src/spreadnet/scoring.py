@@ -19,7 +19,6 @@ from .metrics import (
     equity_curves,
     excess_predictability,
     modified_sharpe,
-    positions_from_forecasts,
 )
 from .neural import NetworkModel, predict
 from .preprocess import TrainingMatrix
@@ -37,10 +36,6 @@ class ModelScore:
     predicted_levels: np.ndarray
     actual_levels: np.ndarray
     hit_rate: float
-
-    def votes(self) -> np.ndarray:
-        """+-1 directional calls for the test months after the anchor."""
-        return positions_from_forecasts(self.predicted_levels, self.actual_levels)
 
 
 def score_levels(predicted_levels: np.ndarray, actual_levels: np.ndarray,

@@ -75,6 +75,12 @@ class TestSelectBest:
             members = select_best(candidates, k=10)
         assert len(members) == 3
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, k):
+        candidates = [fabricated_member(i + 1, 1, float(i), 50.0) for i in range(10)]
+        with pytest.raises(ValueError, match="k >= 1"):
+            select_best(candidates, k=k)
+
     def test_tie_broken_by_norm_ep(self):
         a = fabricated_member(2, 1, 5.0, 90.0)
         b = fabricated_member(1, 1, 5.0, 99.0)
@@ -161,6 +167,8 @@ class TestTrainMaster:
         cfg = TrainConfig(restarts=30, rng_seed=6, cycles=400, stop_error=0.05)
         result = train_master(matrix, cfg)
         assert ism_sort_key(result.score.ism) >= 0.9 * oracle_key
+        assert isinstance(result, Candidate)
+        assert (result.base_set_id, result.lag) == (MASTER_SET_ID, 0)
 
     def test_deterministic(self):
         members = self.build_members(seed=55)

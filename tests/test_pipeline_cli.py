@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +13,19 @@ from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
 from spreadnet.errors import PipelineStageError, SpreadnetError
 from spreadnet.metrics import equity_curves
+from spreadnet.neural import load_model, predict
 from spreadnet.pipeline import (
     MANIFEST_NAME,
     PipelineConfig,
     config_hash,
     derive_matrix_seed,
     emit_reports,
+    ingest,
     load_run,
     predict_from_run,
     run_pipeline,
 )
+from spreadnet.preprocess import MASTER_SET_ID, OUTPUT_VARIABLE, build_derived_columns
 from spreadnet.series import format_month, parse_month
 
 
@@ -58,7 +62,12 @@ class TestRunPipeline:
             )
             assert len(entry["predicted_levels"]) == len(entry["actual_levels"])
         assert manifest["members"] == [m.name for m in result.members]
-        assert manifest["master"]["model_path"] == "models/master.json"
+        master = manifest["master"]
+        assert master["model_path"] == "models/master.json"
+        assert master["matrix_seed"] == derive_matrix_seed(
+            config.training.rng_seed, MASTER_SET_ID, 0
+        )
+        assert master["winning_seed"] == result.master.seed
 
     def test_missing_csv_halts_at_ingest(self, tmp_path):
         _, config_path = write_demo_workspace(tmp_path, restarts=2, enabled_sets=[7])
@@ -113,6 +122,8 @@ class TestConfigRoundTrip:
         (lambda d: d["data"]["variables"]["tbill"].pop("column"), "data.variables.tbill"),
         (lambda d: d.update(output=["runs"]), "output"),
         (lambda d: d.update(ma_levels={"M": 2}), "ma_levels"),
+        (lambda d: d["selection"].update(top_k=-3), "selection.top_k"),
+        (lambda d: d["selection"].update(top_k=0), "selection.top_k"),
     ])
     def test_strict_keys_and_sections(self, small_run, edit, named):
         config_path, _, _ = small_run
@@ -172,6 +183,34 @@ class TestReports:
         assert total == len(swept) == 30
         assert [int(r["lag"]) for r in rows] == sorted({c["lag"] for c in swept})
 
+    @staticmethod
+    def summary_sections(run_dir):
+        """summary.txt as {section header: its lines up to the next blank line}."""
+        blocks = (run_dir / "reports" / "summary.txt").read_text().split("\n\n")
+        return {b.splitlines()[0]: b.splitlines()[1:] for b in blocks if b.strip()}
+
+    def test_summary_text_tables(self, small_run, tmp_path):
+        _, config, result = small_run
+        sections = self.summary_sections(result.run_dir)
+        assert "spreadnet run summary" in sections
+        by_set = sections["mean scores by base set"]
+        assert [int(r.split()[0]) for r in by_set[1:]] == list(config.enabled_sets)
+        by_lag = sections["mean scores by lag (lag-swept sets only)"]
+        assert [int(r.split()[0]) for r in by_lag[1:]] == list(range(1, 11))
+        members = sections["selected members (rank order)"]
+        assert [r.split()[1] for r in members] == load_run(result.run_dir)["members"]
+        assert members[0].startswith("  1. ") and "ISM=" in members[0]
+        master = (result.run_dir / "reports" / "summary.txt").read_text().splitlines()[-1]
+        assert master.startswith("master: ISM=") and "normEP=" in master
+
+        # single-lag sets only: no by-lag table
+        _, config_path = write_demo_workspace(tmp_path, restarts=1, enabled_sets=[3, 4, 5, 6])
+        config = replace(PipelineConfig.from_file(config_path), top_k=4)
+        single = run_pipeline(config, through="report", run_dir=tmp_path / "run")
+        sections = self.summary_sections(single.run_dir)
+        assert [int(r.split()[0]) for r in sections["mean scores by base set"][1:]] == [3, 4, 5, 6]
+        assert not any(title.startswith("mean scores by lag") for title in sections)
+
 
 class TestPredictFromRun:
     def test_forecast_next_month(self, small_run):
@@ -182,6 +221,27 @@ class TestPredictFromRun:
         assert report.forecast.direction in (-1, 1)
         assert len(report.member_forecasts) == len(manifest["members"])
         assert np.isfinite(report.forecast.value)
+
+    def test_normalized_members_denormalized(self, tmp_path):
+        _, config_path = write_demo_workspace(tmp_path, restarts=1, enabled_sets=[8, 10])
+        config = PipelineConfig.from_file(config_path)
+        result = run_pipeline(config, through="master", run_dir=tmp_path / "run")
+        report = predict_from_run(result.run_dir)
+        manifest = load_run(result.run_dir)
+
+        frame = ingest(config)
+        derived = build_derived_columns(frame, var_cfg=config.var_cfg,
+                                        smooth_cfg=config.smoothing, ma_levels=config.ma_levels)
+        a, b, c = frame.columns[OUTPUT_VARIABLE][-3:]
+        target = parse_month(report.target_month)
+        entries = {e["name"]: e for e in manifest["candidates"]}
+        assert len(report.member_forecasts) == 10
+        for name in manifest["members"]:
+            entry = entries[name]
+            assert entry["output_recipe"] == "normalized"
+            row = [derived[col].value_at(target - entry["lag"]) for col in entry["input_names"]]
+            p = predict(load_model(result.run_dir / entry["model_path"]), np.array([row]))[0]
+            assert report.member_forecasts[name] == p * ((a + b + c) / 3) + c
 
     def test_stale_frame(self, small_run, tmp_path):
         _, config, result = small_run
@@ -285,6 +345,8 @@ class TestCli:
         ["--set", "var.window=5"],
         ["--set", "training.split=0.9"],
         ["--set", "var.window=abc"],
+        ["--set", "selection.top_k=-3"],
+        ["--set", "selection.top_k=0"],
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, extra):
         _, config_path = write_demo_workspace(tmp_path, enabled_sets=[7])

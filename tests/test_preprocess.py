@@ -280,7 +280,7 @@ class TestBuildLaggedMatrix:
 
 
 class TestDenormalizePredictions:
-    """The vectorised inverse equals the scalar ``denormalize_output`` row by row."""
+    """The vectorised inverse equals the normalized-difference inverse written out."""
 
     @staticmethod
     def normalized_matrix(levels, prior):
@@ -312,9 +312,11 @@ class TestDenormalizePredictions:
             matrix = matrix.slice_rows(start, rows)
             full = full[start:]
         predicted = rng.normal(0.0, 0.2, size=matrix.rows)
-        rowwise = np.array(
-            [denormalize_output(p, full[i:i + 3]) for i, p in enumerate(predicted)]
-        )
+        # p * mean(a, b, c) + c over the three actual levels before each row
+        rowwise = np.array([
+            p * ((a + b + c) / 3) + c
+            for p, (a, b, c) in zip(predicted, zip(full, full[1:], full[2:]))
+        ])
         assert np.array_equal(matrix.denormalize_predictions(predicted), rowwise)
 
     def test_zero_trailing_mean(self):
