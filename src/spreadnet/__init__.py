@@ -59,6 +59,7 @@ from .neural import (
     forward,
     gradient_check,
     load_model,
+    multi_matrix_train,
     multi_restart_train,
     predict,
     save_model,

@@ -15,7 +15,15 @@ import numpy as np
 
 from .errors import DateMismatch, NoCandidates
 from .metrics import ism_sort_key
-from .neural import NetworkModel, TrainConfig, forward, multi_restart_train, split
+from .neural import (
+    NetworkModel,
+    RestartResult,
+    TrainConfig,
+    forward,
+    multi_matrix_train,
+    multi_restart_train,
+    split,
+)
 from .preprocess import MASTER_SET_ID, TrainingMatrix
 from .scoring import ModelScore, ism_scorer, score_model
 
@@ -112,17 +120,26 @@ def build_master_matrix(members: list[Candidate]) -> TrainingMatrix:
     )
 
 
-def fit_candidate(matrix: TrainingMatrix, cfg: TrainConfig) -> Candidate:
-    """Best of ``cfg.restarts`` restarts by out-of-sample ISM, scored in full."""
-    best = multi_restart_train(matrix, cfg, ism_scorer)[0]
-    _, test_part = split(matrix, cfg)
-    return Candidate(matrix.base_set_id, matrix.lag, best.seed, best.model,
-                     score_model(best.model, test_part))
+def fit_candidates(matrices: list[TrainingMatrix], cfgs: list[TrainConfig]) -> list[Candidate]:
+    """Per matrix, the best of ``cfg.restarts`` restarts by out-of-sample ISM,
+    scored in full. All matrices train together (``multi_matrix_train``)."""
+    rankings = multi_matrix_train(matrices, cfgs, ism_scorer)
+    return [_best_candidate(m, cfg, ranked) for m, cfg, ranked in zip(matrices, cfgs, rankings)]
 
 
 def train_master(matrix: TrainingMatrix, cfg: TrainConfig) -> Candidate:
-    """Multi-restart training of the stacking network, same regime as members."""
-    return fit_candidate(matrix, cfg)
+    """Multi-restart training of the stacking network, same regime as members:
+    the one-matrix case of ``fit_candidates``, through the per-matrix entry
+    point ``multi_restart_train``."""
+    return _best_candidate(matrix, cfg, multi_restart_train(matrix, cfg, ism_scorer))
+
+
+def _best_candidate(matrix: TrainingMatrix, cfg: TrainConfig,
+                    ranked: list[RestartResult]) -> Candidate:
+    best = ranked[0]
+    _, test_part = split(matrix, cfg)
+    return Candidate(matrix.base_set_id, matrix.lag, best.seed, best.model,
+                     score_model(best.model, test_part))
 
 
 @dataclass(frozen=True)

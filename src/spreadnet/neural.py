@@ -222,19 +222,21 @@ def _augment(x: np.ndarray) -> np.ndarray:
 def _epoch_math(weights, aug0, y_scaled):
     """Fused forward + backward over one full batch, for a stack of networks.
 
-    ``weights[l]`` has shape (R, fan_out, fan_in + 1): layer ``l`` of each
-    of R networks. ``aug0`` is the (rows, inputs + 1) input matrix with the
-    bias column already appended, shared by the whole stack. Returns
-    per-network (loss, grads, scaled MAE) with a leading axis of length R;
+    ``weights[l]`` has shape (B, fan_out, fan_in + 1): layer ``l`` of each
+    of B networks. ``aug0`` is the (B, rows, inputs + 1) stack of input
+    matrices with the bias column already appended, and ``y_scaled`` the
+    (B, rows) stack of targets: network b trains on item b. Returns
+    per-network (loss, grads, scaled MAE) with a leading axis of length B;
     loss is the half mean squared error in scaled space.
 
     Every product is ``np.matmul`` on the stacked arrays, which runs the
     same 2-D product for each network, and every mean reduces along the
     last axis, so a network's numbers are bit-identical whatever else is
-    in the stack. (``einsum`` sums in another order and drifts.)
+    in the stack. (``einsum`` sums in another order and drifts.) A mean is
+    the sum then a divide, exactly as ``np.mean`` computes it.
     """
     n_layers = len(weights)
-    n = aug0.shape[0]
+    n = aug0.shape[-2]
     augs = [aug0]
     hidden = []  # tanh outputs, reused for the derivative 1 - t*t
     for w in weights[:-1]:
@@ -244,8 +246,8 @@ def _epoch_math(weights, aug0, y_scaled):
     out = augs[-1] @ weights[-1].transpose(0, 2, 1)
 
     err = out[..., 0] - y_scaled
-    loss = 0.5 * np.mean(err * err, axis=-1)
-    mae = np.mean(np.abs(err), axis=-1)
+    loss = 0.5 * (np.add.reduce(err * err, axis=-1) / n)
+    mae = np.add.reduce(np.abs(err), axis=-1) / n
 
     grads = [None] * n_layers
     delta = (err / n)[..., None]
@@ -270,7 +272,7 @@ def _init_weights(n_inputs: int, cfg: TrainConfig, seed: int):
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Scaled training batch shared by every restart on one matrix."""
+    """Scaled training batch of one matrix, shared by all its restarts."""
 
     aug0: np.ndarray
     y_scaled: np.ndarray
@@ -294,9 +296,13 @@ def _prepare(train_data: TrainingMatrix) -> _Prepared:
     )
 
 
-def _train_stack(prep: _Prepared, cfg: TrainConfig, seeds: list[int],
+def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int],
                  histories: list[list] | None = None) -> list[NetworkModel | None]:
-    """Train one network per seed, all in lockstep on stacked weights.
+    """Train one network per (batch, seed) pair, all in lockstep on stacked weights.
+
+    ``preps[i]`` is the training batch of restart i. The batches may come
+    from different matrices but must share one shape, and ``cfg`` gives
+    every restart its regime (the seed comes from ``seeds``).
 
     Each restart keeps its own rate, loss and stop test. The gradient
     computed at an accepted candidate is reused for the next step, so each
@@ -307,29 +313,32 @@ def _train_stack(prep: _Prepared, cfg: TrainConfig, seeds: list[int],
     evaluated on each accepted candidate; scaled MAE / 2 equals
     range-normalized MAE because targets are scaled onto [-1, 1].
 
-    A restart leaves the stack when it stops, so its weights are exactly
-    those it would reach trained alone. The result holds None for a
-    restart whose initial loss is non-finite. ``histories[i]``, when given,
-    receives restart i's loss after every epoch, accepted or rejected.
+    A restart leaves the stack, with its batch, when it stops, so its
+    weights are exactly those it would reach trained alone. The result
+    holds None for a restart whose initial loss is non-finite.
+    ``histories[i]``, when given, receives restart i's loss after every
+    epoch, accepted or rejected.
     """
-    inits = [_init_weights(prep.n_inputs, cfg, seed) for seed in seeds]
+    inits = [_init_weights(p.n_inputs, cfg, seed) for p, seed in zip(preps, seeds)]
     sizes = inits[0][0]
     weights = [np.stack(layer) for layer in zip(*(w for _, w in inits))]
-    loss, grads, _ = _epoch_math(weights, prep.aug0, prep.y_scaled)
+    aug0 = np.stack([p.aug0 for p in preps])
+    y_scaled = np.stack([p.y_scaled for p in preps])
+    loss, grads, _ = _epoch_math(weights, aug0, y_scaled)
 
     finals: list = [None] * len(seeds)
     live = np.isfinite(loss)
     idx = np.flatnonzero(live)  # batch position of each stacked restart
     weights = [w[live] for w in weights]
     grads = [g[live] for g in grads]
-    loss = loss[live]
+    aug0, y_scaled, loss = aug0[live], y_scaled[live], loss[live]
     lr = np.full(len(idx), cfg.learning_rate)
     for _ in range(cfg.cycles):
         if len(idx) == 0:
             break
         step = lr[:, None, None]
         candidate = [w - step * g for w, g in zip(weights, grads)]
-        c_loss, c_grads, c_mae = _epoch_math(candidate, prep.aug0, prep.y_scaled)
+        c_loss, c_grads, c_mae = _epoch_math(candidate, aug0, y_scaled)
         ok = np.isfinite(c_loss) & (c_loss <= loss)
         pick = ok[:, None, None]
         weights = [np.where(pick, c, w) for c, w in zip(candidate, weights)]
@@ -347,6 +356,7 @@ def _train_stack(prep: _Prepared, cfg: TrainConfig, seeds: list[int],
             idx = idx[keep]
             weights = [w[keep] for w in weights]
             grads = [g[keep] for g in grads]
+            aug0, y_scaled = aug0[keep], y_scaled[keep]
             loss, lr = loss[keep], lr[keep]
     for k, i in enumerate(idx):
         finals[i] = [w[k].copy() for w in weights]
@@ -354,10 +364,10 @@ def _train_stack(prep: _Prepared, cfg: TrainConfig, seeds: list[int],
         None if f is None else NetworkModel(
             layer_sizes=sizes,
             weights=tuple(f),
-            input_scaling=prep.input_scaling,
-            output_scaling=prep.output_scaling,
+            input_scaling=p.input_scaling,
+            output_scaling=p.output_scaling,
         )
-        for f in finals
+        for p, f in zip(preps, finals)
     ]
 
 
@@ -379,7 +389,7 @@ def train(
     """
     prep = _prepare(train_data)
     seed = cfg.rng_seed if seed is None else int(seed)
-    (model,) = _train_stack(prep, cfg, [seed], None if history is None else [history])
+    (model,) = _train_stack([prep], cfg, [seed], None if history is None else [history])
     if model is None:
         raise DivergedTraining("initial loss is non-finite")
     return model
@@ -389,8 +399,8 @@ def train(
 # Multi-restart search
 # ---------------------------------------------------------------------------
 
-# Seeds per stacked training call. Cost per restart is flat from about 40
-# restarts up, while the working arrays (and peak memory) grow with the
+# Restarts per stacked training call. Cost per restart is flat from about
+# 40 restarts up, while the working arrays (and peak memory) grow with the
 # block, so a fixed block keeps memory bounded at any restart count.
 RESTART_BLOCK = 256
 
@@ -412,27 +422,64 @@ def restart_seeds(master_seed: int, restarts: int) -> np.ndarray:
 def multi_restart_train(matrix: TrainingMatrix, cfg: TrainConfig, scorer) -> list[RestartResult]:
     """Train ``cfg.restarts`` independently seeded networks and rank them.
 
-    Restarts train together in stacked blocks of ``RESTART_BLOCK`` seeds;
-    each one's weights are bit-identical to ``train`` with its seed.
-    ``scorer(model, test_part)`` returns the out-of-sample score (higher is better; the perfect-strategy sentinel ranks first).
-    Restarts whose initial loss is non-finite are skipped; if none finish,
-    AllDiverged is raised. The returned list is sorted by descending
-    score with the seed as a deterministic tiebreak.
+    The one-matrix case of ``multi_matrix_train``; see there.
     """
-    train_part, test_part = split(matrix, cfg)
-    prep = _prepare(train_part)
-    seeds = [int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
-    results: list[RestartResult] = []
-    for start in range(0, len(seeds), RESTART_BLOCK):
-        block = seeds[start:start + RESTART_BLOCK]
-        for seed, model in zip(block, _train_stack(prep, cfg, block)):
-            if model is not None:
-                score = scorer(model, test_part)
-                results.append(RestartResult(model=model, score=score, seed=seed))
-    if not results:
-        raise AllDiverged(f"all {cfg.restarts} restarts diverged")
-    results.sort(key=lambda r: (-ism_sort_key(r.score), r.seed))
-    return results
+    return multi_matrix_train([matrix], [cfg], scorer)[0]
+
+
+def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
+                       scorer) -> list[list[RestartResult]]:
+    """Train ``cfg.restarts`` seeded networks per matrix and rank each matrix's.
+
+    Every (matrix, seed) pair whose training batch has the same shape, under
+    the same regime, trains in one stack, in blocks of ``RESTART_BLOCK``
+    restarts; each restart's weights are bit-identical to ``train`` with its
+    seed. ``scorer(model, test_part)`` returns the out-of-sample score
+    (higher is better; the perfect-strategy sentinel ranks first). Restarts
+    whose initial loss is non-finite are skipped. Each matrix's list is
+    sorted by descending score with the seed as a deterministic tiebreak.
+
+    Errors come as if the matrices were trained one after another: the
+    first matrix in input order that is too short to split, has a constant
+    output, or whose restarts all diverged (AllDiverged) raises its error.
+    """
+    preps, tests, failure = [], [], None
+    for matrix, cfg in zip(matrices, cfgs, strict=True):
+        try:
+            train_part, test_part = split(matrix, cfg)
+            preps.append(_prepare(train_part))
+        except (TooFewRows, ConstantOutput) as exc:
+            failure = exc  # the matrices after it are never reached
+            break
+        tests.append(test_part)
+    cfgs = cfgs[:len(preps)]
+    seeds = [[int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)] for cfg in cfgs]
+
+    # (matrix, restart) pairs by batch shape and regime, in input order
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for j, (prep, cfg) in enumerate(zip(preps, cfgs)):
+        key = (prep.aug0.shape, replace(cfg, rng_seed=0, restarts=1))
+        groups.setdefault(key, []).extend((j, r) for r in range(cfg.restarts))
+    models = [[None] * cfg.restarts for cfg in cfgs]
+    for pairs in groups.values():
+        for start in range(0, len(pairs), RESTART_BLOCK):
+            block = pairs[start:start + RESTART_BLOCK]
+            trained = _train_stack([preps[j] for j, _ in block], cfgs[block[0][0]],
+                                   [seeds[j][r] for j, r in block])
+            for (j, r), model in zip(block, trained):
+                models[j][r] = model
+
+    rankings = []
+    for test_part, cfg, matrix_seeds, trained in zip(tests, cfgs, seeds, models):
+        results = [RestartResult(model=model, score=scorer(model, test_part), seed=seed)
+                   for seed, model in zip(matrix_seeds, trained) if model is not None]
+        if not results:
+            raise AllDiverged(f"all {cfg.restarts} restarts diverged")
+        results.sort(key=lambda r: (-ism_sort_key(r.score), r.seed))
+        rankings.append(results)
+    if failure is not None:
+        raise failure
+    return rankings
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +506,8 @@ def gradient_check(model: NetworkModel, sample: tuple[np.ndarray, float],
         else y_arr
     )
 
-    aug = _augment(x_scaled)
+    aug = _augment(x_scaled)[None]
+    y_scaled = y_scaled[None]
     _, grads, _ = _epoch_math([w[None] for w in model.weights], aug, y_scaled)
 
     def loss_with_bump(layer, idx, bump):

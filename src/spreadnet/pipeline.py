@@ -25,7 +25,7 @@ from .ensemble import (
     Candidate,
     Forecast,
     build_master_matrix,
-    fit_candidate,
+    fit_candidates,
     master_forecast,
     select_best,
     shared_window,
@@ -64,6 +64,7 @@ VARIABLES = (pp.INDICATOR, pp.OUTPUT_VARIABLE, pp.GLOBAL_SPREAD, pp.TBILL)
 MANIFEST_FORMAT = 1
 MANIFEST_NAME = "manifest.json"
 MASTER_MODEL_PATH = "models/master.json"
+REPORT_FORMATS = ("csv", "txt")
 # The paper's regime: TrainConfig defaults to it, PipelineConfig to desk scale.
 FULL_SCALE_RESTARTS = TrainConfig.restarts
 
@@ -99,6 +100,17 @@ class PipelineConfig:
             object.__setattr__(self, name, kind(getattr(self, name)))
         if self.top_k < 1:
             raise ValueError(f"config selection.top_k must be at least 1, got {self.top_k}")
+        if self.single_lag < 1:
+            raise ValueError(
+                f"config base_sets.single_lag must be at least 1, got {self.single_lag}")
+        known = {spec.id for spec in self.base_set_specs()}
+        unknown = [i for i in self.enabled_sets if i not in known]
+        if unknown:
+            raise ValueError(f"config base_sets.enabled names no base set: {unknown}")
+        unknown = [f for f in self.formats if f not in REPORT_FORMATS]
+        if unknown:
+            raise ValueError(f"config output.formats has unknown formats {unknown}; "
+                             f"choose from {list(REPORT_FORMATS)}")
 
     @property
     def train_cfg(self) -> TrainConfig:
@@ -275,9 +287,9 @@ def assemble(config: PipelineConfig, frame: AlignedFrame) -> list[TrainingMatrix
 
 @_stage("train")
 def train_all(config: PipelineConfig, matrices: list[TrainingMatrix]) -> list[Candidate]:
-    """Best-of-restarts network per training matrix."""
-    return [fit_candidate(m, config.train_cfg.with_seed(_matrix_seed(config, m)))
-            for m in matrices]
+    """Best-of-restarts network per training matrix, all trained together."""
+    return fit_candidates(matrices, [config.train_cfg.with_seed(_matrix_seed(config, m))
+                                     for m in matrices])
 
 
 @_stage("select")

@@ -323,10 +323,10 @@ class TestStackedKernel:
         cfg = TrainConfig(cycles=cycles, stop_error=stop_error, learning_rate=learning_rate,
                           restarts=len(seeds), hidden_size=hidden)
         prep = neural._prepare(matrix)
-        whole = neural._train_stack(prep, cfg, seeds)
+        whole = neural._train_stack([prep] * len(seeds), cfg, seeds)
         bounds = [0] + sorted({c for c in cuts if c < len(seeds)}) + [len(seeds)]
         pieces = [m for a, b in zip(bounds, bounds[1:])
-                  for m in neural._train_stack(prep, cfg, seeds[a:b])]
+                  for m in neural._train_stack([prep] * (b - a), cfg, seeds[a:b])]
         for seed, in_whole, in_piece in zip(seeds, whole, pieces):
             history: list = []
             alone = train(matrix, cfg, seed=seed, history=history)
@@ -342,7 +342,7 @@ class TestStackedKernel:
         prep = neural._prepare(matrix)
         seeds = [int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
         histories = [[] for _ in seeds]
-        models = neural._train_stack(prep, cfg, seeds, histories)
+        models = neural._train_stack([prep] * len(seeds), cfg, seeds, histories)
         lengths = {len(h) for h in histories}
         assert min(lengths) < cfg.cycles and len(lengths) > 1
         for seed, model, history in zip(seeds, models, histories):
@@ -357,7 +357,7 @@ class TestStackedKernel:
         prep = neural._prepare(matrix)
         seeds = [int(s) for s in restart_seeds(3, cfg.restarts)]
         histories = [[] for _ in seeds]
-        models = neural._train_stack(prep, cfg, seeds, histories)
+        models = neural._train_stack([prep] * len(seeds), cfg, seeds, histories)
         for seed, model, history in zip(seeds, models, histories):
             want_weights, want_history = oracle_train(prep, cfg, seed)
             assert history == want_history
@@ -377,6 +377,84 @@ class TestStackedKernel:
             int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts))
         for r in results:
             assert_same_weights(r.model, oracle_train(prep, cfg, r.seed)[0])
+
+
+def first_error_and_rankings(run):
+    """``run()``'s result, or the type of the error it raised."""
+    try:
+        return None, run()
+    except (AllDiverged, ConstantOutput, TooFewRows) as exc:
+        return type(exc), None
+
+
+class TestMultiMatrix:
+    """Matrices trained together rank exactly as each trained alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        specs=st.lists(st.tuples(st.sampled_from([24, 31]), st.integers(1, 3),
+                                 st.sampled_from([None, 2])),
+                       min_size=1, max_size=5),
+        restarts=st.integers(1, 4),
+        stop_error=st.sampled_from([0.1, 0.2, 0.3]),
+        block=st.integers(1, 6),
+        poison=st.lists(st.integers(0, 19), max_size=3),
+    )
+    def test_grouped_equals_alone(self, specs, restarts, stop_error, block, poison):
+        from spreadnet.scoring import ism_scorer
+
+        matrices = [make_matrix(n_rows=n, n_inputs=k, seed=j, noise=0.4)
+                    for j, (n, k, _) in enumerate(specs)]
+        # a loose stop criterion: restarts leave a shared stack at different epochs
+        cfgs = [TrainConfig(cycles=40, stop_error=stop_error, restarts=restarts, rng_seed=j,
+                            hidden_size=hidden)
+                for j, (_, _, hidden) in enumerate(specs)]
+        seeds = [int(s) for cfg in cfgs for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
+        poisoned = {seeds[i % len(seeds)] for i in poison}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "RESTART_BLOCK", block)
+            TestMultiRestart.poison_seeds(mp, poisoned)
+            got_error, grouped = first_error_and_rankings(
+                lambda: neural.multi_matrix_train(matrices, cfgs, ism_scorer))
+            want_error, alone = first_error_and_rankings(
+                lambda: [multi_restart_train(m, cfg, ism_scorer)
+                         for m, cfg in zip(matrices, cfgs)])
+        assert got_error is want_error
+        if want_error is not None:
+            return
+        for matrix, cfg, got, want in zip(matrices, cfgs, grouped, alone):
+            assert [r.seed for r in got] == [r.seed for r in want]
+            assert not poisoned & {r.seed for r in got}
+            for g, w in zip(got, want):
+                assert ism_sort_key(g.score) == ism_sort_key(w.score)
+                assert_same_weights(g.model, w.model.weights)
+            best = train(split(matrix, cfg)[0], cfg, seed=got[0].seed)
+            assert_same_weights(got[0].model, best.weights)
+
+    @pytest.mark.parametrize("faults, expected", [
+        (["ok", "constant", "short"], ConstantOutput),
+        (["ok", "short", "constant"], TooFewRows),
+        (["diverged", "short"], AllDiverged),
+        (["short", "diverged"], TooFewRows),
+        (["ok", "diverged", "constant"], AllDiverged),
+        (["constant", "diverged"], ConstantOutput),
+    ])
+    def test_first_faulty_matrix_in_input_order_raises(self, monkeypatch, faults, expected):
+        from spreadnet.scoring import ism_scorer
+
+        build = {
+            "ok": lambda: make_matrix(n_rows=30, seed=1, noise=0.4),
+            "diverged": lambda: make_matrix(n_rows=30, seed=2, noise=0.4),
+            "constant": lambda: make_matrix(n_rows=30, target=lambda x: np.full(len(x), 5.0)),
+            "short": lambda: make_matrix(n_rows=10),
+        }
+        matrices = [build[f]() for f in faults]
+        cfgs = [TrainConfig(cycles=10, restarts=3, rng_seed=j) for j in range(len(faults))]
+        TestMultiRestart.poison_seeds(monkeypatch, {
+            int(s) for f, cfg in zip(faults, cfgs) if f == "diverged"
+            for s in restart_seeds(cfg.rng_seed, cfg.restarts)})
+        with pytest.raises(expected):
+            neural.multi_matrix_train(matrices, cfgs, ism_scorer)
 
 
 class TestGradientCheck:

@@ -11,7 +11,7 @@ import pytest
 
 from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
-from spreadnet.errors import PipelineStageError, SpreadnetError
+from spreadnet.errors import ConstantOutput, PipelineStageError, SpreadnetError
 from spreadnet.metrics import equity_curves
 from spreadnet.neural import load_model, predict
 from spreadnet.pipeline import (
@@ -24,6 +24,7 @@ from spreadnet.pipeline import (
     load_run,
     predict_from_run,
     run_pipeline,
+    train_all,
 )
 from spreadnet.preprocess import MASTER_SET_ID, OUTPUT_VARIABLE, build_derived_columns
 from spreadnet.series import format_month, parse_month
@@ -124,6 +125,12 @@ class TestConfigRoundTrip:
         (lambda d: d.update(ma_levels={"M": 2}), "ma_levels"),
         (lambda d: d["selection"].update(top_k=-3), "selection.top_k"),
         (lambda d: d["selection"].update(top_k=0), "selection.top_k"),
+        (lambda d: d["base_sets"].update(single_lag=0), "base_sets.single_lag"),
+        (lambda d: d["base_sets"].update(single_lag=-2), "base_sets.single_lag"),
+        (lambda d: d["base_sets"].update(enabled=[7, 11]), "base_sets.enabled"),
+        (lambda d: d["base_sets"].update(enabled=[0]), "base_sets.enabled"),
+        (lambda d: d["output"].update(formats=["pdf"]), "output.formats"),
+        (lambda d: d["output"].update(formats=["csv", "CSV"]), "output.formats"),
     ])
     def test_strict_keys_and_sections(self, small_run, edit, named):
         config_path, _, _ = small_run
@@ -347,6 +354,10 @@ class TestCli:
         ["--set", "var.window=abc"],
         ["--set", "selection.top_k=-3"],
         ["--set", "selection.top_k=0"],
+        ["--set", "base_sets.single_lag=-2"],
+        ["--set", "base_sets.single_lag=0"],
+        ["--set", "base_sets.enabled=[11]"],
+        ["--set", 'output.formats=["pdf"]'],
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, extra):
         _, config_path = write_demo_workspace(tmp_path, enabled_sets=[7])
@@ -383,3 +394,28 @@ class TestCli:
         bad.write_text("{not json")
         assert cli_main(["validate", "-c", str(bad)]) == 1
         assert "stage 'config' failed" in capsys.readouterr().err
+
+    def test_diverged_training_exits_as_train_stage(self, tmp_path, capsys, monkeypatch):
+        from spreadnet import neural
+
+        real = neural._init_weights
+
+        def init(n_inputs, cfg, seed):
+            sizes, weights = real(n_inputs, cfg, seed)
+            weights[1][0, 0] = np.nan  # every restart's initial loss is NaN
+            return sizes, weights
+
+        monkeypatch.setattr(neural, "_init_weights", init)
+        _, config_path = write_demo_workspace(tmp_path, restarts=2, enabled_sets=[7])
+        assert cli_main(["train", "-c", str(config_path),
+                         "--run-dir", str(tmp_path / "run")]) == 4
+        assert "stage 'train' failed: all 2 restarts diverged" in capsys.readouterr().err
+
+    def test_faulty_matrix_fails_train_stage(self, small_run):
+        _, config, result = small_run
+        ok = result.matrices[0]
+        constant = replace(result.matrices[1], output=np.full(result.matrices[1].rows, 5.0))
+        with pytest.raises(PipelineStageError) as info:
+            train_all(config, [ok, constant, ok.slice_rows(0, 10)])
+        assert info.value.stage == "train"
+        assert isinstance(info.value.cause, ConstantOutput)
