@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -63,6 +64,7 @@ VARIABLES = (pp.INDICATOR, pp.OUTPUT_VARIABLE, pp.GLOBAL_SPREAD, pp.TBILL)
 
 MANIFEST_FORMAT = 1
 MANIFEST_NAME = "manifest.json"
+SERVE_NAME = "serve.json"
 MASTER_MODEL_PATH = "models/master.json"
 REPORT_FORMATS = ("csv", "txt")
 # The paper's regime: TrainConfig defaults to it, PipelineConfig to desk scale.
@@ -95,8 +97,12 @@ class PipelineConfig:
         missing = [v for v in VARIABLES if v not in self.variables]
         if missing:
             raise MissingColumn(f"config lacks data entries for {missing}")
-        for name, kind in (("enabled_sets", tuple), ("single_lag", int), ("full_scale", bool),
-                           ("top_k", int), ("formats", tuple)):
+        object.__setattr__(self, "enabled_sets", tuple(self.enabled_sets))
+        for key, value in self._integer_entries():
+            if not _is_integer(value):
+                raise ValueError(f"config {key} must be an integer, got {value!r}")
+        for name, kind in (("single_lag", int), ("full_scale", bool), ("top_k", int),
+                           ("formats", tuple)):
             object.__setattr__(self, name, kind(getattr(self, name)))
         if self.top_k < 1:
             raise ValueError(f"config selection.top_k must be at least 1, got {self.top_k}")
@@ -111,6 +117,19 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"config output.formats has unknown formats {unknown}; "
                              f"choose from {list(REPORT_FORMATS)}")
+
+    def _integer_entries(self):
+        """(dotted config key, value) of every entry that must be an integer."""
+        t = self.training
+        yield from ((f"training.{k}", getattr(t, k)) for k in ("cycles", "restarts", "rng_seed"))
+        if t.hidden_size is not None:
+            yield "training.hidden_size", t.hidden_size
+        yield "var.window", self.var_cfg.window
+        for i, level in enumerate(self.ma_levels):
+            yield from ((f"ma_levels.{i}.{k}", getattr(level, k)) for k in ("M", "n"))
+        yield from ((f"base_sets.enabled.{i}", v) for i, v in enumerate(self.enabled_sets))
+        yield "base_sets.single_lag", self.single_lag
+        yield "selection.top_k", self.top_k
 
     @property
     def train_cfg(self) -> TrainConfig:
@@ -197,6 +216,15 @@ _SECTIONS = {
     "output": (None, {"directory": "output_dir", "formats": "formats"}),
 }
 _ENTRY_KEYS = ("path", "column")
+
+
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; not for bool, float or str."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 def _config_object(value, where: str, keys) -> dict:
@@ -372,9 +400,21 @@ def _write_models(run_dir: Path, candidates: list[Candidate]) -> None:
 
 
 def _write_manifest(run_dir: Path, manifest: dict) -> None:
-    target = run_dir / MANIFEST_NAME
+    """Replace the manifest and, for a run with a master, its serve record.
+
+    The old record goes first and the new one comes after the manifest, so
+    a run directory never holds a record older than its manifest.
+    """
+    (run_dir / SERVE_NAME).unlink(missing_ok=True)
+    _write_json(run_dir / MANIFEST_NAME, manifest)
+    if "master" in manifest:
+        _write_json(run_dir / SERVE_NAME, serve_record(manifest))
+
+
+def _write_json(target: Path, document: dict) -> None:
+    """Write ``document`` to ``target`` atomically (tmp file + rename)."""
     tmp = target.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
+    tmp.write_text(json.dumps(document, indent=1, sort_keys=True), encoding="utf-8")
     os.replace(tmp, target)
 
 
@@ -665,22 +705,49 @@ def load_run(run_dir: str | Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+_SERVE_MEMBER_KEYS = ("name", "lag", "input_names", "output_recipe", "model_path")
+
+
+def serve_record(manifest: dict) -> dict:
+    """The part of a finished run's manifest that a forecast reads.
+
+    The config, each member's name, lag, inputs, output recipe and model
+    path (rank order), and the master's model path; no scores and no
+    weights. ``_write_manifest`` stores it as ``serve.json``.
+    """
+    if "master" not in manifest:
+        raise IncompleteManifest("run has no trained master; run the master stage first")
+    return {
+        "config": manifest["config"],
+        "members": [{k: e[k] for k in _SERVE_MEMBER_KEYS} for e in _member_entries(manifest)],
+        "master": {"model_path": manifest["master"]["model_path"]},
+    }
+
+
+def _load_serve_record(run_dir: Path) -> dict:
+    """``serve.json``, or the record projected from the manifest of a run without one."""
+    path = run_dir / SERVE_NAME
+    if path.exists():
+        return json.loads(path.read_text(encoding="utf-8"))
+    return serve_record(load_run(run_dir))
+
+
 def predict_from_run(
     run_dir: str | Path,
     config: PipelineConfig | None = None,
 ) -> PredictionReport:
     """Forecast the month after the frame's last observation.
 
-    Loads the stored member and master models, rebuilds each member's
-    input row for its lag, stacks the member forecasts, and runs the
-    master. The frame comes from ``config`` (defaults to the config echoed
-    in the manifest).
+    Reads the run's serve record (``serve.json``; for a run stored without
+    one, the same record projected from the manifest), loads the stored
+    member and master models, rebuilds each member's input row for its
+    lag, stacks the member forecasts, and runs the master. The frame comes
+    from ``config`` (defaults to the run's config). Nothing is cached
+    between calls.
     """
     run_dir = Path(run_dir)
-    manifest = load_run(run_dir)
-    if "master" not in manifest:
-        raise IncompleteManifest("run has no trained master; run the master stage first")
-    config = config or PipelineConfig.from_dict(manifest["config"])
+    record = _load_serve_record(run_dir)
+    config = config or PipelineConfig.from_dict(record["config"])
 
     frame = ingest(config)
     try:
@@ -694,9 +761,8 @@ def predict_from_run(
     last_month = int(frame.months[-1])
     target = last_month + 1
 
-    members = _member_entries(manifest)
     member_values: dict[str, float] = {}
-    for entry in members:
+    for entry in record["members"]:
         model = load_model(run_dir / entry["model_path"])
         month_in = target - entry["lag"]
         try:
@@ -713,7 +779,7 @@ def predict_from_run(
             value = pp.denormalize_output(value, history)
         member_values[entry["name"]] = value
 
-    master_model = load_model(run_dir / manifest["master"]["model_path"])
+    master_model = load_model(run_dir / record["master"]["model_path"])
     inputs = np.array([member_values[name] for name in member_values])
     last_actual = float(levels.values[-1])
     if master_model.n_inputs != len(inputs):

@@ -185,7 +185,12 @@ def block_average(values: np.ndarray, cfg: BlockAverageConfig, t: int) -> float:
 
 
 def block_average_column(s: MonthlySeries, cfg: BlockAverageConfig) -> MonthlySeries:
-    """Block-average value for every month where the window is in range."""
+    """``block_average`` for every month where the window is in range.
+
+    All windows are averaged in one call over a sliding view; each row is
+    the same M+1 contiguous values ``block_average`` reduces, so the
+    column equals the month-by-month loop bit for bit.
+    """
     half = cfg.M // 2
     first = cfg.n + half          # earliest t with a full window
     last = len(s) - 1 + min(0, cfg.n - half)  # windows may not reach past the data
@@ -193,9 +198,9 @@ def block_average_column(s: MonthlySeries, cfg: BlockAverageConfig) -> MonthlySe
         raise InsufficientHistory(
             f"series of length {len(s)} too short for block average (M={cfg.M}, n={cfg.n})"
         )
-    vals = np.array(
-        [block_average(s.values, cfg, t) for t in range(first, last + 1)]
-    )
+    # month t's window starts at index t - n - M/2, which is 0 for t = first
+    windows = np.lib.stride_tricks.sliding_window_view(s.values, cfg.M + 1)
+    vals = windows[: last - first + 1].mean(axis=-1)
     return MonthlySeries(f"{s.name}_ba{cfg.M}_{cfg.n}", s.months[first : last + 1], vals)
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,11 +12,17 @@ import pytest
 
 from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
-from spreadnet.errors import ConstantOutput, PipelineStageError, SpreadnetError
+from spreadnet.errors import (
+    ConstantOutput,
+    IncompleteManifest,
+    PipelineStageError,
+    SpreadnetError,
+)
 from spreadnet.metrics import equity_curves
 from spreadnet.neural import load_model, predict
 from spreadnet.pipeline import (
     MANIFEST_NAME,
+    SERVE_NAME,
     PipelineConfig,
     config_hash,
     derive_matrix_seed,
@@ -24,6 +31,7 @@ from spreadnet.pipeline import (
     load_run,
     predict_from_run,
     run_pipeline,
+    serve_record,
     train_all,
 )
 from spreadnet.preprocess import MASTER_SET_ID, OUTPUT_VARIABLE, build_derived_columns
@@ -131,6 +139,16 @@ class TestConfigRoundTrip:
         (lambda d: d["base_sets"].update(enabled=[0]), "base_sets.enabled"),
         (lambda d: d["output"].update(formats=["pdf"]), "output.formats"),
         (lambda d: d["output"].update(formats=["csv", "CSV"]), "output.formats"),
+        (lambda d: d["training"].update(restarts=1.5), "training.restarts"),
+        (lambda d: d["training"].update(cycles=True), "training.cycles"),
+        (lambda d: d["training"].update(rng_seed=0.5), "training.rng_seed"),
+        (lambda d: d["training"].update(hidden_size=2.5), "training.hidden_size"),
+        (lambda d: d["base_sets"].update(single_lag=1.5), "base_sets.single_lag"),
+        (lambda d: d["base_sets"].update(enabled=[7, 8.0]), "base_sets.enabled.1"),
+        (lambda d: d["selection"].update(top_k=2.5), "selection.top_k"),
+        (lambda d: d["var"].update(window=30.5), "var.window"),
+        (lambda d: d["ma_levels"][1].update(M=4.0), "ma_levels.1.M"),
+        (lambda d: d["ma_levels"][0].update(n=True), "ma_levels.0.n"),
     ])
     def test_strict_keys_and_sections(self, small_run, edit, named):
         config_path, _, _ = small_run
@@ -138,6 +156,12 @@ class TestConfigRoundTrip:
         edit(data)
         with pytest.raises(ValueError, match=re.escape(named)):
             PipelineConfig.from_dict(data)
+
+    def test_numpy_integers_pass(self, small_run):
+        _, config, _ = small_run
+        config = replace(config, top_k=np.int64(4), single_lag=np.int32(2),
+                         training=replace(config.training, restarts=np.int64(3)))
+        assert config.top_k == 4 and config.single_lag == 2
 
 
 class TestReports:
@@ -263,6 +287,40 @@ class TestPredictFromRun:
             predict_from_run(result.run_dir, config=stale)
 
 
+class TestServeRecord:
+    def test_record_is_the_manifest_projection(self, small_run):
+        _, _, result = small_run
+        record = json.loads((result.run_dir / SERVE_NAME).read_text())
+        assert record == serve_record(load_run(result.run_dir))
+        text = json.dumps(record)
+        for key in ("predicted_levels", "actual_levels", "test_months", "candidates"):
+            assert key not in text
+
+    def test_run_without_record_predicts_from_manifest(self, small_run, tmp_path):
+        _, _, result = small_run
+        run = shutil.copytree(result.run_dir, tmp_path / "run")
+        (run / SERVE_NAME).unlink()
+        assert predict_from_run(run) == predict_from_run(result.run_dir)
+
+    def test_rerun_without_master_removes_record(self, tmp_path):
+        _, config_path = write_demo_workspace(tmp_path, restarts=1, enabled_sets=[7])
+        config = PipelineConfig.from_file(config_path)
+        run = tmp_path / "run"
+        run_pipeline(config, through="report", run_dir=run)
+        assert (run / SERVE_NAME).exists()
+        run_pipeline(config, through="train", run_dir=run)
+        assert not (run / SERVE_NAME).exists()
+        with pytest.raises(IncompleteManifest, match="no trained master"):
+            predict_from_run(run)
+
+    def test_select_stage_writes_no_record(self, tmp_path):
+        _, config_path = write_demo_workspace(tmp_path, restarts=1, enabled_sets=[7])
+        config = PipelineConfig.from_file(config_path)
+        result = run_pipeline(config, through="select", run_dir=tmp_path / "run")
+        assert "members" in result.manifest
+        assert not (result.run_dir / SERVE_NAME).exists()
+
+
 class TestDeterminism:
     def test_two_runs_identical_manifests(self, tmp_path):
         _, config_path = write_demo_workspace(
@@ -358,6 +416,10 @@ class TestCli:
         ["--set", "base_sets.single_lag=0"],
         ["--set", "base_sets.enabled=[11]"],
         ["--set", 'output.formats=["pdf"]'],
+        ["--set", "training.restarts=1.5"],
+        ["--set", "training.cycles=true"],
+        ["--set", "base_sets.single_lag=1.5"],
+        ["--set", "selection.top_k=2.5"],
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, extra):
         _, config_path = write_demo_workspace(tmp_path, enabled_sets=[7])

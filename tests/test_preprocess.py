@@ -165,6 +165,34 @@ class TestBlockAverage:
         assert col.months[-1] == s.months[-1]
         assert col.values[0] == np.mean(np.arange(20.0)[0:3])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(st.floats(1e-3, 1e6), st.booleans()).map(lambda v: -v[0] if v[1] else v[0]),
+            min_size=2, max_size=300,
+        ),
+        level=st.integers(0, 10).flatmap(
+            lambda half: st.integers(1, half + 5).map(lambda n: BlockAverageConfig(2 * half, n))
+        ),
+    )
+    def test_column_equals_scalar_loop(self, values, level):
+        # windows of up to 21 points cross numpy's 8-element pairwise-sum blocks;
+        # n < M/2 trims the windows that would reach past the data
+        s = MonthlySeries("v", months("2000-01", len(values)), np.array(values))
+        scalar = {}
+        for t in range(len(s)):
+            try:
+                scalar[t] = block_average(s.values, level, t)
+            except IndexOutOfRange:
+                pass
+        if not scalar:
+            with pytest.raises(InsufficientHistory):
+                block_average_column(s, level)
+            return
+        col = block_average_column(s, level)
+        assert col.months.tolist() == s.months[sorted(scalar)].tolist()
+        assert np.array_equal(col.values, [scalar[t] for t in sorted(scalar)])
+
 
 class TestNormalizeOutput:
     def test_constant_series_zeroes(self):
