@@ -101,8 +101,10 @@ class PipelineConfig:
         for key, value in self._integer_entries():
             if not _is_integer(value):
                 raise ValueError(f"config {key} must be an integer, got {value!r}")
-        for name, kind in (("single_lag", int), ("full_scale", bool), ("top_k", int),
-                           ("formats", tuple)):
+        if not isinstance(self.full_scale, bool):
+            raise ValueError(
+                f"config training.full_scale must be true or false, got {self.full_scale!r}")
+        for name, kind in (("single_lag", int), ("top_k", int), ("formats", tuple)):
             object.__setattr__(self, name, kind(getattr(self, name)))
         if self.top_k < 1:
             raise ValueError(f"config selection.top_k must be at least 1, got {self.top_k}")
@@ -702,7 +704,18 @@ def load_run(run_dir: str | Path) -> dict:
     path = run_dir / MANIFEST_NAME
     if not path.exists():
         raise MissingFile(f"no {MANIFEST_NAME} in {run_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _read_record(path)
+
+
+def _read_record(path: Path) -> dict:
+    """A run record's JSON object; IncompleteManifest names a corrupt file."""
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IncompleteManifest(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise IncompleteManifest(f"{path} holds a {type(record).__name__}, not a JSON object")
+    return record
 
 
 _SERVE_MEMBER_KEYS = ("name", "lag", "input_names", "output_recipe", "model_path")
@@ -728,7 +741,7 @@ def _load_serve_record(run_dir: Path) -> dict:
     """``serve.json``, or the record projected from the manifest of a run without one."""
     path = run_dir / SERVE_NAME
     if path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
+        return _read_record(path)
     return serve_record(load_run(run_dir))
 
 

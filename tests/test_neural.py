@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_matrix
 from spreadnet.errors import (
@@ -296,6 +297,16 @@ def oracle_train(prep, cfg: TrainConfig, seed: int):
     return weights, history
 
 
+def rejections_per_epoch(histories):
+    """For each epoch after the first, the set of outcomes of the restarts still training.
+
+    An outcome is True for a rejected step, which repeats the previous loss
+    in the history, and False for an accepted one.
+    """
+    return [{h[e] == h[e - 1] for h in histories if len(h) > e}
+            for e in range(1, max(map(len, histories)))]
+
+
 def assert_same_weights(model, weights):
     assert len(model.weights) == len(weights)
     for got, want in zip(model.weights, weights):
@@ -309,8 +320,8 @@ class TestStackedKernel:
     @given(
         data_seed=st.integers(0, 2**16),
         n_rows=st.integers(20, 45),
-        n_inputs=st.integers(1, 4),
-        hidden=st.one_of(st.none(), st.integers(1, 5)),
+        n_inputs=st.integers(1, 11),
+        hidden=st.one_of(st.none(), st.integers(1, 12)),
         cycles=st.integers(1, 60),
         stop_error=st.sampled_from([0.01, 0.1, 0.3, 0.9]),
         learning_rate=st.sampled_from([0.1, 1.0, 8.0, 40.0]),
@@ -345,6 +356,8 @@ class TestStackedKernel:
         models = neural._train_stack([prep] * len(seeds), cfg, seeds, histories)
         lengths = {len(h) for h in histories}
         assert min(lengths) < cfg.cycles and len(lengths) > 1
+        # an epoch in which every restart accepts: the candidate taken whole
+        assert {False} in rejections_per_epoch(histories)
         for seed, model, history in zip(seeds, models, histories):
             want_weights, want_history = oracle_train(prep, cfg, seed)
             assert history == want_history
@@ -363,6 +376,8 @@ class TestStackedKernel:
             assert history == want_history
             assert any(a == b for a, b in zip(history, history[1:]))  # a rejected epoch
             assert_same_weights(model, want_weights)
+        # an epoch in which some restarts reject while others accept: the select path
+        assert {True, False} in rejections_per_epoch(histories)
 
     def test_multi_restart_blocks_match_oracle(self, monkeypatch):
         # seeds fed in blocks of 3: the block boundary changes no bit
@@ -377,6 +392,26 @@ class TestStackedKernel:
             int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts))
         for r in results:
             assert_same_weights(r.model, oracle_train(prep, cfg, r.seed)[0])
+
+
+@st.composite
+def float_arrays(draw):
+    """1-D to 3-D float64 arrays with 1-12 columns."""
+    lead = draw(st.lists(st.integers(1, 60), max_size=2))
+    shape = (*lead, draw(st.integers(1, 12)))
+    return draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=float_arrays())
+@example(x=np.linspace(-1.0, 1.0, 8 * 40 * 3).reshape(8, 40, 3))  # a tall stack, by column
+def test_augment_equals_concatenate(x):
+    # tall stacks with few columns take the column-wise copy, the rest the block copy
+    got = neural._augment(x)
+    rows = np.atleast_2d(x)
+    want = np.concatenate([rows, np.ones(rows.shape[:-1] + (1,))], axis=-1)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 def first_error_and_rankings(run):

@@ -149,6 +149,9 @@ class TestConfigRoundTrip:
         (lambda d: d["var"].update(window=30.5), "var.window"),
         (lambda d: d["ma_levels"][1].update(M=4.0), "ma_levels.1.M"),
         (lambda d: d["ma_levels"][0].update(n=True), "ma_levels.0.n"),
+        (lambda d: d["training"].update(full_scale="no"), "training.full_scale"),
+        (lambda d: d["training"].update(full_scale=1), "training.full_scale"),
+        (lambda d: d["training"].update(full_scale="true"), "training.full_scale"),
     ])
     def test_strict_keys_and_sections(self, small_run, edit, named):
         config_path, _, _ = small_run
@@ -420,11 +423,34 @@ class TestCli:
         ["--set", "training.cycles=true"],
         ["--set", "base_sets.single_lag=1.5"],
         ["--set", "selection.top_k=2.5"],
+        ["--set", "training.full_scale=no"],
+        ["--set", "training.full_scale=1"],
+        ["--set", 'training.full_scale="true"'],
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, extra):
         _, config_path = write_demo_workspace(tmp_path, enabled_sets=[7])
         assert cli_main(["validate", "-c", str(config_path), *extra]) == 1
         assert "stage 'config' failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, problem", [("{", "not valid JSON"),
+                                               ("[1, 2]", "not a JSON object")])
+    @pytest.mark.parametrize("command, name, code", [
+        ("predict", SERVE_NAME, 8),
+        ("predict", MANIFEST_NAME, 8),  # with serve.json removed, predict reads the manifest
+        ("report", MANIFEST_NAME, 7),
+        ("report", SERVE_NAME, 0),  # report reads only the manifest
+    ])
+    def test_corrupt_run_record_exit_code(self, small_run, tmp_path, capsys,
+                                          text, problem, command, name, code):
+        _, _, result = small_run
+        run = shutil.copytree(result.run_dir, tmp_path / "run")
+        if (command, name) == ("predict", MANIFEST_NAME):
+            (run / SERVE_NAME).unlink()
+        (run / name).write_text(text)
+        assert cli_main([command, "--run", str(run)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert f"stage '{command}' failed" in err and name in err and problem in err
 
     @pytest.mark.parametrize("extra, named", [
         (["--set", "training.restart=200"], "training.restart"),
