@@ -216,21 +216,14 @@ def split(matrix: TrainingMatrix, cfg: TrainConfig) -> tuple[TrainingMatrix, Tra
 def _augment(x: np.ndarray) -> np.ndarray:
     """Append the bias column of ones along the last axis.
 
-    The values equal ``np.concatenate`` with a float64 ones column. A block
-    copy into the preallocated result loops over rows a few elements at a
-    time, so a tall array with few columns (a training stack's hidden
-    layer) is copied as one long strided copy per column, about twice as
-    fast; a short or wide one (a predict row, the master's stack) is faster
-    as one block copy.
+    The values equal ``np.concatenate`` with a float64 ones column. The
+    result is filled one long strided copy per column, about twice as fast
+    as ``np.concatenate`` on a training stack's hidden layer.
     """
     x = np.atleast_2d(x)
-    cols = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (cols + 1,))
-    if cols <= 4 and x.size >= 256 * cols:
-        for j in range(cols):
-            out[..., j] = x[..., j]
-    else:
-        out[..., :-1] = x
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    for j in range(x.shape[-1]):
+        out[..., j] = x[..., j]
     out[..., -1] = 1.0
     return out
 
@@ -361,15 +354,11 @@ def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int],
         candidate = [w - step * g for w, g in zip(weights, grads)]
         c_loss, c_grads, c_mae = _epoch_math(candidate, aug0, y_scaled)
         ok = np.isfinite(c_loss) & (c_loss <= loss)
-        if ok.all():  # every step on demo data: take the candidate whole
-            weights, grads, loss = candidate, c_grads, c_loss
-            lr = np.full(len(idx), cfg.learning_rate)
-        else:
-            pick = ok[:, None, None]
-            weights = [np.where(pick, c, w) for c, w in zip(candidate, weights)]
-            grads = [np.where(pick, c, g) for c, g in zip(c_grads, grads)]
-            loss = np.where(ok, c_loss, loss)
-            lr = np.where(ok, cfg.learning_rate, lr * 0.5)
+        pick = ok[:, None, None]
+        weights = [np.where(pick, c, w) for c, w in zip(candidate, weights)]
+        grads = [np.where(pick, c, g) for c, g in zip(c_grads, grads)]
+        loss = np.where(ok, c_loss, loss)
+        lr = np.where(ok, cfg.learning_rate, lr * 0.5)
         if histories is not None:
             for i, value in zip(idx, loss):
                 histories[i].append(float(value))

@@ -740,9 +740,13 @@ def serve_record(manifest: dict) -> dict:
 def _load_serve_record(run_dir: Path) -> dict:
     """``serve.json``, or the record projected from the manifest of a run without one."""
     path = run_dir / SERVE_NAME
-    if path.exists():
-        return _read_record(path)
-    return serve_record(load_run(run_dir))
+    if not path.exists():
+        return serve_record(load_run(run_dir))
+    record = _read_record(path)
+    missing = [key for key in ("config", "members", "master") if key not in record]
+    if missing:
+        raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
+    return record
 
 
 def predict_from_run(

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -356,8 +356,7 @@ class TestStackedKernel:
         models = neural._train_stack([prep] * len(seeds), cfg, seeds, histories)
         lengths = {len(h) for h in histories}
         assert min(lengths) < cfg.cycles and len(lengths) > 1
-        # an epoch in which every restart accepts: the candidate taken whole
-        assert {False} in rejections_per_epoch(histories)
+        assert {False} in rejections_per_epoch(histories)  # an epoch where every restart accepts
         for seed, model, history in zip(seeds, models, histories):
             want_weights, want_history = oracle_train(prep, cfg, seed)
             assert history == want_history
@@ -376,7 +375,7 @@ class TestStackedKernel:
             assert history == want_history
             assert any(a == b for a, b in zip(history, history[1:]))  # a rejected epoch
             assert_same_weights(model, want_weights)
-        # an epoch in which some restarts reject while others accept: the select path
+        # an epoch in which some restarts reject while others accept: a per-restart select
         assert {True, False} in rejections_per_epoch(histories)
 
     def test_multi_restart_blocks_match_oracle(self, monkeypatch):
@@ -404,9 +403,7 @@ def float_arrays(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(x=float_arrays())
-@example(x=np.linspace(-1.0, 1.0, 8 * 40 * 3).reshape(8, 40, 3))  # a tall stack, by column
 def test_augment_equals_concatenate(x):
-    # tall stacks with few columns take the column-wise copy, the rest the block copy
     got = neural._augment(x)
     rows = np.atleast_2d(x)
     want = np.concatenate([rows, np.ones(rows.shape[:-1] + (1,))], axis=-1)

@@ -452,6 +452,25 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"stage '{command}' failed" in err and name in err and problem in err
 
+    @pytest.mark.parametrize("command, name, code, problem", [
+        ("predict", SERVE_NAME, 8, f"{SERVE_NAME} lacks config, members, master"),
+        ("predict", MANIFEST_NAME, 8, "no trained master"),
+        ("report", MANIFEST_NAME, 7, "no candidates"),
+        ("report", SERVE_NAME, 0, None),
+    ])
+    def test_empty_run_record_exit_code(self, small_run, tmp_path, capsys,
+                                        command, name, code, problem):
+        # a JSON object without the keys a command reads: a named failure
+        _, _, result = small_run
+        run = shutil.copytree(result.run_dir, tmp_path / "run")
+        if (command, name) == ("predict", MANIFEST_NAME):
+            (run / SERVE_NAME).unlink()
+        (run / name).write_text("{}")
+        assert cli_main([command, "--run", str(run)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert f"stage '{command}' failed" in err and problem in err
+
     @pytest.mark.parametrize("extra, named", [
         (["--set", "training.restart=200"], "training.restart"),
         (["--set", "trainig.restarts=2"], "trainig"),
