@@ -54,7 +54,7 @@ class AffineMap:
         offset = np.atleast_1d(np.asarray(self.offset, dtype=np.float64))
         if scale.shape != offset.shape:
             raise ValueError("scale and offset must have the same shape")
-        if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
+        if (scale == 0.0).any() or not np.isfinite(scale).all():
             raise ValueError("scale must be finite and nonzero (map must invert)")
         scale.setflags(write=False)
         offset.setflags(write=False)
@@ -112,7 +112,7 @@ class NetworkModel:
             expect = (self.layer_sizes[l + 1], self.layer_sizes[l] + 1)
             if w.shape != expect:
                 raise ValueError(f"weight matrix {l} has shape {w.shape}, expected {expect}")
-            if not np.all(np.isfinite(w)):
+            if not np.isfinite(w).all():
                 raise ValueError(f"weight matrix {l} contains non-finite entries")
             w.setflags(write=False)
             frozen.append(w)

@@ -98,6 +98,9 @@ class PipelineConfig:
         if missing:
             raise MissingColumn(f"config lacks data entries for {missing}")
         object.__setattr__(self, "enabled_sets", tuple(self.enabled_sets))
+        for where, nested in (("training", self.training), ("var", self.var_cfg),
+                              *((f"ma_levels.{i}", c) for i, c in enumerate(self.ma_levels))):
+            _check_integers(vars(nested), where, type(nested))
         for key, value in self._integer_entries():
             if not _is_integer(value):
                 raise ValueError(f"config {key} must be an integer, got {value!r}")
@@ -121,14 +124,7 @@ class PipelineConfig:
                              f"choose from {list(REPORT_FORMATS)}")
 
     def _integer_entries(self):
-        """(dotted config key, value) of every entry that must be an integer."""
-        t = self.training
-        yield from ((f"training.{k}", getattr(t, k)) for k in ("cycles", "restarts", "rng_seed"))
-        if t.hidden_size is not None:
-            yield "training.hidden_size", t.hidden_size
-        yield "var.window", self.var_cfg.window
-        for i, level in enumerate(self.ma_levels):
-            yield from ((f"ma_levels.{i}.{k}", getattr(level, k)) for k in ("M", "n"))
+        """(dotted config key, value) of every own entry that must be an integer."""
         yield from ((f"base_sets.enabled.{i}", v) for i, v in enumerate(self.enabled_sets))
         yield "base_sets.single_lag", self.single_lag
         yield "selection.top_k", self.top_k
@@ -183,15 +179,16 @@ class PipelineConfig:
             values = dict(_config_object(sections.get(name, {}), name, allowed))
             kwargs.update((keys[k], values.pop(k)) for k in keys if k in values)
             if nested:
+                _check_integers(values, name, type(base))
                 kwargs[nested] = replace(base, **values)
         if "ma_levels" in sections:
             levels = sections["ma_levels"]
             if not isinstance(levels, list):
                 raise ValueError(f"config ma_levels must be a list, got {levels!r}")
-            kwargs["ma_levels"] = tuple(
-                BlockAverageConfig(**_config_object(c, f"ma_levels.{i}", ("M", "n")))
-                for i, c in enumerate(levels)
-            )
+            entries = [_config_object(c, f"ma_levels.{i}", ("M", "n")) for i, c in enumerate(levels)]
+            for i, entry in enumerate(entries):
+                _check_integers(entry, f"ma_levels.{i}", BlockAverageConfig)
+            kwargs["ma_levels"] = tuple(BlockAverageConfig(**entry) for entry in entries)
         variables = _config_object(kwargs.get("variables", {}), "data.variables", VARIABLES)
         for name, entry in variables.items():
             if set(_config_object(entry, f"data.variables.{name}", _ENTRY_KEYS)) != set(_ENTRY_KEYS):
@@ -227,6 +224,24 @@ def _is_integer(value) -> bool:
     except TypeError:
         return False
     return not isinstance(value, bool)
+
+
+# Integer fields of the nested config dataclasses. ``from_dict`` checks them
+# before the dataclass is built, whose own range checks would otherwise meet
+# the value first and fail without naming the key.
+_NESTED_INTEGERS = ("window", "cycles", "restarts", "rng_seed", "hidden_size", "M", "n")
+
+
+def _check_integers(values: dict, where: str, kind: type) -> None:
+    """ValueError naming ``where.key`` for an integer field of ``kind`` that is not one.
+
+    ``values`` maps field names to values; None passes only for a field
+    whose default is None.
+    """
+    for key, value in values.items():
+        if key in _NESTED_INTEGERS and not _is_integer(value) and not (
+                value is None and getattr(kind, key) is None):
+            raise ValueError(f"config {where}.{key} must be an integer, got {value!r}")
 
 
 def _config_object(value, where: str, keys) -> dict:
@@ -757,10 +772,10 @@ def predict_from_run(
 
     Reads the run's serve record (``serve.json``; for a run stored without
     one, the same record projected from the manifest), loads the stored
-    member and master models, rebuilds each member's input row for its
-    lag, stacks the member forecasts, and runs the master. The frame comes
-    from ``config`` (defaults to the run's config). Nothing is cached
-    between calls.
+    member and master models, builds only the derived columns the members
+    read, rebuilds each member's input row for its lag, stacks the member
+    forecasts, and runs the master. The frame comes from ``config``
+    (defaults to the run's config). Nothing is cached between calls.
     """
     run_dir = Path(run_dir)
     record = _load_serve_record(run_dir)
@@ -771,6 +786,7 @@ def predict_from_run(
         derived = build_derived_columns(
             frame, var_cfg=config.var_cfg, smooth_cfg=config.smoothing,
             ma_levels=config.ma_levels,
+            names={name for entry in record["members"] for name in entry["input_names"]},
         )
     except SpreadnetError as exc:
         raise StaleModel(f"frame cannot supply the members' inputs: {exc}") from exc

@@ -12,6 +12,7 @@ Canonical frame column names consumed here: ``igaem``, ``embi_venezuela``,
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -465,16 +466,61 @@ def build_lagged_matrix(
     )
 
 
+def _column_table(
+    frame: AlignedFrame,
+    var_cfg: VarConfig,
+    smooth_cfg: SmoothingConfig,
+    ma_levels: tuple[BlockAverageConfig, ...],
+) -> dict[str, tuple[tuple[str, ...], Callable[[dict], MonthlySeries]]]:
+    """Derived column name -> (columns it reads, build function), in build order.
+
+    A build function takes the columns built so far and returns its column;
+    every column it reads comes earlier in the table.
+    """
+    def smoothed(name, smooth):
+        return lambda cols: MonthlySeries(name, cols["var"].months,
+                                          smooth(cols["var"].values, smooth_cfg))
+
+    def averaged(name, ba_cfg):
+        def build(cols):
+            col = block_average_column(cols["var"], ba_cfg)
+            return MonthlySeries(name, col.months, col.values)
+        return build
+
+    def normalized(cols):
+        raw = cols["output_raw"]
+        return MonthlySeries("output_normalized", raw.months[3:], normalize_output(raw.values))
+
+    table = {
+        "var": ((), lambda cols: indicator_var_series(frame.series(INDICATOR), var_cfg)),
+        "var_smooth": (("var",), smoothed("var_smooth", ema_smooth)),
+        "var_double": (("var",), smoothed("var_double", double_smooth)),
+        "global": ((), lambda cols: frame.series(GLOBAL_SPREAD)),
+        "tbill": ((), lambda cols: frame.series(TBILL)),
+    }
+    for i, ba_cfg in enumerate(ma_levels, start=1):
+        table[f"var_ma{i}"] = (("var",), averaged(f"var_ma{i}", ba_cfg))
+    table["output_raw"] = ((), lambda cols: frame.series(OUTPUT_VARIABLE))
+    table["output_normalized"] = (("output_raw",), normalized)
+    # Set 10 feeds the (lagged) transformed output back in as an input.
+    table["output_auto"] = (("output_normalized",), lambda cols: cols["output_normalized"])
+    return table
+
+
 def build_derived_columns(
     frame: AlignedFrame,
     var_cfg: VarConfig | None = None,
     smooth_cfg: SmoothingConfig | None = None,
     ma_levels: tuple[BlockAverageConfig, ...] = DEFAULT_MA_LEVELS,
+    names: Iterable[str] | None = None,
 ) -> dict[str, MonthlySeries]:
-    """Compute every transform the base sets draw on, as dated series.
+    """Compute the transforms the base sets draw on, as dated series.
 
-    The VaR chain consumes the first window+1 months of the frame, so the
-    derived columns start later than the frame itself.
+    ``names`` lists the columns wanted (None: every column). Only those,
+    ``output_raw`` and the columns they are computed from are built, each
+    once, so a column nobody names can never fail the call. The VaR chain
+    consumes the first window+1 months of the frame, so the VaR-derived
+    columns start later than the frame itself.
     """
     var_cfg = var_cfg or VarConfig()
     smooth_cfg = smooth_cfg or SmoothingConfig()
@@ -482,25 +528,18 @@ def build_derived_columns(
         if name not in frame.columns:
             raise MissingColumn(f"frame lacks required column {name!r}")
 
-    var = indicator_var_series(frame.series(INDICATOR), var_cfg)
-    cols: dict[str, MonthlySeries] = {
-        "var": var,
-        "var_smooth": MonthlySeries("var_smooth", var.months, ema_smooth(var.values, smooth_cfg)),
-        "var_double": MonthlySeries("var_double", var.months, double_smooth(var.values, smooth_cfg)),
-        "global": frame.series(GLOBAL_SPREAD),
-        "tbill": frame.series(TBILL),
-    }
-    for i, ba_cfg in enumerate(ma_levels, start=1):
-        col = block_average_column(var, ba_cfg)
-        cols[f"var_ma{i}"] = MonthlySeries(f"var_ma{i}", col.months, col.values)
-
-    out_levels = frame.series(OUTPUT_VARIABLE)
-    cols["output_raw"] = out_levels
-    cols["output_normalized"] = MonthlySeries(
-        "output_normalized", out_levels.months[3:], normalize_output(out_levels.values)
-    )
-    # Set 10 feeds the (lagged) transformed output back in as an input.
-    cols["output_auto"] = cols["output_normalized"]
+    table = _column_table(frame, var_cfg, smooth_cfg, ma_levels)
+    wanted = set(table) if names is None else {"output_raw", *names}
+    unknown = sorted(wanted - set(table))
+    if unknown:
+        raise MissingColumn(f"no derived column named {unknown}; have {list(table)}")
+    for name in reversed(table):  # a column's inputs come earlier in the table
+        if name in wanted:
+            wanted.update(table[name][0])
+    cols: dict[str, MonthlySeries] = {}
+    for name, (_, build) in table.items():
+        if name in wanted:
+            cols[name] = build(cols)
     return cols
 
 
@@ -517,14 +556,15 @@ def assemble_base_sets(
     With all ten stock sets enabled this yields 64 matrices: six lag-swept
     sets x 10 lags plus four single-lag sets.
     """
-    specs = specs if specs is not None else default_base_sets()
-    derived = build_derived_columns(frame, var_cfg, smooth_cfg, ma_levels)
+    specs = [s for s in (specs if specs is not None else default_base_sets())
+             if enabled is None or s.id in enabled]
+    names = {name for spec in specs
+             for name in (*spec.input_columns, f"output_{spec.output_recipe}")}
+    derived = build_derived_columns(frame, var_cfg, smooth_cfg, ma_levels, names=names)
     levels = derived["output_raw"]
 
     matrices: list[TrainingMatrix] = []
     for spec in specs:
-        if enabled is not None and spec.id not in enabled:
-            continue
         out = derived[f"output_{spec.output_recipe}"]
         pieces = [
             MonthlySeries(name, derived[name].months, derived[name].values)

@@ -68,18 +68,18 @@ class MonthlySeries:
         if len(months) == 0:
             raise ValueError(f"series {self.name!r}: empty series")
         diffs = np.diff(months)
-        if np.any(diffs == 0):
-            at = int(months[np.argmin(diffs != 0)])
-            raise DuplicateDate(f"series {self.name!r}: duplicate month {format_month(at)}")
-        if np.any(diffs < 0):
-            raise ValueError(f"series {self.name!r}: months not increasing")
-        if np.any(diffs > 1):
+        if not (diffs == 1).all():
+            if (diffs == 0).any():
+                at = int(months[np.argmin(diffs != 0)])
+                raise DuplicateDate(f"series {self.name!r}: duplicate month {format_month(at)}")
+            if (diffs < 0).any():
+                raise ValueError(f"series {self.name!r}: months not increasing")
             i = int(np.argmax(diffs > 1))
             raise GapInDates(
                 f"series {self.name!r}: gap between {format_month(months[i])} "
                 f"and {format_month(months[i + 1])}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             i = int(np.argmin(np.isfinite(values)))
             raise UnparseableValue(
                 f"series {self.name!r}: non-finite value at {format_month(months[i])}"
@@ -152,29 +152,41 @@ def load_series(
 
     ``column_map`` maps output series names to CSV header names. Rows with
     unparseable dates or values raise, naming the offending row (1-based,
-    header excluded); nothing is imputed or dropped.
+    header and blank lines excluded); nothing is imputed or dropped. Rows
+    read as ``csv.DictReader`` reads them: a field missing from a short row
+    is empty, extra fields are ignored, and of two columns with one name
+    the last counts.
     """
     path = Path(path)
     if not path.exists():
         raise MissingFile(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if date_column not in header:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        # csv.DictReader's reading: the last of repeated header names wins
+        position = {col: i for i, col in enumerate(header)}
+        if date_column not in position:
             raise MissingColumn(f"{path}: date column {date_column!r} not in header {header}")
         for name, col in column_map.items():
-            if col not in header:
+            if col not in position:
                 raise MissingColumn(f"{path}: column {col!r} (for series {name!r}) not in header")
+        date_at = position[date_column]
+        wanted = [(col, position[col], []) for col in column_map.values()]
         months: list[int] = []
-        values: dict[str, list[float]] = {name: [] for name in column_map}
-        for row_no, row in enumerate(reader, start=1):
+        row_no = 0
+        for row in reader:
+            if not row:
+                continue  # a blank line is not a row
+            row_no += 1
+            # a field past the end of a short row reads as empty
+            width = len(row)
             try:
-                key = parse_month(row[date_column])
+                key = parse_month(row[date_at] if date_at < width else "")
             except UnparseableValue as exc:
                 raise UnparseableValue(f"{path} row {row_no}: {exc}") from None
             months.append(key)
-            for name, col in column_map.items():
-                raw = (row[col] or "").strip()
+            for col, at, out in wanted:
+                raw = row[at].strip() if at < width else ""
                 try:
                     val = float(raw)
                 except ValueError:
@@ -185,14 +197,14 @@ def load_series(
                     raise UnparseableValue(
                         f"{path} row {row_no}: column {col!r} value {raw!r} is not finite"
                     )
-                values[name].append(val)
+                out.append(val)
     if not months:
         raise UnparseableValue(f"{path}: no data rows")
     month_arr = np.asarray(months, dtype=np.int64)
     _check_month_axis(month_arr, str(path))
     return [
-        MonthlySeries(name, month_arr, np.asarray(values[name]))
-        for name in column_map
+        MonthlySeries(name, month_arr, np.asarray(out))
+        for name, (_, _, out) in zip(column_map, wanted)
     ]
 
 

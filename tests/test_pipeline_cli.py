@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spreadnet import preprocess
 from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
 from spreadnet.errors import (
     ConstantOutput,
     IncompleteManifest,
+    NonPositiveValue,
     PipelineStageError,
     SpreadnetError,
 )
@@ -36,6 +38,29 @@ from spreadnet.pipeline import (
 )
 from spreadnet.preprocess import MASTER_SET_ID, OUTPUT_VARIABLE, build_derived_columns
 from spreadnet.series import format_month, parse_month
+
+
+@pytest.fixture(scope="module")
+def set7_run(tmp_path_factory):
+    """A finished run of base set 7 alone, whose members read only global and tbill."""
+    tmp = tmp_path_factory.mktemp("set7")
+    _, config_path = write_demo_workspace(tmp, restarts=1, enabled_sets=[7])
+    config = PipelineConfig.from_file(config_path)
+    return config, run_pipeline(config, through="master", run_dir=tmp / "run").run_dir
+
+
+def with_csv_edit(config, directory, edit):
+    """``config`` reading a copy of its CSV that ``edit(rows)`` changed in place."""
+    source = Path(config.variables["igaem"]["path"])
+    rows = list(csv.reader(source.open(newline="", encoding="utf-8")))
+    edit(rows)
+    target = Path(directory) / "edited.csv"
+    with target.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    data = config.to_dict()
+    for entry in data["data"]["variables"].values():
+        entry["path"] = str(target)
+    return PipelineConfig.from_dict(data)
 
 
 @pytest.fixture(scope="session")
@@ -152,6 +177,13 @@ class TestConfigRoundTrip:
         (lambda d: d["training"].update(full_scale="no"), "training.full_scale"),
         (lambda d: d["training"].update(full_scale=1), "training.full_scale"),
         (lambda d: d["training"].update(full_scale="true"), "training.full_scale"),
+        (lambda d: d["training"].update(restarts="abc"), "training.restarts"),
+        (lambda d: d["training"].update(restarts=None), "training.restarts"),
+        (lambda d: d["training"].update(cycles="5"), "training.cycles"),
+        (lambda d: d["training"].update(hidden_size="3"), "training.hidden_size"),
+        (lambda d: d["var"].update(window="12"), "var.window"),
+        (lambda d: d["ma_levels"][0].update(M=2.5), "ma_levels.0.M"),
+        (lambda d: d["ma_levels"][1].update(n="3"), "ma_levels.1.n"),
     ])
     def test_strict_keys_and_sections(self, small_run, edit, named):
         config_path, _, _ = small_run
@@ -290,6 +322,35 @@ class TestPredictFromRun:
             predict_from_run(result.run_dir, config=stale)
 
 
+    def test_builds_only_the_columns_members_read(self, set7_run, monkeypatch):
+        config, run = set7_run
+        record = json.loads((run / SERVE_NAME).read_text())
+        assert {n for m in record["members"] for n in m["input_names"]} == {"global", "tbill"}
+        calls = dict.fromkeys(("indicator_var_series", "double_smooth", "block_average_column"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(preprocess, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(preprocess, name, counted)
+        predict_from_run(run)
+        assert calls == dict.fromkeys(calls, 0)
+        build_derived_columns(ingest(config))  # the counters do see a full build
+        assert all(calls.values())
+
+    def test_unread_column_cannot_fail_a_forecast(self, set7_run, tmp_path):
+        # A non-positive indicator level breaks the VaR chain, which no set-7
+        # member reads; the forecast is served, and unchanged.
+        config, run = set7_run
+
+        def zero_level(rows):
+            rows[100][rows[0].index("igaem")] = "0.0"
+
+        edited = with_csv_edit(config, tmp_path, zero_level)
+        with pytest.raises(NonPositiveValue):
+            build_derived_columns(ingest(edited))
+        assert predict_from_run(run, config=edited) == predict_from_run(run)
+
+
 class TestServeRecord:
     def test_record_is_the_manifest_projection(self, small_run):
         _, _, result = small_run
@@ -352,6 +413,20 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert cli_main(["validate", "-c", str(bad)]) == 2
+
+    def test_validate_short_row_without_date_exit_code(self, set7_run, tmp_path, capsys):
+        config, _ = set7_run
+
+        def date_last_row_two_short(rows):
+            rows[:] = [[*row[1:], row[0]] for row in rows]
+            del rows[2][-1]
+
+        edited = with_csv_edit(config, tmp_path, date_last_row_two_short)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(edited.to_dict()))
+        assert cli_main(["validate", "-c", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'ingest' failed" in err and "row 2: date '' is not in YYYY-MM" in err
 
     def test_report_from_run_dir(self, small_run, capsys):
         _, _, result = small_run
@@ -426,6 +501,11 @@ class TestCli:
         ["--set", "training.full_scale=no"],
         ["--set", "training.full_scale=1"],
         ["--set", 'training.full_scale="true"'],
+        ["--set", "training.restarts=abc"],
+        ["--set", 'training.cycles="5"'],
+        ["--set", 'training.hidden_size="3"'],
+        ["--set", 'var.window="12"'],
+        ["--set", 'ma_levels=[{"M": 2.5, "n": 2}]'],
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, extra):
         _, config_path = write_demo_workspace(tmp_path, enabled_sets=[7])

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreadnet import preprocess
 from spreadnet.errors import (
     IndexOutOfRange,
     InsufficientHistory,
     InsufficientRows,
     MissingColumn,
+    NonPositiveValue,
     ZeroTrailingMean,
 )
 from spreadnet.preprocess import (
@@ -400,6 +402,78 @@ class TestAssembleBaseSets:
         assert var.months[0] == demo_frame.months[66]
         assert len(derived["var_smooth"]) == len(var)
         assert derived["output_normalized"].months[0] == demo_frame.months[3]
+
+
+DERIVED_NAMES = ("var", "var_smooth", "var_double", "global", "tbill", "var_ma1", "var_ma2",
+                 "output_raw", "output_normalized", "output_auto")
+
+
+def with_column(frame, name, values):
+    return AlignedFrame(frame.months, {**frame.columns, name: values})
+
+
+class TestDerivedColumnsByName:
+    def test_full_build_lists_every_column(self, demo_frame):
+        assert tuple(build_derived_columns(demo_frame)) == DERIVED_NAMES
+
+    @settings(max_examples=80, deadline=None)
+    @given(names=st.sets(st.sampled_from(DERIVED_NAMES)))
+    def test_named_columns_equal_full_build(self, demo_frame, names):
+        full = build_derived_columns(demo_frame)
+        built = build_derived_columns(demo_frame, names=names)
+        for name in names | {"output_raw"}:
+            assert built[name].name == full[name].name
+            assert np.array_equal(built[name].months, full[name].months)
+            assert np.array_equal(built[name].values, full[name].values)
+        assert list(built) == [name for name in full if name in built]  # the full build's order
+
+    @pytest.mark.parametrize("names, built", [
+        ((), {"output_raw"}),
+        (("global", "tbill"), {"global", "tbill", "output_raw"}),
+        (("var_ma2",), {"var", "var_ma2", "output_raw"}),
+        (("output_auto",), {"output_raw", "output_normalized", "output_auto"}),
+    ])
+    def test_only_named_columns_and_their_sources_are_built(self, demo_frame, names, built):
+        assert set(build_derived_columns(demo_frame, names=names)) == built
+
+    def test_shared_source_built_once(self, demo_frame, monkeypatch):
+        calls = []
+        chain = preprocess.indicator_var_series
+        monkeypatch.setattr(preprocess, "indicator_var_series",
+                            lambda *a: calls.append(1) or chain(*a))
+        build_derived_columns(demo_frame, names=("var_smooth", "var_double", "var_ma1", "var"))
+        assert len(calls) == 1
+
+    def test_unknown_name(self, demo_frame):
+        with pytest.raises(MissingColumn, match="var_ma3"):
+            build_derived_columns(demo_frame, names=("var", "var_ma3"))
+
+    def test_unnamed_column_cannot_fail(self, demo_frame):
+        # The one change from building every column: a fault in a column
+        # nobody names no longer fails the call. Here a non-positive
+        # indicator level breaks only the VaR chain.
+        igaem = demo_frame.columns["igaem"].copy()
+        igaem[100] = 0.0
+        broken = with_column(demo_frame, "igaem", igaem)
+        with pytest.raises(NonPositiveValue):
+            build_derived_columns(broken)
+        with pytest.raises(NonPositiveValue):
+            assemble_base_sets(broken, enabled={7, 8})
+        got = assemble_base_sets(broken, enabled={7})
+        want = assemble_base_sets(demo_frame, enabled={7})
+        assert len(got) == len(want) == 10
+        for a, b in zip(got, want):
+            assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.output, b.output)
+            assert np.array_equal(a.months_out, b.months_out)
+
+    def test_unnamed_output_transform_cannot_fail(self, demo_frame):
+        # a zero trailing mean breaks only the normalized output
+        output = demo_frame.columns["embi_venezuela"].copy()
+        output[10:13] = 0.0
+        broken = with_column(demo_frame, "embi_venezuela", output)
+        with pytest.raises(ZeroTrailingMean):
+            assemble_base_sets(broken, enabled={1, 8})
+        assert len(assemble_base_sets(broken, enabled={1})) == 10
 
 
 class TestGridSearch:

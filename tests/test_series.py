@@ -1,9 +1,12 @@
 """Loading, validation, alignment, and the basic return transforms."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spreadnet.errors import (
     DuplicateDate,
@@ -16,6 +19,7 @@ from spreadnet.errors import (
 )
 from spreadnet.series import (
     MonthlySeries,
+    _check_month_axis,
     align,
     format_month,
     load_series,
@@ -84,6 +88,127 @@ class TestLoadSeries:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             load_series(tmp_path / "absent.csv", {"level": "level"})
+
+    def test_short_row_without_date_names_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("v,date\n1,2000-01\n2\n", encoding="utf-8")
+        with pytest.raises(UnparseableValue, match="row 2: date '' is not in YYYY-MM"):
+            load_series(path, {"v": "v"})
+
+    def test_dictreader_reading(self, tmp_path):
+        # blank lines are not rows, the last of repeated names wins, extra
+        # fields are ignored
+        path = tmp_path / "d.csv"
+        path.write_text("v,date,v\n\n9,2000-01,1.5,extra\n\n8,2000-02, 2 \n",
+                        encoding="utf-8")
+        (series,) = load_series(path, {"v": "v"})
+        assert series.month_labels() == ["2000-01", "2000-02"]
+        assert series.values.tolist() == [1.5, 2.0]
+        path.write_text("v,date,v\n9,2000-01,1.5\n\n8,2000-02\n", encoding="utf-8")
+        with pytest.raises(UnparseableValue, match="row 2: column 'v' value '' is not a number"):
+            load_series(path, {"v": "v"})
+
+
+def dictreader_load(path, column_map, date_column="date"):
+    """Reference loader over csv.DictReader: the reading ``load_series`` keeps.
+
+    A field missing from a short row reads as empty, the date included.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        if date_column not in header:
+            raise MissingColumn(f"{path}: date column {date_column!r} not in header {header}")
+        for name, col in column_map.items():
+            if col not in header:
+                raise MissingColumn(f"{path}: column {col!r} (for series {name!r}) not in header")
+        month_keys, values = [], {name: [] for name in column_map}
+        for row_no, row in enumerate(reader, start=1):
+            try:
+                month_keys.append(parse_month(row[date_column] or ""))
+            except UnparseableValue as exc:
+                raise UnparseableValue(f"{path} row {row_no}: {exc}") from None
+            for name, col in column_map.items():
+                raw = (row[col] or "").strip()
+                try:
+                    val = float(raw)
+                except ValueError:
+                    raise UnparseableValue(
+                        f"{path} row {row_no}: column {col!r} value {raw!r} is not a number"
+                    ) from None
+                if not math.isfinite(val):
+                    raise UnparseableValue(
+                        f"{path} row {row_no}: column {col!r} value {raw!r} is not finite"
+                    )
+                values[name].append(val)
+    if not month_keys:
+        raise UnparseableValue(f"{path}: no data rows")
+    month_arr = np.asarray(month_keys, dtype=np.int64)
+    _check_month_axis(month_arr, str(path))
+    return [MonthlySeries(name, month_arr, np.asarray(values[name])) for name in column_map]
+
+
+HEADER_NAMES = ("date", "a", "b", " a", "c")
+COLUMN_MAPS = ({"s": "a"}, {"s": "a", "t": "b"}, {"t": "b", "s": " a"})
+GOOD_VALUES = ("1.5", " 2 ", "-3.25", "1e3 ", "7")
+BAD_VALUES = ("nan", "inf", " -inf", "abc", "", "  ", "1,5", "0x10")
+
+
+@st.composite
+def csv_files(draw):
+    """(CSV text, column map) in load_series' layout: mostly well formed,
+    with every fault within reach."""
+    column_map = draw(st.sampled_from(COLUMN_MAPS))
+    header = [*column_map.values(),
+              *draw(st.lists(st.sampled_from(HEADER_NAMES), max_size=3))]
+    if not draw(st.integers(0, 9)):  # now and then a mapped column goes missing
+        header.pop(draw(st.integers(0, len(header) - 1)))
+    header = draw(st.permutations(header))
+    if draw(st.integers(0, 9)):  # usually a date column, at any position
+        header.insert(draw(st.integers(0, len(header))), "date")
+    start, rows, lines = parse_month("1999-11"), 0, [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        if not draw(st.integers(0, 6)):
+            lines.append("")  # a blank line
+            continue
+        # a row may be short or long; most rows are full
+        width = len(header) + draw(st.sampled_from((0,) * 12 + (-1, -2, 1, 2)))
+        month = format_month(start + rows)
+        month_texts = (month,) * 24 + (f" {month} ", format_month(start + rows - 1),
+                                       format_month(start + rows + 1), "2000-13", "2000-1", "")
+        fields = [
+            draw(st.sampled_from(month_texts if name == "date" else GOOD_VALUES * 8 + BAD_VALUES))
+            for name in (header + ["x", "x"])[:max(width, 0)]
+        ]
+        lines.append(",".join(fields))
+        rows += 1
+    return "\n".join(lines) + draw(st.sampled_from(("\n", ""))), column_map
+
+
+def load_outcome(loader, path, column_map):
+    try:
+        return [(s.name, s.months, s.values) for s in loader(path, column_map)]
+    except Exception as exc:  # the exception is the outcome under comparison
+        return type(exc), str(exc)
+
+
+class TestLoadSeriesOracle:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_files())
+    def test_matches_dictreader(self, tmp_path, case):
+        text, column_map = case
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        got = load_outcome(load_series, path, column_map)
+        want = load_outcome(dictreader_load, path, column_map)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, list) and len(got) == len(want)
+        for (name, m, v), (name_w, m_w, v_w) in zip(got, want):
+            assert name == name_w
+            assert np.array_equal(m, m_w) and np.array_equal(v, v_w)
 
 
 class TestAlign:
@@ -181,6 +306,20 @@ class TestInvariants:
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateDate):
             MonthlySeries("x", np.array([5, 5]), np.array([1.0, 2.0]))
+
+    def test_decreasing_rejected(self):
+        with pytest.raises(ValueError, match="months not increasing"):
+            MonthlySeries("x", np.array([5, 4]), np.array([1.0, 2.0]))
+
+    def test_first_fault_in_check_order(self):
+        # a duplicate anywhere is named before a decrease, a decrease before a gap
+        with pytest.raises(DuplicateDate, match="2000-04"):
+            MonthlySeries("x", np.array([1, 3, 2, 3, 3]) + parse_month("2000-01"), np.ones(5))
+        with pytest.raises(ValueError, match="not increasing"):
+            MonthlySeries("x", np.array([0, 2, 1]), np.ones(3))
+        with pytest.raises(GapInDates, match="2000-02 and 2000-04"):
+            MonthlySeries("x", np.array([0, 1, 3]) + parse_month("2000-01"),
+                          np.array([1.0, 2.0, np.nan]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(UnparseableValue):
