@@ -27,6 +27,8 @@ from .errors import PipelineStageError, SpreadnetError
 from .pipeline import (
     MANIFEST_NAME,
     PipelineConfig,
+    _read_json,
+    _stage,
     emit_reports,
     export_matrices,
     ingest,
@@ -76,7 +78,7 @@ def _apply_overrides(data: dict, overrides: list[str]) -> dict:
 def _load_config(args) -> PipelineConfig:
     """Read, override and parse the config; any fault in it exits as "config"."""
     try:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        data = _read_json(Path(args.config), ValueError)
         if args.set:
             data = _apply_overrides(data, args.set)
         if args.output_dir:
@@ -142,11 +144,8 @@ def cmd_master(args) -> int:
 
 def cmd_report(args) -> int:
     if args.run:
-        try:
-            manifest = load_run(args.run)
-            paths = emit_reports(manifest, args.run)
-        except SpreadnetError as exc:
-            raise PipelineStageError("report", exc) from exc
+        with _stage("report"):
+            paths = emit_reports(load_run(args.run), args.run)
     elif args.config:
         result = _run_to(args, "report")
         paths = result.report_paths
@@ -160,12 +159,8 @@ def cmd_report(args) -> int:
 
 def cmd_predict(args) -> int:
     config = _load_config(args) if args.config else None
-    try:
+    with _stage("predict"):
         report = predict_from_run(args.run, config=config)
-    except PipelineStageError:
-        raise
-    except SpreadnetError as exc:
-        raise PipelineStageError("predict", exc) from exc
     arrow = "rise" if report.forecast.direction > 0 else "fall"
     print(f"forecast {report.target_month}: {report.forecast.value:.2f} "
           f"({arrow} vs last actual {report.last_actual:.2f})")

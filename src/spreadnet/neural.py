@@ -180,8 +180,12 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.55 <= self.split <= 0.70:
             raise ValueError(f"split must be in [0.55, 0.70], got {self.split}")
-        if self.cycles < 1 or self.restarts < 1:
-            raise ValueError("cycles and restarts must be positive")
+        if self.cycles < 1:
+            raise ValueError(f"cycles must be positive, got {self.cycles}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be positive, got {self.restarts}")
+        if self.rng_seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.hidden_size is not None and self.hidden_size < 1:
             raise ValueError(f"hidden_size must be positive, got {self.hidden_size}")
 

@@ -10,13 +10,17 @@ through per-matrix seeds derived as SeedSequence([root, set, lag]).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import hashlib
 import json
-import operator
+import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+import types
+import typing
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +38,6 @@ from .ensemble import (
 )
 from .errors import (
     IncompleteManifest,
-    MissingColumn,
     MissingFile,
     PipelineStageError,
     SpreadnetError,
@@ -61,6 +64,9 @@ from .series import AlignedFrame, MonthlySeries, align, format_month, load_serie
 
 STAGES = ("ingest", "preprocess", "train", "select", "master", "report")
 VARIABLES = (pp.INDICATOR, pp.OUTPUT_VARIABLE, pp.GLOBAL_SPREAD, pp.TBILL)
+# data.variables: for each variable, the CSV file and column its series is read from.
+DataEntry = typing.TypedDict("DataEntry", {"path": str, "column": str})
+DataVariables = typing.TypedDict("DataVariables", {v: DataEntry for v in VARIABLES})
 
 MANIFEST_FORMAT = 1
 MANIFEST_NAME = "manifest.json"
@@ -78,9 +84,14 @@ FULL_SCALE_RESTARTS = TrainConfig.restarts
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Typed view of the JSON pipeline config; round-trips exactly."""
+    """Typed view of the JSON pipeline config; round-trips exactly.
 
-    variables: dict[str, dict[str, str]] = field(default_factory=dict)
+    Each field's annotation (and, for a config dataclass, its fields'
+    annotations) is the type its JSON key takes; ``_SECTIONS`` is where the
+    key sits in the JSON document.
+    """
+
+    variables: DataVariables = field(default_factory=dict)
     date_column: str = "date"
     var_cfg: VarConfig = field(default_factory=VarConfig)
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
@@ -94,40 +105,19 @@ class PipelineConfig:
     formats: tuple[str, ...] = ("csv", "txt")
 
     def __post_init__(self):
-        missing = [v for v in VARIABLES if v not in self.variables]
-        if missing:
-            raise MissingColumn(f"config lacks data entries for {missing}")
-        object.__setattr__(self, "enabled_sets", tuple(self.enabled_sets))
-        for where, nested in (("training", self.training), ("var", self.var_cfg),
-                              *((f"ma_levels.{i}", c) for i, c in enumerate(self.ma_levels))):
-            _check_integers(vars(nested), where, type(nested))
-        for key, value in self._integer_entries():
-            if not _is_integer(value):
-                raise ValueError(f"config {key} must be an integer, got {value!r}")
-        if not isinstance(self.full_scale, bool):
-            raise ValueError(
-                f"config training.full_scale must be true or false, got {self.full_scale!r}")
-        for name, kind in (("single_lag", int), ("top_k", int), ("formats", tuple)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
-        if self.top_k < 1:
-            raise ValueError(f"config selection.top_k must be at least 1, got {self.top_k}")
-        if self.single_lag < 1:
-            raise ValueError(
-                f"config base_sets.single_lag must be at least 1, got {self.single_lag}")
-        known = {spec.id for spec in self.base_set_specs()}
-        unknown = [i for i in self.enabled_sets if i not in known]
-        if unknown:
-            raise ValueError(f"config base_sets.enabled names no base set: {unknown}")
-        unknown = [f for f in self.formats if f not in REPORT_FORMATS]
-        if unknown:
-            raise ValueError(f"config output.formats has unknown formats {unknown}; "
-                             f"choose from {list(REPORT_FORMATS)}")
-
-    def _integer_entries(self):
-        """(dotted config key, value) of every own entry that must be an integer."""
-        yield from ((f"base_sets.enabled.{i}", v) for i, v in enumerate(self.enabled_sets))
-        yield "base_sets.single_lag", self.single_lag
-        yield "selection.top_k", self.top_k
+        for name, hint in _hints(type(self)).items():
+            object.__setattr__(self, name, _checked(getattr(self, name), hint, _PLACES[name]))
+        for name in ("top_k", "single_lag"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"config {_PLACES[name]} must be at least 1, got {getattr(self, name)}")
+        for i, set_id in enumerate(self.enabled_sets):
+            if set_id not in _BASE_SET_IDS:
+                raise ValueError(f"config base_sets.enabled.{i} names no base set: {set_id}")
+        for i, fmt in enumerate(self.formats):
+            if fmt not in REPORT_FORMATS:
+                raise ValueError(f"config output.formats.{i} is an unknown format {fmt!r}; "
+                                 f"choose from {list(REPORT_FORMATS)}")
 
     @property
     def train_cfg(self) -> TrainConfig:
@@ -140,108 +130,113 @@ class PipelineConfig:
         return default_base_sets(single_lag=self.single_lag)
 
     def to_dict(self) -> dict:
-        return {
-            "data": {
-                "date_column": self.date_column,
-                "variables": {k: dict(v) for k, v in self.variables.items()},
-            },
-            "var": {"window": self.var_cfg.window, "confidence": self.var_cfg.confidence},
-            "smoothing": {"beta": self.smoothing.beta, "seed_value": self.smoothing.seed_value},
-            "ma_levels": [{"M": c.M, "n": c.n} for c in self.ma_levels],
-            "base_sets": {"enabled": list(self.enabled_sets), "single_lag": self.single_lag},
-            "training": {
-                "cycles": self.training.cycles,
-                "stop_error": self.training.stop_error,
-                "learning_rate": self.training.learning_rate,
-                "restarts": self.training.restarts,
-                "full_scale": self.full_scale,
-                "rng_seed": self.training.rng_seed,
-                "split": self.training.split,
-                "hidden_size": self.training.hidden_size,
-            },
-            "selection": {"top_k": self.top_k},
-            "output": {"directory": self.output_dir, "formats": list(self.formats)},
-        }
+        document: dict = {}
+        for section, keys in _SECTIONS.items():
+            for key, name in keys.items():
+                value = _to_json(getattr(self, name))
+                if key is None:
+                    document[section] = value
+                else:
+                    document.setdefault(section, {})[key] = value
+        return document
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         """Parse the layout ``to_dict`` writes; absent keys keep the defaults.
 
-        An unknown key at any level, or a section that is not an object,
-        raises ValueError naming the dotted key.
+        An unknown key at any level, a section that is not an object, or a
+        value that is not of its field's type raises ValueError naming the
+        dotted key.
         """
-        sections = _config_object(data, "", (*_SECTIONS, "ma_levels"))
         kwargs = {}
-        for name, (nested, keys) in _SECTIONS.items():
-            # a nested section overrides fields of that config field's default
-            base = cls.__dataclass_fields__[nested].default_factory() if nested else None
-            allowed = [*keys, *(f.name for f in fields(base))] if nested else keys
-            values = dict(_config_object(sections.get(name, {}), name, allowed))
-            kwargs.update((keys[k], values.pop(k)) for k in keys if k in values)
-            if nested:
-                _check_integers(values, name, type(base))
-                kwargs[nested] = replace(base, **values)
-        if "ma_levels" in sections:
-            levels = sections["ma_levels"]
-            if not isinstance(levels, list):
-                raise ValueError(f"config ma_levels must be a list, got {levels!r}")
-            entries = [_config_object(c, f"ma_levels.{i}", ("M", "n")) for i, c in enumerate(levels)]
-            for i, entry in enumerate(entries):
-                _check_integers(entry, f"ma_levels.{i}", BlockAverageConfig)
-            kwargs["ma_levels"] = tuple(BlockAverageConfig(**entry) for entry in entries)
-        variables = _config_object(kwargs.get("variables", {}), "data.variables", VARIABLES)
-        for name, entry in variables.items():
-            if set(_config_object(entry, f"data.variables.{name}", _ENTRY_KEYS)) != set(_ENTRY_KEYS):
-                raise ValueError(f"config data.variables.{name} needs both {_ENTRY_KEYS}")
+        for section, value in _config_object(data, "", _SECTIONS).items():
+            keys = _SECTIONS[section]
+            whole = keys.get(None)
+            if whole and not (isinstance(value, dict) and is_dataclass(_hints(cls)[whole])):
+                kwargs[whole] = value  # ma_levels' list, or a section the checker rejects
+                continue
+            value = dict(_config_object(value, section, value if whole else keys))
+            kwargs.update((keys[key], value.pop(key)) for key in list(value) if key in keys)
+            if whole:  # the config dataclass takes the other keys, over the field's default
+                kwargs[whole] = {**vars(cls.__dataclass_fields__[whole].default_factory()), **value}
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
+        """Parse a JSON config file; ValueError names a file that is not UTF-8 JSON."""
         path = Path(path)
         if not path.exists():
             raise MissingFile(f"config file not found: {path}")
-        return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return cls.from_dict(_read_json(path, ValueError))
 
 
-# JSON section -> (the PipelineConfig field whose config dataclass takes the
-# section's remaining keys, or None; {key: PipelineConfig field}).
+# JSON section -> {key: PipelineConfig field}. The key None marks the field
+# that takes the whole section: a config dataclass's fields are the section's
+# other keys, and ma_levels is the section's list.
 _SECTIONS = {
-    "data": (None, {"date_column": "date_column", "variables": "variables"}),
-    "var": ("var_cfg", {}),
-    "smoothing": ("smoothing", {}),
-    "base_sets": (None, {"enabled": "enabled_sets", "single_lag": "single_lag"}),
-    "training": ("training", {"full_scale": "full_scale"}),
-    "selection": (None, {"top_k": "top_k"}),
-    "output": (None, {"directory": "output_dir", "formats": "formats"}),
+    "data": {"date_column": "date_column", "variables": "variables"},
+    "var": {None: "var_cfg"},
+    "smoothing": {None: "smoothing"},
+    "ma_levels": {None: "ma_levels"},
+    "base_sets": {"enabled": "enabled_sets", "single_lag": "single_lag"},
+    "training": {None: "training", "full_scale": "full_scale"},
+    "selection": {"top_k": "top_k"},
+    "output": {"directory": "output_dir", "formats": "formats"},
 }
-_ENTRY_KEYS = ("path", "column")
+_PLACES = {name: section if key is None else f"{section}.{key}"
+           for section, keys in _SECTIONS.items() for key, name in keys.items()}
+_BASE_SET_IDS = frozenset(spec.id for spec in default_base_sets())
+
+# Resolved annotations of the config types; resolving one takes about 0.5 ms.
+_hints = functools.cache(typing.get_type_hints)
+
+_SCALARS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+            bool: (bool, "true or false"), str: (str, "a string")}
 
 
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers; not for bool, float or str."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return not isinstance(value, bool)
+def _checked(value, hint, where: str):
+    """``value`` as the annotation ``hint`` reads it; ValueError names ``where`` if it is not one.
 
-
-# Integer fields of the nested config dataclasses. ``from_dict`` checks them
-# before the dataclass is built, whose own range checks would otherwise meet
-# the value first and fail without naming the key.
-_NESTED_INTEGERS = ("window", "cycles", "restarts", "rng_seed", "hidden_size", "M", "n")
-
-
-def _check_integers(values: dict, where: str, kind: type) -> None:
-    """ValueError naming ``where.key`` for an integer field of ``kind`` that is not one.
-
-    ``values`` maps field names to values; None passes only for a field
-    whose default is None.
+    ``int`` takes Python and numpy integers (returned as int), ``float`` any
+    real number, and neither a bool. ``X | None`` takes null, ``tuple[X, ...]``
+    a list, a TypedDict an object with all its keys, and a config dataclass
+    an object of its fields or an instance, built anew from its checked
+    fields.
     """
-    for key, value in values.items():
-        if key in _NESTED_INTEGERS and not _is_integer(value) and not (
-                value is None and getattr(kind, key) is None):
-            raise ValueError(f"config {where}.{key} must be an integer, got {value!r}")
+    scalar = _SCALARS.get(hint)
+    if scalar:
+        if type(value) is hint:
+            return value
+        if isinstance(value, scalar[0]) and (hint is bool or not isinstance(value, bool)):
+            return int(value) if hint is int else value
+        raise ValueError(f"config {where} must be {scalar[1]}, got {value!r}")
+    if isinstance(hint, types.UnionType):  # X | None
+        return None if value is None else _checked(value, hint.__args__[0], where)
+    if getattr(hint, "__origin__", None) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config {where} must be a list, got {value!r}")
+        return tuple(_checked(v, hint.__args__[0], f"{where}.{i}") for i, v in enumerate(value))
+    hints = _hints(hint)
+    items = _config_object(vars(value) if type(value) is hint else value, where, hints)
+    checked = {k: _checked(v, hints[k], f"{where}.{k}") for k, v in items.items()}
+    missing = sorted(getattr(hint, "__required_keys__", set()) - checked.keys())
+    if missing:  # only a TypedDict requires keys
+        raise ValueError(f"config {where} lacks {missing}")
+    try:
+        return hint(**checked)
+    except ValueError as exc:  # a config dataclass's range error opens with the field name
+        raise ValueError(f"config {where}.{exc}") from exc
+
+
+def _to_json(value):
+    """``value`` with config dataclasses as objects and tuples as lists."""
+    if is_dataclass(value):
+        return {k: _to_json(v) for k, v in vars(value).items()}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    return value
 
 
 def _config_object(value, where: str, keys) -> dict:
@@ -290,19 +285,16 @@ class RunResult:
     report_paths: list[Path] = field(default_factory=list)
 
 
+@contextlib.contextmanager
 def _stage(name):
-    def wrap(fn):
-        def inner(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except PipelineStageError:
-                raise
-            except SpreadnetError as exc:
-                raise PipelineStageError(name, exc) from exc
-
-        return inner
-
-    return wrap
+    """Context manager and decorator: a SpreadnetError inside fails stage ``name``
+    (a PipelineStageError from an inner stage passes unchanged)."""
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except SpreadnetError as exc:
+        raise PipelineStageError(name, exc) from exc
 
 
 @_stage("ingest")
@@ -390,10 +382,8 @@ def run_pipeline(
     _write_manifest(run_dir, result.manifest)
 
     if last >= 5:
-        try:
+        with _stage("report"):
             result.report_paths = emit_reports(result.manifest, run_dir)
-        except SpreadnetError as exc:
-            raise PipelineStageError("report", exc) from exc
         result.stages.append("report")
     return result
 
@@ -724,13 +714,18 @@ def load_run(run_dir: str | Path) -> dict:
 
 def _read_record(path: Path) -> dict:
     """A run record's JSON object; IncompleteManifest names a corrupt file."""
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IncompleteManifest(f"{path} is not valid JSON: {exc}") from exc
+    record = _read_json(path, IncompleteManifest)
     if not isinstance(record, dict):
         raise IncompleteManifest(f"{path} holds a {type(record).__name__}, not a JSON object")
     return record
+
+
+def _read_json(path: Path, fault: type[Exception]):
+    """The JSON value in ``path``; ``fault`` names a file that is not UTF-8 JSON."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise fault(f"{path} is not valid JSON: {exc}") from exc
 
 
 _SERVE_MEMBER_KEYS = ("name", "lag", "input_names", "output_recipe", "model_path")

@@ -50,7 +50,7 @@ class VarConfig:
 
     def __post_init__(self):
         if self.window < 20:
-            raise ValueError(f"VaR window must be >= 20, got {self.window}")
+            raise ValueError(f"window must be >= 20, got {self.window}")
         if not 0.5 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0.5, 1), got {self.confidence}")
 

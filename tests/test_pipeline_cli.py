@@ -1,5 +1,6 @@
 """End-to-end pipeline runs, manifest semantics, reports, CLI subcommands."""
 
+import copy
 import csv
 import json
 import re
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadnet import preprocess
 from spreadnet.cli import main as cli_main
@@ -21,10 +24,11 @@ from spreadnet.errors import (
     SpreadnetError,
 )
 from spreadnet.metrics import equity_curves
-from spreadnet.neural import load_model, predict
+from spreadnet.neural import TrainConfig, load_model, predict
 from spreadnet.pipeline import (
     MANIFEST_NAME,
     SERVE_NAME,
+    VARIABLES,
     PipelineConfig,
     config_hash,
     derive_matrix_seed,
@@ -36,8 +40,41 @@ from spreadnet.pipeline import (
     serve_record,
     train_all,
 )
-from spreadnet.preprocess import MASTER_SET_ID, OUTPUT_VARIABLE, build_derived_columns
+from spreadnet.preprocess import (
+    MASTER_SET_ID,
+    OUTPUT_VARIABLE,
+    BlockAverageConfig,
+    SmoothingConfig,
+    VarConfig,
+    build_derived_columns,
+)
 from spreadnet.series import format_month, parse_month
+
+
+def readme_config() -> dict:
+    """The JSON example under README's "Config" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def dotted_keys(node, prefix=""):
+    """Every dotted key of a JSON document, list indices included."""
+    if not isinstance(node, (dict, list)):
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield f"{prefix}{key}"
+        yield from dotted_keys(child, f"{prefix}{key}.")
+
+
+README_CONFIG = readme_config()
+KNOWN_KEYS = list(dotted_keys(README_CONFIG))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8,
+)
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +221,21 @@ class TestConfigRoundTrip:
         (lambda d: d["var"].update(window="12"), "var.window"),
         (lambda d: d["ma_levels"][0].update(M=2.5), "ma_levels.0.M"),
         (lambda d: d["ma_levels"][1].update(n="3"), "ma_levels.1.n"),
+        (lambda d: d["training"].update(stop_error="abc"), "training.stop_error"),
+        (lambda d: d["training"].update(learning_rate=None), "training.learning_rate"),
+        (lambda d: d["var"].update(confidence="0.9"), "var.confidence"),
+        (lambda d: d["smoothing"].update(beta=True), "smoothing.beta"),
+        (lambda d: d["smoothing"].update(seed_value="a"), "smoothing.seed_value"),
+        (lambda d: d["training"].update(split=True), "training.split"),
+        (lambda d: d["output"].update(directory=5), "output.directory"),
+        (lambda d: d["data"].update(date_column=5), "data.date_column"),
+        (lambda d: d["data"]["variables"]["igaem"].update(path=5), "data.variables.igaem.path"),
+        (lambda d: d["base_sets"].update(enabled=7), "base_sets.enabled"),
+        (lambda d: d["output"].update(formats="csv"), "output.formats"),
+        (lambda d: d["training"].update(rng_seed=-1), "training.rng_seed"),
+        (lambda d: d["training"].update(restarts=0), "training.restarts"),
+        (lambda d: d["var"].update(window=5), "var.window"),
+        (lambda d: d["data"]["variables"].pop("tbill"), "data.variables"),
     ])
     def test_strict_keys_and_sections(self, small_run, edit, named):
         config_path, _, _ = small_run
@@ -197,6 +249,78 @@ class TestConfigRoundTrip:
         config = replace(config, top_k=np.int64(4), single_lag=np.int32(2),
                          training=replace(config.training, restarts=np.int64(3)))
         assert config.top_k == 4 and config.single_lag == 2
+        assert type(config.training.restarts) is int
+        config_hash(config)  # the config serializes
+
+    @pytest.mark.parametrize("change, named", [
+        (dict(top_k=2.5), "selection.top_k"),
+        (dict(formats="csv"), "output.formats"),
+        (dict(enabled_sets=[7, "8"]), "base_sets.enabled.1"),
+        (dict(output_dir=Path("runs")), "output.directory"),
+        (dict(smoothing=SmoothingConfig(seed_value="a")), "smoothing.seed_value"),
+        (dict(ma_levels=(BlockAverageConfig(), BlockAverageConfig(n=1.5))), "ma_levels.1.n"),
+    ])
+    def test_direct_construction_checked(self, small_run, change, named):
+        _, config, _ = small_run
+        with pytest.raises(ValueError, match=re.escape(named)):
+            replace(config, **change)
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=st.builds(
+        PipelineConfig,
+        variables=st.fixed_dictionaries(
+            {v: st.fixed_dictionaries({"path": st.text(), "column": st.text()})
+             for v in VARIABLES}),
+        date_column=st.text(),
+        var_cfg=st.builds(VarConfig, window=st.integers(20, 10**6),
+                          confidence=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)),
+        smoothing=st.builds(SmoothingConfig,
+                            beta=st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
+                            seed_value=st.none() | st.integers() | st.floats(allow_nan=False,
+                                                                            allow_infinity=False)),
+        ma_levels=st.lists(st.builds(BlockAverageConfig, M=st.integers(0, 20).map(lambda m: 2 * m),
+                                     n=st.integers(1, 60)), max_size=3).map(tuple),
+        enabled_sets=st.lists(st.integers(1, 10), max_size=12).map(tuple),
+        single_lag=st.integers(1, 24),
+        training=st.builds(TrainConfig, cycles=st.integers(1, 10**6),
+                           stop_error=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                           learning_rate=st.floats(1e-9, 1e3) | st.integers(1, 9),
+                           restarts=st.integers(1, 10**6), rng_seed=st.integers(0, 2**63),
+                           split=st.floats(0.55, 0.70), hidden_size=st.none() | st.integers(1, 64)),
+        full_scale=st.booleans(),
+        top_k=st.integers(1, 100),
+        output_dir=st.text(),
+        formats=st.lists(st.sampled_from(["csv", "txt"]), max_size=3).map(tuple),
+    ))
+    def test_to_dict_json_from_dict_round_trip(self, config):
+        text = json.dumps(config.to_dict())
+        assert PipelineConfig.from_dict(json.loads(text)) == config
+        assert json.loads(text) == config.to_dict()
+
+    @settings(max_examples=400, deadline=None)
+    @given(key=st.sampled_from(KNOWN_KEYS), value=JSON_VALUES)
+    def test_any_value_at_a_known_key_parses_or_is_named(self, key, value):
+        data = copy.deepcopy(README_CONFIG)
+        *parents, last = [int(p) if p.isdigit() else p for p in key.split(".")]
+        node = data
+        for part in parents:
+            node = node[part]
+        node[last] = value
+        try:
+            PipelineConfig.from_dict(data)
+        except ValueError as exc:  # any other exception type fails the test
+            assert key in str(exc)
+
+    def test_readme_example_is_the_layout(self):
+        assert PipelineConfig.from_dict(README_CONFIG).to_dict() == README_CONFIG
+
+    @pytest.mark.parametrize("raw", [b"{not json", b'{"data": "\xff"}'])  # the second is not UTF-8
+    def test_from_file_names_a_malformed_file(self, tmp_path, raw):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="not valid JSON") as info:
+            PipelineConfig.from_file(path)
+        assert str(path) in str(info.value)
 
 
 class TestReports:
@@ -506,11 +630,24 @@ class TestCli:
         ["--set", 'training.hidden_size="3"'],
         ["--set", 'var.window="12"'],
         ["--set", 'ma_levels=[{"M": 2.5, "n": 2}]'],
+        ["--set", "training.stop_error=abc"],
+        ["--set", "training.learning_rate=null"],
+        ["--set", 'var.confidence="0.9"'],
+        ["--set", "smoothing.beta=true"],
+        ["--set", "smoothing.seed_value=a"],
+        ["--set", "training.split=true"],
+        ["--set", "output.directory=5"],
+        ["--set", "data.date_column=5"],
+        ["--set", "data.variables.igaem.path=5"],
+        ["--set", "base_sets.enabled=7"],
+        ["--set", "output.formats=csv"],
+        ["--set", "training.rng_seed=-1"],
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, extra):
         _, config_path = write_demo_workspace(tmp_path, enabled_sets=[7])
         assert cli_main(["validate", "-c", str(config_path), *extra]) == 1
-        assert "stage 'config' failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stage 'config' failed" in err and extra[1].split("=")[0] in err
 
     @pytest.mark.parametrize("text, problem", [("{", "not valid JSON"),
                                                ("[1, 2]", "not a JSON object")])
