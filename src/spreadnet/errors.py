@@ -41,7 +41,7 @@ class NonPositiveValue(SpreadnetError):
 
 
 class MissingFile(SpreadnetError):
-    """A configured input file does not exist."""
+    """A configured input file, or a file of a stored run, does not exist."""
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,10 @@ class DivergedTraining(SpreadnetError):
 
 class AllDiverged(SpreadnetError):
     """No restart produced a usable model."""
+
+
+class CorruptModel(SpreadnetError):
+    """A model file is not a readable model document."""
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,8 +24,10 @@ import numpy as np
 from .errors import (
     AllDiverged,
     ConstantOutput,
+    CorruptModel,
     DimensionMismatch,
     DivergedTraining,
+    MissingFile,
     TooFewRows,
 )
 from .metrics import ism_sort_key
@@ -176,8 +179,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.stop_error < 1.0:
             raise ValueError(f"stop_error must be in (0, 1), got {self.stop_error}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate <= sys.float_info.max:  # also NaN, inf, 10**400
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not 0.55 <= self.split <= 0.70:
             raise ValueError(f"split must be in [0.55, 0.70], got {self.split}")
         if self.cycles < 1:
@@ -598,4 +601,11 @@ def save_model(model: NetworkModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> NetworkModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The model stored at ``path``; MissingFile or CorruptModel names a file that
+    is absent or is not a model document (bad JSON, wrong format, missing keys)."""
+    try:
+        return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except FileNotFoundError as exc:
+        raise MissingFile(f"no model file {path}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON errors included
+        raise CorruptModel(f"{path} is not a {MODEL_FORMAT} document: {exc!r}") from exc

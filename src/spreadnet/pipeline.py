@@ -534,7 +534,7 @@ def emit_reports(manifest: dict, run_dir: str | Path) -> list[Path]:
     run_dir = Path(run_dir)
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
-    formats = manifest["config"]["output"]["formats"]
+    formats = _record_config(manifest, run_dir / MANIFEST_NAME).formats
     members = _member_entries(manifest)
     paths: list[Path] = []
 
@@ -574,26 +574,16 @@ def _member_votes(members: list[dict]) -> tuple[list[str], np.ndarray]:
 def _write_divergence(reports: Path, members: list[dict]) -> Path:
     labels, votes = _member_votes(members)
     pct = divergence_percentage(votes)
-    path = reports / "divergence.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "up_vote_percent"])
-        for label, p in zip(labels, pct):
-            writer.writerow([label, repr(float(p))])
-    return path
+    return _write_csv(reports / "divergence.csv", ["date", "up_vote_percent"],
+                      ([label, repr(float(p))] for label, p in zip(labels, pct)))
 
 
 def _write_curve(reports: Path, entry: dict, name: str | None = None) -> Path:
-    pred = np.asarray(entry["predicted_levels"])
-    act = np.asarray(entry["actual_levels"])
-    report = equity_curves(pred, act)
-    path = reports / f"curves_{name or entry['name']}.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "eq", "pe"])
-        for label, eq, pe in zip(entry["test_months"][1:], report.eq, report.pe):
-            writer.writerow([label, repr(float(eq)), repr(float(pe))])
-    return path
+    report = equity_curves(np.asarray(entry["predicted_levels"]),
+                           np.asarray(entry["actual_levels"]))
+    return _write_csv(reports / f"curves_{name or entry['name']}.csv", ["date", "eq", "pe"],
+                      ([label, repr(float(eq)), repr(float(pe))]
+                       for label, eq, pe in zip(entry["test_months"][1:], report.eq, report.pe)))
 
 
 def _group_means(candidates: list[dict], key: str) -> list[dict]:
@@ -619,21 +609,19 @@ def _group_means(candidates: list[dict], key: str) -> list[dict]:
 
 
 def _write_group_means(path: Path, candidates: list[dict], key: str) -> Path:
-    rows = _group_means(candidates, key)
+    means = ("mean_ism", "mean_norm_ep", "mean_hit_rate")  # None is written empty
+    return _write_csv(path, [key, "models", "perfect", *means],
+                      ([row[key], row["models"], row["perfect"],
+                        *("" if row[m] is None else repr(row[m]) for m in means)]
+                       for row in _group_means(candidates, key)))
+
+
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write ``header``, then each row of ``rows``, as a UTF-8 CSV file at ``path``."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([key, "models", "perfect", "mean_ism", "mean_norm_ep", "mean_hit_rate"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row[key],
-                    row["models"],
-                    row["perfect"],
-                    "" if row["mean_ism"] is None else repr(row["mean_ism"]),
-                    "" if row["mean_norm_ep"] is None else repr(row["mean_norm_ep"]),
-                    repr(row["mean_hit_rate"]),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 
@@ -747,16 +735,33 @@ def serve_record(manifest: dict) -> dict:
     }
 
 
-def _load_serve_record(run_dir: Path) -> dict:
-    """``serve.json``, or the record projected from the manifest of a run without one."""
+def _load_serve_record(run_dir: Path) -> tuple[Path, dict]:
+    """The file a forecast is served from and its record: ``serve.json``, or for
+    a run without one the manifest and the record projected from it."""
     path = run_dir / SERVE_NAME
     if not path.exists():
-        return serve_record(load_run(run_dir))
+        path = run_dir / MANIFEST_NAME
+        try:
+            return path, serve_record(load_run(run_dir))
+        except KeyError as exc:
+            raise IncompleteManifest(f"{path} lacks {exc}") from exc
     record = _read_record(path)
     missing = [key for key in ("config", "members", "master") if key not in record]
+    missing += [f"members.{i}.{key}" for i, entry in enumerate(record.get("members", ()))
+                for key in _SERVE_MEMBER_KEYS if key not in entry]
     if missing:
         raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
-    return record
+    return path, record
+
+
+def _record_config(record: dict, path: Path) -> PipelineConfig:
+    """The config a run record holds; IncompleteManifest names a file without a valid one."""
+    if "config" not in record:
+        raise IncompleteManifest(f"{path} lacks config")
+    try:
+        return PipelineConfig.from_dict(record["config"])
+    except ValueError as exc:
+        raise IncompleteManifest(f"{path} holds an invalid config: {exc}") from exc
 
 
 def predict_from_run(
@@ -773,8 +778,8 @@ def predict_from_run(
     (defaults to the run's config). Nothing is cached between calls.
     """
     run_dir = Path(run_dir)
-    record = _load_serve_record(run_dir)
-    config = config or PipelineConfig.from_dict(record["config"])
+    path, record = _load_serve_record(run_dir)
+    config = config or _record_config(record, path)
 
     frame = ingest(config)
     try:
@@ -834,22 +839,11 @@ def export_matrices(matrices: list[TrainingMatrix], directory: str | Path) -> li
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for m in matrices:
-        path = directory / f"set{m.base_set_id:02d}_lag{m.lag:02d}.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["month_in", *m.input_names, "month_out", "output", "output_level"]
-            )
-            months_in = m.months_in()
-            for i in range(m.rows):
-                writer.writerow(
-                    [
-                        format_month(months_in[i]),
-                        *(repr(float(v)) for v in m.inputs[i]),
-                        format_month(m.months_out[i]),
-                        repr(float(m.output[i])),
-                        repr(float(m.output_levels[i])),
-                    ]
-                )
-        paths.append(path)
+        rows = zip(m.months_in(), m.inputs, m.months_out, m.output, m.output_levels)
+        paths.append(_write_csv(
+            directory / f"set{m.base_set_id:02d}_lag{m.lag:02d}.csv",
+            ["month_in", *m.input_names, "month_out", "output", "output_level"],
+            ([format_month(month_in), *(repr(float(v)) for v in inputs),
+              format_month(month_out), repr(float(out)), repr(float(level))]
+             for month_in, inputs, month_out, out, level in rows)))
     return paths

@@ -12,6 +12,8 @@ Canonical frame column names consumed here: ``igaem``, ``embi_venezuela``,
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -24,7 +26,7 @@ from .errors import (
     MissingColumn,
     ZeroTrailingMean,
 )
-from .series import AlignedFrame, MonthlySeries, align, log_returns, to_basis_points
+from .series import AlignedFrame, MonthlySeries, align, format_month, log_returns, to_basis_points
 
 # Canonical variable names expected in an input frame.
 INDICATOR = "igaem"
@@ -79,6 +81,10 @@ class SmoothingConfig:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+        # finite: not NaN, not infinite, and no integer beyond every float (10**400)
+        seed = self.seed_value
+        if isinstance(seed, numbers.Real) and not abs(seed) <= sys.float_info.max:
+            raise ValueError(f"seed_value must be finite or null, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -298,15 +304,21 @@ def default_base_sets(single_lag: int = 1) -> tuple[BaseSetSpec, ...]:
     )
 
 
+# Months of level history a matrix holds before its first row: the
+# normalized recipe is inverted against the three actual levels before each row.
+_PRIOR_MONTHS = {RAW_OUTPUT: 0, NORMALIZED_OUTPUT: 3}
+
+
 @dataclass(frozen=True)
 class TrainingMatrix:
     """Aligned input columns plus one output column for one (set, lag) pair.
 
     ``months_out`` dates each output row; the matching input row is dated
-    ``months_out[i] - lag``. ``output_levels`` always holds the raw target
-    levels for those months so predictions can be scored (and, for the
-    normalized recipe, inverted) against actual levels; ``prior_levels``
-    holds the three actual levels just before the first row.
+    ``months_out[i] - lag``. ``levels`` holds the raw target levels that
+    predictions are scored (and, for the normalized recipe, inverted)
+    against. For the normalized recipe it starts three months before the
+    first row; for the raw recipe it starts at the first row and defaults
+    to ``output``.
     """
 
     base_set_id: int
@@ -316,8 +328,7 @@ class TrainingMatrix:
     output: np.ndarray          # shape (rows,), in recipe units
     months_out: np.ndarray      # shape (rows,), int month keys
     output_recipe: str = RAW_OUTPUT
-    output_levels: np.ndarray | None = None
-    prior_levels: np.ndarray | None = None
+    levels: np.ndarray | None = None  # shape (prior + rows,)
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -325,17 +336,21 @@ class TrainingMatrix:
         months = np.asarray(self.months_out, dtype=np.int64)
         levels = (
             output.copy()
-            if self.output_levels is None and self.output_recipe == RAW_OUTPUT
-            else np.asarray(self.output_levels, dtype=np.float64)
+            if self.levels is None and self.output_recipe == RAW_OUTPUT
+            else np.asarray(self.levels, dtype=np.float64)
         )
         rows = len(months)
+        prior = _PRIOR_MONTHS[self.output_recipe]
         if inputs.shape != (rows, len(self.input_names)):
             raise ValueError(
                 f"inputs shape {inputs.shape} does not match "
                 f"{rows} rows x {len(self.input_names)} columns"
             )
-        if output.shape != (rows,) or levels.shape != (rows,):
-            raise ValueError("output/levels length must equal the month axis")
+        if output.shape != (rows,):
+            raise ValueError("output length must equal the month axis")
+        if levels.shape != (prior + rows,):
+            raise ValueError(f"{self.output_recipe} recipe needs {prior} + {rows} levels, "
+                             f"got shape {levels.shape}")
         if rows > 89:
             raise ValueError(f"matrix exceeds the 89-row cap: {rows}")
         if rows >= 2 and np.any(np.diff(months) != 1):
@@ -345,11 +360,7 @@ class TrainingMatrix:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "output", output)
         object.__setattr__(self, "months_out", months)
-        object.__setattr__(self, "output_levels", levels)
-        if self.prior_levels is not None:
-            prior = np.asarray(self.prior_levels, dtype=np.float64)
-            prior.setflags(write=False)
-            object.__setattr__(self, "prior_levels", prior)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def rows(self) -> int:
@@ -359,27 +370,16 @@ class TrainingMatrix:
     def n_inputs(self) -> int:
         return len(self.input_names)
 
+    @property
+    def output_levels(self) -> np.ndarray:
+        """The actual level of each row's output month."""
+        return self.levels[_PRIOR_MONTHS[self.output_recipe]:]
+
     def months_in(self) -> np.ndarray:
         return self.months_out - self.lag
 
-    def level_history(self, row: int) -> np.ndarray:
-        """Actual levels at the three months before row's output month."""
-        return self._level_histories(row, 1)[0]
-
-    def _level_histories(self, start_row: int, count: int) -> np.ndarray:
-        """``level_history`` of ``count`` consecutive rows: shape (count, 3)."""
-        if start_row < 0 or start_row + count > self.rows + 1:
-            raise ValueError(f"no level history for rows [{start_row}:{start_row + count}] "
-                             f"of {self.rows}")
-        levels, first = self.output_levels, start_row - 3
-        if first < 0:
-            if self.prior_levels is None:
-                raise ValueError("no prior levels stored for this matrix")
-            levels, first = np.concatenate([self.prior_levels, levels]), start_row
-        return np.lib.stride_tricks.sliding_window_view(levels, 3)[first:first + count]
-
-    def denormalize_predictions(self, predicted: np.ndarray, start_row: int = 0) -> np.ndarray:
-        """Map predictions in recipe units back to actual levels.
+    def denormalize_predictions(self, predicted: np.ndarray) -> np.ndarray:
+        """Map predictions in recipe units, one per leading row, back to actual levels.
 
         Uses realized history only; with lag >= 1 those values are known at
         prediction time. Raw-recipe predictions pass through untouched.
@@ -387,16 +387,14 @@ class TrainingMatrix:
         predicted = np.asarray(predicted, dtype=np.float64)
         if self.output_recipe == RAW_OUTPUT:
             return predicted.copy()
-        return denormalize_output(predicted, self._level_histories(start_row, len(predicted)))
+        # row i's history: the three actual levels before its month, oldest first
+        histories = np.lib.stride_tricks.sliding_window_view(self.levels, 3)
+        return denormalize_output(predicted, histories[: len(predicted)])
 
     def slice_rows(self, start: int, stop: int) -> "TrainingMatrix":
         """Contiguous row slice carrying its own inverse-normalization history."""
         if not 0 <= start < stop <= self.rows:
             raise ValueError(f"bad slice [{start}:{stop}] of {self.rows} rows")
-        prior = None
-        if self.output_recipe == NORMALIZED_OUTPUT:
-            # the three actual levels just before the slice, oldest first
-            prior = self.level_history(start)
         return TrainingMatrix(
             base_set_id=self.base_set_id,
             lag=self.lag,
@@ -405,8 +403,7 @@ class TrainingMatrix:
             output=self.output[start:stop],
             months_out=self.months_out[start:stop],
             output_recipe=self.output_recipe,
-            output_levels=self.output_levels[start:stop],
-            prior_levels=prior,
+            levels=self.levels[start : stop + _PRIOR_MONTHS[self.output_recipe]],
         )
 
 
@@ -424,8 +421,9 @@ def build_lagged_matrix(
 
     ``frame`` must already hold every ``spec.input_columns`` entry and the
     recipe output column; ``levels`` is the raw target-level series used
-    for scoring and for inverse-normalization history. Keeps the most
-    recent 89 rows.
+    for scoring and for inverse-normalization history, and must cover the
+    rows' months (and, for the normalized recipe, the three before them).
+    Keeps the most recent 89 rows.
     """
     for name in spec.input_columns:
         if name not in frame.columns:
@@ -448,11 +446,13 @@ def build_lagged_matrix(
     output = frame.columns[OUTPUT_COLUMN][lag:][start:]
     months_out = frame.months[lag:][start:]
 
-    lvl = np.array([levels.value_at(m) for m in months_out])
-    prior = None
-    if spec.output_recipe == NORMALIZED_OUTPUT:
-        prior = np.array([levels.value_at(months_out[0] - b) for b in (3, 2, 1)])
-
+    lo = int(months_out[0]) - _PRIOR_MONTHS[spec.output_recipe] - levels.first_month
+    hi = int(months_out[-1]) + 1 - levels.first_month
+    if lo < 0 or hi > len(levels):
+        raise InsufficientHistory(
+            f"base set {spec.id} lag {lag}: levels {levels.name!r} do not cover "
+            f"{format_month(levels.first_month + lo)}..{format_month(months_out[-1])}"
+        )
     return TrainingMatrix(
         base_set_id=spec.id,
         lag=lag,
@@ -461,50 +461,8 @@ def build_lagged_matrix(
         output=output,
         months_out=months_out,
         output_recipe=spec.output_recipe,
-        output_levels=lvl,
-        prior_levels=prior,
+        levels=levels.values[lo:hi],
     )
-
-
-def _column_table(
-    frame: AlignedFrame,
-    var_cfg: VarConfig,
-    smooth_cfg: SmoothingConfig,
-    ma_levels: tuple[BlockAverageConfig, ...],
-) -> dict[str, tuple[tuple[str, ...], Callable[[dict], MonthlySeries]]]:
-    """Derived column name -> (columns it reads, build function), in build order.
-
-    A build function takes the columns built so far and returns its column;
-    every column it reads comes earlier in the table.
-    """
-    def smoothed(name, smooth):
-        return lambda cols: MonthlySeries(name, cols["var"].months,
-                                          smooth(cols["var"].values, smooth_cfg))
-
-    def averaged(name, ba_cfg):
-        def build(cols):
-            col = block_average_column(cols["var"], ba_cfg)
-            return MonthlySeries(name, col.months, col.values)
-        return build
-
-    def normalized(cols):
-        raw = cols["output_raw"]
-        return MonthlySeries("output_normalized", raw.months[3:], normalize_output(raw.values))
-
-    table = {
-        "var": ((), lambda cols: indicator_var_series(frame.series(INDICATOR), var_cfg)),
-        "var_smooth": (("var",), smoothed("var_smooth", ema_smooth)),
-        "var_double": (("var",), smoothed("var_double", double_smooth)),
-        "global": ((), lambda cols: frame.series(GLOBAL_SPREAD)),
-        "tbill": ((), lambda cols: frame.series(TBILL)),
-    }
-    for i, ba_cfg in enumerate(ma_levels, start=1):
-        table[f"var_ma{i}"] = (("var",), averaged(f"var_ma{i}", ba_cfg))
-    table["output_raw"] = ((), lambda cols: frame.series(OUTPUT_VARIABLE))
-    table["output_normalized"] = (("output_raw",), normalized)
-    # Set 10 feeds the (lagged) transformed output back in as an input.
-    table["output_auto"] = (("output_normalized",), lambda cols: cols["output_normalized"])
-    return table
 
 
 def build_derived_columns(
@@ -517,10 +475,10 @@ def build_derived_columns(
     """Compute the transforms the base sets draw on, as dated series.
 
     ``names`` lists the columns wanted (None: every column). Only those,
-    ``output_raw`` and the columns they are computed from are built, each
-    once, so a column nobody names can never fail the call. The VaR chain
-    consumes the first window+1 months of the frame, so the VaR-derived
-    columns start later than the frame itself.
+    ``output_raw`` and the columns they read are built, each once, so a
+    column nobody names can never fail the call. The VaR chain consumes the
+    first window+1 months of the frame, so the VaR-derived columns start
+    later than the frame itself.
     """
     var_cfg = var_cfg or VarConfig()
     smooth_cfg = smooth_cfg or SmoothingConfig()
@@ -528,19 +486,45 @@ def build_derived_columns(
         if name not in frame.columns:
             raise MissingColumn(f"frame lacks required column {name!r}")
 
-    table = _column_table(frame, var_cfg, smooth_cfg, ma_levels)
-    wanted = set(table) if names is None else {"output_raw", *names}
-    unknown = sorted(wanted - set(table))
+    built: dict[str, MonthlySeries] = {}
+
+    def get(name: str) -> MonthlySeries:
+        """Column ``name``, built on first use; a build reads its sources through here."""
+        if name not in built:
+            built[name] = builds[name]()
+        return built[name]
+
+    # column name -> build function, in the order the result lists them
+    builds: dict[str, Callable[[], MonthlySeries]] = {
+        "var": lambda: indicator_var_series(frame.series(INDICATOR), var_cfg),
+        "var_smooth": lambda: MonthlySeries(
+            "var_smooth", get("var").months, ema_smooth(get("var").values, smooth_cfg)),
+        "var_double": lambda: MonthlySeries(
+            "var_double", get("var").months, double_smooth(get("var").values, smooth_cfg)),
+        "global": lambda: frame.series(GLOBAL_SPREAD),
+        "tbill": lambda: frame.series(TBILL),
+        **{f"var_ma{i}": lambda i=i, ba=ba: _renamed(
+               f"var_ma{i}", block_average_column(get("var"), ba))
+           for i, ba in enumerate(ma_levels, start=1)},
+        "output_raw": lambda: frame.series(OUTPUT_VARIABLE),
+        "output_normalized": lambda: MonthlySeries(
+            "output_normalized", get("output_raw").months[3:],
+            normalize_output(get("output_raw").values)),
+        # set 10 feeds the (lagged) transformed output back in as an input
+        "output_auto": lambda: get("output_normalized"),
+    }
+    wanted = builds if names is None else {"output_raw", *names}
+    unknown = sorted(set(wanted) - set(builds))
     if unknown:
-        raise MissingColumn(f"no derived column named {unknown}; have {list(table)}")
-    for name in reversed(table):  # a column's inputs come earlier in the table
+        raise MissingColumn(f"no derived column named {unknown}; have {list(builds)}")
+    for name in builds:
         if name in wanted:
-            wanted.update(table[name][0])
-    cols: dict[str, MonthlySeries] = {}
-    for name, (_, build) in table.items():
-        if name in wanted:
-            cols[name] = build(cols)
-    return cols
+            get(name)
+    return {name: built[name] for name in builds if name in built}
+
+
+def _renamed(name: str, s: MonthlySeries) -> MonthlySeries:
+    return MonthlySeries(name, s.months, s.values)
 
 
 def assemble_base_sets(
@@ -565,13 +549,10 @@ def assemble_base_sets(
 
     matrices: list[TrainingMatrix] = []
     for spec in specs:
-        out = derived[f"output_{spec.output_recipe}"]
-        pieces = [
-            MonthlySeries(name, derived[name].months, derived[name].values)
-            for name in spec.input_columns
-        ]
-        pieces.append(MonthlySeries(OUTPUT_COLUMN, out.months, out.values))
-        set_frame = align(pieces)
+        set_frame = align([
+            *(_renamed(name, derived[name]) for name in spec.input_columns),
+            _renamed(OUTPUT_COLUMN, derived[f"output_{spec.output_recipe}"]),
+        ])
         for lag in spec.lags:
             matrices.append(build_lagged_matrix(set_frame, spec, lag, levels))
     return matrices

@@ -236,6 +236,9 @@ class TestConfigRoundTrip:
         (lambda d: d["training"].update(restarts=0), "training.restarts"),
         (lambda d: d["var"].update(window=5), "var.window"),
         (lambda d: d["data"]["variables"].pop("tbill"), "data.variables"),
+        *[(lambda d, key=key, value=value: d[key[0]].update({key[1]: value}), ".".join(key))
+          for key in (("training", "learning_rate"), ("smoothing", "seed_value"))
+          for value in (float("nan"), float("inf"), float("-inf"), 10**400, -10**400)],
     ])
     def test_strict_keys_and_sections(self, small_run, edit, named):
         config_path, _, _ = small_run
@@ -642,6 +645,9 @@ class TestCli:
         ["--set", "base_sets.enabled=7"],
         ["--set", "output.formats=csv"],
         ["--set", "training.rng_seed=-1"],
+        ["--set", "training.learning_rate=Infinity"],
+        ["--set", "training.learning_rate=NaN"],
+        ["--set", "smoothing.seed_value=-Infinity"],
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, extra):
         _, config_path = write_demo_workspace(tmp_path, enabled_sets=[7])
@@ -669,24 +675,57 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"stage '{command}' failed" in err and name in err and problem in err
 
-    @pytest.mark.parametrize("command, name, code, problem", [
-        ("predict", SERVE_NAME, 8, f"{SERVE_NAME} lacks config, members, master"),
-        ("predict", MANIFEST_NAME, 8, "no trained master"),
-        ("report", MANIFEST_NAME, 7, "no candidates"),
-        ("report", SERVE_NAME, 0, None),
+    @pytest.mark.parametrize("command, name, edit, code, problem", [
+        ("predict", SERVE_NAME, lambda r: {}, 8, f"{SERVE_NAME} lacks config, members, master"),
+        ("predict", MANIFEST_NAME, lambda r: {}, 8, "no trained master"),
+        ("report", MANIFEST_NAME, lambda r: {}, 7, "no candidates"),
+        ("report", SERVE_NAME, lambda r: {}, 0, None),
+        ("predict", SERVE_NAME, lambda r: r["members"][1].pop("lag") and r, 8,
+         f"{SERVE_NAME} lacks members.1.lag"),
+        ("predict", SERVE_NAME, lambda r: r["config"]["training"].update(restarts=0) or r, 8,
+         f"{SERVE_NAME} holds an invalid config: config training.restarts"),
+        ("report", MANIFEST_NAME, lambda r: r.pop("config") and r, 7,
+         f"{MANIFEST_NAME} lacks config"),
+        ("predict", MANIFEST_NAME, lambda r: r.pop("config") and r, 8,
+         f"{MANIFEST_NAME} lacks 'config'"),
     ])
     def test_empty_run_record_exit_code(self, small_run, tmp_path, capsys,
-                                        command, name, code, problem):
-        # a JSON object without the keys a command reads: a named failure
+                                        command, name, edit, code, problem):
+        # a JSON object without the keys a command reads, or with an invalid
+        # config: a named failure
         _, _, result = small_run
         run = shutil.copytree(result.run_dir, tmp_path / "run")
         if (command, name) == ("predict", MANIFEST_NAME):
             (run / SERVE_NAME).unlink()
-        (run / name).write_text("{}")
+        (run / name).write_text(json.dumps(edit(json.loads((run / name).read_text()))))
         assert cli_main([command, "--run", str(run)]) == code
         if code:
             err = capsys.readouterr().err
             assert f"stage '{command}' failed" in err and problem in err
+
+    @pytest.mark.parametrize("model, text", [
+        ("member", "{"),                  # truncated
+        ("member", "{}"),                 # not a model document
+        ("member", None),                 # a model document without layer_sizes
+        ("master", None),                 # no master.json at all
+    ])
+    def test_unreadable_model_file_exit_code(self, small_run, tmp_path, capsys, model, text):
+        _, _, result = small_run
+        run = shutil.copytree(result.run_dir, tmp_path / "run")
+        entry = json.loads((run / SERVE_NAME).read_text())
+        path = run / (entry["members"][0]["model_path"] if model == "member"
+                      else entry["master"]["model_path"])
+        if model == "master":
+            path.unlink()
+        elif text is None:
+            document = json.loads(path.read_text())
+            del document["layer_sizes"]
+            path.write_text(json.dumps(document))
+        else:
+            path.write_text(text)
+        assert cli_main(["predict", "--run", str(run)]) == 8
+        err = capsys.readouterr().err
+        assert "stage 'predict' failed" in err and str(path) in err
 
     @pytest.mark.parametrize("extra, named", [
         (["--set", "training.restart=200"], "training.restart"),

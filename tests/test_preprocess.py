@@ -293,6 +293,27 @@ class TestBuildLaggedMatrix:
         # denormalizing the true normalized outputs must reproduce the levels
         rebuilt = m.denormalize_predictions(m.output)
         assert np.allclose(rebuilt, m.output_levels, rtol=1e-12)
+        # one levels array, from three months before the first row, month by month
+        first = int(m.months_out[0]) - 3
+        by_month = [levels.value_at(k) for k in range(first, first + m.rows + 3)]
+        assert np.array_equal(m.levels, by_month)
+        assert np.array_equal(m.output_levels, m.levels[3:])
+
+    @pytest.mark.parametrize("recipe, lo, hi", [
+        ("raw", 1, 50),          # levels start after the first row's month
+        ("raw", 0, 49),          # ... or end before the last row's month
+        ("normalized", 3, 50),   # levels lack the three months before the first row
+    ])
+    def test_levels_must_cover_rows(self, recipe, lo, hi):
+        frame = little_frame(50)
+        if recipe == "normalized":
+            frame = AlignedFrame(frame.months[3:], {k: v[3:] for k, v in frame.columns.items()})
+        levels = self.levels(little_frame(50))
+        short = MonthlySeries("levels", levels.months[lo:hi], levels.values[lo:hi])
+        spec = BaseSetSpec(8, ("a", "b"), output_recipe=recipe, lags=(0,))
+        build_lagged_matrix(frame, spec, 0, levels)  # the full series covers them
+        with pytest.raises(InsufficientHistory, match="do not cover"):
+            build_lagged_matrix(frame, spec, 0, short)
 
     def test_slice_rows_keeps_history(self):
         frame = little_frame(50)
@@ -313,8 +334,8 @@ class TestDenormalizePredictions:
     """The vectorised inverse equals the normalized-difference inverse written out."""
 
     @staticmethod
-    def normalized_matrix(levels, prior):
-        rows = len(levels)
+    def normalized_matrix(levels, rows):
+        """A normalized-recipe matrix of ``rows`` rows whose levels start 3 months earlier."""
         return TrainingMatrix(
             base_set_id=8,
             lag=1,
@@ -323,8 +344,7 @@ class TestDenormalizePredictions:
             output=np.zeros(rows),
             months_out=np.arange(rows),
             output_recipe="normalized",
-            output_levels=levels,
-            prior_levels=prior,
+            levels=levels,
         )
 
     @settings(max_examples=60, deadline=None)
@@ -337,7 +357,7 @@ class TestDenormalizePredictions:
     def test_bit_identical_to_row_by_row(self, seed, rows, scale, start):
         rng = np.random.default_rng(seed)
         full = scale * rng.uniform(0.5, 2.0, size=rows + 3)
-        matrix = self.normalized_matrix(full[3:], full[:3])
+        matrix = self.normalized_matrix(full, rows)
         if start < rows:  # also through a slice, whose prior comes from the parent
             matrix = matrix.slice_rows(start, rows)
             full = full[start:]
@@ -350,14 +370,16 @@ class TestDenormalizePredictions:
         assert np.array_equal(matrix.denormalize_predictions(predicted), rowwise)
 
     def test_zero_trailing_mean(self):
-        matrix = self.normalized_matrix(np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 0.0]))
+        matrix = self.normalized_matrix(np.array([1.0, -1.0, 0.0, 1.0, 2.0, 3.0]), 3)
         with pytest.raises(ZeroTrailingMean):
             matrix.denormalize_predictions(np.zeros(3))
 
     def test_missing_prior_levels(self):
-        matrix = self.normalized_matrix(np.arange(1.0, 6.0), None)
-        with pytest.raises(ValueError):
-            matrix.denormalize_predictions(np.zeros(5))
+        # levels that start at the first row leave it no history: rejected up front
+        with pytest.raises(ValueError, match="3 \\+ 5 levels"):
+            self.normalized_matrix(np.arange(1.0, 6.0), 5)
+        with pytest.raises(ValueError, match="3 \\+ 5 levels"):
+            self.normalized_matrix(None, 5)
 
 
 class TestAssembleBaseSets:
@@ -436,12 +458,15 @@ class TestDerivedColumnsByName:
     def test_only_named_columns_and_their_sources_are_built(self, demo_frame, names, built):
         assert set(build_derived_columns(demo_frame, names=names)) == built
 
-    def test_shared_source_built_once(self, demo_frame, monkeypatch):
+    @pytest.mark.parametrize("source, names", [
+        ("indicator_var_series", ("var_smooth", "var_double", "var_ma1", "var")),
+        ("normalize_output", ("output_auto", "output_normalized")),
+    ])
+    def test_shared_source_built_once(self, demo_frame, monkeypatch, source, names):
         calls = []
-        chain = preprocess.indicator_var_series
-        monkeypatch.setattr(preprocess, "indicator_var_series",
-                            lambda *a: calls.append(1) or chain(*a))
-        build_derived_columns(demo_frame, names=("var_smooth", "var_double", "var_ma1", "var"))
+        chain = getattr(preprocess, source)
+        monkeypatch.setattr(preprocess, source, lambda *a: calls.append(1) or chain(*a))
+        build_derived_columns(demo_frame, names=names)
         assert len(calls) == 1
 
     def test_unknown_name(self, demo_frame):
