@@ -224,8 +224,9 @@ def _augment(x: np.ndarray) -> np.ndarray:
     """Append the bias column of ones along the last axis.
 
     The values equal ``np.concatenate`` with a float64 ones column. The
-    result is filled one long strided copy per column, about twice as fast
-    as ``np.concatenate`` on a training stack's hidden layer.
+    result is filled one long strided copy per column, as ``_epoch_math``
+    fills its hidden layers: about twice as fast as ``np.concatenate`` on a
+    training stack's hidden layer.
     """
     x = np.atleast_2d(x)
     out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
@@ -235,15 +236,53 @@ def _augment(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _epoch_math(weights, aug0, y_scaled):
+class _Workspace:
+    """The arrays one epoch of a stack writes, allocated once for ``block`` networks.
+
+    ``resize(m)`` points every working view at the leading ``m`` networks
+    of the buffers, so the epochs of a block allocate nothing: at 256
+    restarts each of these arrays is up to half a megabyte, and a fresh
+    one per epoch cost page faults on every call. The bias column of each
+    hidden layer's augmented buffer is set to one here, once.
+    """
+
+    def __init__(self, sizes: tuple[int, ...], block: int, rows: int):
+        fans = list(zip(sizes[:-1], sizes[1:]))  # (fan_in, fan_out) per layer
+        widths = sizes[1:-1]  # hidden layers
+        self._full = dict(
+            w_t=[np.empty((block, i + 1, o)) for i, o in fans],
+            w_cut=[np.empty((block, o, i)) for i, o in fans[1:]],
+            grads=[np.empty((block, o, i + 1)) for i, o in fans],
+            hidden=[np.empty((block, rows, h)) for h in widths],
+            augs=[np.ones((block, rows, h + 1)) for h in widths],
+            deltas=[np.empty((block, rows, h)) for h in widths],
+            out=np.empty((block, rows, 1)),
+            err=np.empty((block, rows)),
+            sq=np.empty((block, rows)),
+            delta_out=np.empty((block, rows)),
+            loss=np.empty(block),
+            mae=np.empty(block),
+        )
+        self.resize(block)
+
+    def resize(self, m: int) -> None:
+        for name, full in self._full.items():
+            setattr(self, name, [a[:m] for a in full] if isinstance(full, list) else full[:m])
+
+
+def _epoch_math(weights, aug0, y_scaled, ws: _Workspace):
     """Fused forward + backward over one full batch, for a stack of networks.
 
     ``weights[l]`` has shape (B, fan_out, fan_in + 1): layer ``l`` of each
     of B networks. ``aug0`` is the (B, rows, inputs + 1) stack of input
     matrices with the bias column already appended, and ``y_scaled`` the
-    (B, rows) stack of targets: network b trains on item b. Returns
-    per-network (loss, grads, scaled MAE) with a leading axis of length B;
-    loss is the half mean squared error in scaled space.
+    (B, rows) stack of targets: network b trains on item b. ``ws`` is a
+    ``_Workspace`` for these layer sizes and rows, viewed at B networks;
+    every array the epoch computes is written into it through ``out=``, so
+    the call allocates no array. Returns per-network (loss, grads, scaled
+    MAE) as views into ``ws`` with a leading axis of length B, valid until
+    the workspace's next epoch; loss is the half mean squared error in
+    scaled space.
 
     Every product is ``np.matmul`` on the stacked arrays, which runs the
     same 2-D product for each network, and every mean reduces along the
@@ -254,30 +293,45 @@ def _epoch_math(weights, aug0, y_scaled):
     Weight operands go to ``matmul`` as contiguous copies: the same bits at
     2-3x less cost per product than a transposed or sliced view. The
     transposed ``delta`` of the gradient product stays a view, because a
-    contiguous copy of it changes bits.
+    contiguous copy of it changes bits. ``tanh`` runs in place on a
+    contiguous buffer and is then copied column by column into the
+    augmented buffer, whose bias column the workspace set once: ``tanh``
+    into the strided columns would leave numpy's SIMD loop.
     """
-    n_layers = len(weights)
     n = aug0.shape[-2]
-    augs = [aug0]
-    hidden = []  # tanh outputs, reused for the derivative 1 - t*t
-    for w in weights[:-1]:
-        t = np.tanh(augs[-1] @ np.ascontiguousarray(w.transpose(0, 2, 1)))
-        hidden.append(t)
-        augs.append(_augment(t))
-    out = augs[-1] @ np.ascontiguousarray(weights[-1].transpose(0, 2, 1))
+    augs = [aug0, *ws.augs]
+    for w, w_t in zip(weights, ws.w_t):
+        np.copyto(w_t, w.transpose(0, 2, 1))
+    for l, t in enumerate(ws.hidden):
+        np.tanh(np.matmul(augs[l], ws.w_t[l], out=t), out=t)
+        for j in range(t.shape[-1]):
+            augs[l + 1][..., j] = t[..., j]
+    out = np.matmul(augs[-1], ws.w_t[-1], out=ws.out)
 
-    err = out[..., 0] - y_scaled
-    loss = 0.5 * (np.add.reduce(err * err, axis=-1) / n)
-    mae = np.add.reduce(np.abs(err), axis=-1) / n
+    err = np.subtract(out[..., 0], y_scaled, out=ws.err)
+    np.multiply(err, err, out=ws.sq)
+    loss = np.add.reduce(ws.sq, axis=-1, out=ws.loss)
+    np.multiply(0.5, np.divide(loss, n, out=loss), out=loss)
+    mae = np.add.reduce(np.abs(err, out=ws.sq), axis=-1, out=ws.mae)
+    np.divide(mae, n, out=mae)
 
-    grads = [None] * n_layers
-    delta = (err / n)[..., None]
-    for l in range(n_layers - 1, -1, -1):
-        grads[l] = delta.transpose(0, 2, 1) @ augs[l]
+    # The output error as two views that differ only in strides. In the
+    # gradient sum, the stride-0 axis keeps matmul in numpy's own loop,
+    # whose summation order the models carry. The k = 1 product has one
+    # term per entry, so the contiguous view may take BLAS: the same bits,
+    # signed zeros included, at about half the cost at a full block.
+    np.divide(err, n, out=ws.delta_out)
+    summed = ws.delta_out[..., None]
+    delta = ws.delta_out.reshape(*ws.delta_out.shape, 1)
+    for l in range(len(weights) - 1, -1, -1):
+        np.matmul(summed.transpose(0, 2, 1), augs[l], out=ws.grads[l])
         if l > 0:
-            t = hidden[l - 1]
-            delta = (delta @ np.ascontiguousarray(weights[l][..., :-1])) * (1.0 - t * t)
-    return loss, grads, mae
+            t = ws.hidden[l - 1]
+            np.copyto(ws.w_cut[l - 1], weights[l][..., :-1])
+            delta = summed = np.matmul(delta, ws.w_cut[l - 1], out=ws.deltas[l - 1])
+            np.multiply(t, t, out=t)  # the tanh output becomes its derivative 1 - t*t
+            np.multiply(delta, np.subtract(1.0, t, out=t), out=delta)
+    return loss, ws.grads, mae
 
 
 def _init_weights(n_inputs: int, cfg: TrainConfig, seed: int):
@@ -339,33 +393,48 @@ def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int],
     holds None for a restart whose initial loss is non-finite.
     ``histories[i]``, when given, receives restart i's loss after every
     epoch, accepted or rejected.
+
+    The block allocates its arrays once: a ``_Workspace`` for the kernel
+    and the state (weights, gradients, candidate, batches, loss, rate),
+    which every epoch updates in place through ``out=`` and
+    ``np.copyto(..., where=)``. When restarts leave, the survivors are
+    compacted to the front of each array and the views shrink to them.
     """
     inits = [_init_weights(p.n_inputs, cfg, seed) for p, seed in zip(preps, seeds)]
     sizes = inits[0][0]
     weights = [np.stack(layer) for layer in zip(*(w for _, w in inits))]
     aug0 = np.stack([p.aug0 for p in preps])
     y_scaled = np.stack([p.y_scaled for p in preps])
-    loss, grads, _ = _epoch_math(weights, aug0, y_scaled)
+    ws = _Workspace(sizes, len(seeds), aug0.shape[-2])
+    loss, grads, _ = _epoch_math(weights, aug0, y_scaled, ws)
 
     finals: list = [None] * len(seeds)
     live = np.isfinite(loss)
     idx = np.flatnonzero(live)  # batch position of each stacked restart
-    weights = [w[live] for w in weights]
-    grads = [g[live] for g in grads]
-    aug0, y_scaled, loss = aug0[live], y_scaled[live], loss[live]
-    lr = np.full(len(idx), cfg.learning_rate)
+    # the block's state, sized once; boolean indexing copies out of the workspace
+    state = [*(w[live] for w in weights), *(g[live] for g in grads),
+             aug0[live], y_scaled[live], loss[live], np.full(len(idx), cfg.learning_rate), idx]
+    n_layers = len(weights)
+    candidate = [np.empty_like(w) for w in state[:n_layers]]
+    ws.resize(len(idx))
     for _ in range(cfg.cycles):
+        weights, grads = state[:n_layers], state[n_layers:2 * n_layers]
+        aug0, y_scaled, loss, lr, idx = state[2 * n_layers:]
         if len(idx) == 0:
             break
         step = lr[:, None, None]
-        candidate = [w - step * g for w, g in zip(weights, grads)]
-        c_loss, c_grads, c_mae = _epoch_math(candidate, aug0, y_scaled)
+        for c, w, g in zip(candidate, weights, grads):
+            np.subtract(w, np.multiply(step, g, out=c), out=c)
+        c_loss, c_grads, c_mae = _epoch_math(candidate, aug0, y_scaled, ws)
         ok = np.isfinite(c_loss) & (c_loss <= loss)
         pick = ok[:, None, None]
-        weights = [np.where(pick, c, w) for c, w in zip(candidate, weights)]
-        grads = [np.where(pick, c, g) for c, g in zip(c_grads, grads)]
-        loss = np.where(ok, c_loss, loss)
-        lr = np.where(ok, cfg.learning_rate, lr * 0.5)
+        for c, w in zip(candidate, weights):
+            np.copyto(w, c, where=pick)
+        for c, g in zip(c_grads, grads):
+            np.copyto(g, c, where=pick)
+        np.copyto(loss, c_loss, where=ok)
+        lr *= 0.5
+        np.copyto(lr, cfg.learning_rate, where=ok)
         if histories is not None:
             for i, value in zip(idx, loss):
                 histories[i].append(float(value))
@@ -374,11 +443,13 @@ def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int],
             for k in np.flatnonzero(done):
                 finals[idx[k]] = [w[k].copy() for w in weights]
             keep = ~done
-            idx = idx[keep]
-            weights = [w[keep] for w in weights]
-            grads = [g[keep] for g in grads]
-            aug0, y_scaled = aug0[keep], y_scaled[keep]
-            loss, lr = loss[keep], lr[keep]
+            m = int(np.count_nonzero(keep))
+            for a in state:
+                a[:m] = a[keep]
+            state = [a[:m] for a in state]
+            candidate = [c[:m] for c in candidate]
+            ws.resize(m)
+    weights, idx = state[:n_layers], state[-1]
     for k, i in enumerate(idx):
         finals[i] = [w[k].copy() for w in weights]
     return [
@@ -455,10 +526,12 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     Every (matrix, seed) pair whose training batch has the same shape, under
     the same regime, trains in one stack, in blocks of ``RESTART_BLOCK``
     restarts; each restart's weights are bit-identical to ``train`` with its
-    seed. ``scorer(model, test_part)`` returns the out-of-sample score
-    (higher is better; the perfect-strategy sentinel ranks first). Restarts
-    whose initial loss is non-finite are skipped. Each matrix's list is
-    sorted by descending score with the seed as a deterministic tiebreak.
+    seed. ``scorer(models, test_part)`` is called once per matrix with the
+    models of its trained restarts and returns their out-of-sample scores
+    in the same order (higher is better; the perfect-strategy sentinel
+    ranks first). Restarts whose initial loss is non-finite are skipped.
+    Each matrix's list is sorted by descending score with the seed as a
+    deterministic tiebreak.
 
     Errors come as if the matrices were trained one after another: the
     first matrix in input order that is too short to split, has a constant
@@ -492,10 +565,12 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
 
     rankings = []
     for test_part, cfg, matrix_seeds, trained in zip(tests, cfgs, seeds, models):
-        results = [RestartResult(model=model, score=scorer(model, test_part), seed=seed)
-                   for seed, model in zip(matrix_seeds, trained) if model is not None]
-        if not results:
+        kept = [(seed, model) for seed, model in zip(matrix_seeds, trained) if model is not None]
+        if not kept:
             raise AllDiverged(f"all {cfg.restarts} restarts diverged")
+        scores = scorer([model for _, model in kept], test_part)
+        results = [RestartResult(model=model, score=score, seed=seed)
+                   for (seed, model), score in zip(kept, scores, strict=True)]
         results.sort(key=lambda r: (-ism_sort_key(r.score), r.seed))
         rankings.append(results)
     if failure is not None:
@@ -529,12 +604,16 @@ def gradient_check(model: NetworkModel, sample: tuple[np.ndarray, float],
 
     aug = _augment(x_scaled)[None]
     y_scaled = y_scaled[None]
-    _, grads, _ = _epoch_math([w[None] for w in model.weights], aug, y_scaled)
+
+    def epoch(weights):  # a fresh workspace: the results stay valid
+        return _epoch_math(weights, aug, y_scaled, _Workspace(model.layer_sizes, 1, 1))
+
+    _, grads, _ = epoch([w[None] for w in model.weights])
 
     def loss_with_bump(layer, idx, bump):
         weights = [w[None].copy() for w in model.weights]
         weights[layer][(0, *idx)] += bump
-        return float(_epoch_math(weights, aug, y_scaled)[0][0])
+        return float(epoch(weights)[0][0])
 
     worst = 0.0
     for l, w in enumerate(model.weights):

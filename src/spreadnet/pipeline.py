@@ -702,10 +702,18 @@ def load_run(run_dir: str | Path) -> dict:
 
 def _read_record(path: Path) -> dict:
     """A run record's JSON object; IncompleteManifest names a corrupt file."""
-    record = _read_json(path, IncompleteManifest)
-    if not isinstance(record, dict):
-        raise IncompleteManifest(f"{path} holds a {type(record).__name__}, not a JSON object")
-    return record
+    return _expect(_read_json(path, IncompleteManifest), dict, path)
+
+
+def _expect(value, kind: type, path: Path, where: str | None = None):
+    """``value`` when it is a ``kind`` (dict or list); otherwise IncompleteManifest
+    names the file and, as a dotted ``where``, the place in it."""
+    if not isinstance(value, kind):
+        at = "" if where is None else f" at {where}"
+        json_kind = "object" if kind is dict else "array"
+        raise IncompleteManifest(
+            f"{path} holds a {type(value).__name__}{at}, not a JSON {json_kind}")
+    return value
 
 
 def _read_json(path: Path, fault: type[Exception]):
@@ -747,8 +755,14 @@ def _load_serve_record(run_dir: Path) -> tuple[Path, dict]:
             raise IncompleteManifest(f"{path} lacks {exc}") from exc
     record = _read_record(path)
     missing = [key for key in ("config", "members", "master") if key not in record]
-    missing += [f"members.{i}.{key}" for i, entry in enumerate(record.get("members", ()))
-                for key in _SERVE_MEMBER_KEYS if key not in entry]
+    if not missing:
+        members = _expect(record["members"], list, path, "members")
+        for i, entry in enumerate(members):
+            _expect(entry, dict, path, f"members.{i}")
+        missing = [f"members.{i}.{key}" for i, entry in enumerate(members)
+                   for key in _SERVE_MEMBER_KEYS if key not in entry]
+        if "model_path" not in _expect(record["master"], dict, path, "master"):
+            missing.append("master.model_path")
     if missing:
         raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
     return path, record

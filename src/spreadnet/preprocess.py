@@ -379,17 +379,20 @@ class TrainingMatrix:
         return self.months_out - self.lag
 
     def denormalize_predictions(self, predicted: np.ndarray) -> np.ndarray:
-        """Map predictions in recipe units, one per leading row, back to actual levels.
+        """Map predictions in recipe units, shape (..., rows) for the leading
+        rows, back to actual levels.
 
         Uses realized history only; with lag >= 1 those values are known at
-        prediction time. Raw-recipe predictions pass through untouched.
+        prediction time. Raw-recipe predictions pass through untouched. A
+        stack of prediction rows (one per model) maps each row exactly as
+        it would alone.
         """
         predicted = np.asarray(predicted, dtype=np.float64)
         if self.output_recipe == RAW_OUTPUT:
             return predicted.copy()
         # row i's history: the three actual levels before its month, oldest first
         histories = np.lib.stride_tricks.sliding_window_view(self.levels, 3)
-        return denormalize_output(predicted, histories[: len(predicted)])
+        return denormalize_output(predicted, histories[: predicted.shape[-1]])
 
     def slice_rows(self, start: int, stop: int) -> "TrainingMatrix":
         """Contiguous row slice carrying its own inverse-normalization history."""

@@ -19,6 +19,7 @@ from .metrics import (
     equity_curves,
     excess_predictability,
     modified_sharpe,
+    positions_from_forecasts,
 )
 from .neural import NetworkModel, predict
 from .preprocess import TrainingMatrix
@@ -60,22 +61,31 @@ def score_levels(predicted_levels: np.ndarray, actual_levels: np.ndarray,
     )
 
 
-def _predicted_levels(model: NetworkModel, test_part: TrainingMatrix) -> np.ndarray:
-    """Predict the test rows and invert the output normalization."""
-    return test_part.denormalize_predictions(predict(model, test_part.inputs))
-
-
 def score_model(model: NetworkModel, test_part: TrainingMatrix) -> ModelScore:
     """Predict the test rows, invert normalization, and score the levels."""
-    levels = _predicted_levels(model, test_part)
+    levels = test_part.denormalize_predictions(predict(model, test_part.inputs))
     return score_levels(levels, test_part.output_levels, test_part.months_out)
 
 
-def ism_scorer(model: NetworkModel, test_part: TrainingMatrix):
-    """Ranking scorer for multi-restart training: out-of-sample ISM only.
+def ism_scorer(models: list[NetworkModel], test_part: TrainingMatrix) -> list:
+    """Ranking scorer for multi-restart training: each model's out-of-sample ISM.
 
-    It runs once per restart, so it skips the EP test and hit rate that
-    ``score_model`` adds for the winner.
+    One call scores all of a matrix's restarts, in the order given; it
+    skips the EP test and hit rate that ``score_model`` adds for the
+    winner. Each model is predicted on its own (``predict``), the stack of
+    predictions is denormalized in one call, and the ISM is computed once
+    per distinct long/short position vector: without ``months``,
+    ``equity_curves`` reads the predictions only through those positions,
+    so restarts that call every month alike share one exact score.
     """
-    report = equity_curves(_predicted_levels(model, test_part), test_part.output_levels)
-    return modified_sharpe(report)
+    actual = test_part.output_levels
+    levels = test_part.denormalize_predictions(
+        np.stack([predict(model, test_part.inputs) for model in models]))
+    by_positions: dict[bytes, object] = {}
+    scores = []
+    for predicted in levels:
+        key = positions_from_forecasts(predicted, actual).tobytes()
+        if key not in by_positions:
+            by_positions[key] = modified_sharpe(equity_curves(predicted, actual))
+        scores.append(by_positions[key])
+    return scores

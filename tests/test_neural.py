@@ -1,10 +1,11 @@
 """Forward pass, training behaviour, restarts, gradients, serialization."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -187,7 +188,7 @@ class TestTrain:
 class TestMultiRestart:
     def test_single_restart_singleton(self):
         matrix = make_matrix(n_rows=40, seed=10)
-        scorer = lambda model, test_part: 1.0
+        scorer = lambda models, test_part: [1.0] * len(models)
         results = multi_restart_train(matrix, TrainConfig(restarts=1), scorer)
         assert len(results) == 1
 
@@ -233,7 +234,7 @@ class TestMultiRestart:
         cfg = TrainConfig(restarts=3)
         self.poison_seeds(monkeypatch, {int(s) for s in restart_seeds(cfg.rng_seed, 3)})
         with pytest.raises(AllDiverged):
-            multi_restart_train(matrix, cfg, lambda *a: 0.0)
+            multi_restart_train(matrix, cfg, lambda models, test_part: [0.0] * len(models))
 
     def test_diverged_restarts_dropped_rest_ranked(self, monkeypatch):
         from spreadnet.scoring import ism_scorer
@@ -517,6 +518,12 @@ class TestGradientCheck:
             gradient_check(small_model(), (np.zeros(3), 0.0), epsilon=1e-2)
 
 
+# finite floats with the edge cases a text format can lose: signed zero, subnormals, huge values
+edgy = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                  1e300, -1e300, sys.float_info.max, -sys.float_info.max]))
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = small_model(seed=40, scalings=True)
@@ -529,6 +536,37 @@ class TestSerialization:
         assert np.array_equal(loaded.input_scaling.scale, model.input_scaling.scale)
         xs = np.random.default_rng(41).uniform(-1, 1, size=(5, 3))
         assert np.array_equal(predict(model, xs), predict(loaded, xs))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           scaled=st.tuples(st.booleans(), st.booleans()))
+    def test_roundtrip_bit_exact_property(self, tmp_path, data, sizes, scaled):
+        # both round trips (file and dict) return every weight and scaling bit for bit:
+        # -0.0, subnormals and floats near the largest included
+        layer_sizes = (*sizes, 1)
+        weights = tuple(data.draw(hnp.arrays(np.float64, (fan_out, fan_in + 1), elements=edgy))
+                        for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
+
+        def scaling(width, on):
+            if not on:
+                return None
+            return AffineMap(data.draw(hnp.arrays(np.float64, width, elements=edgy.filter(bool))),
+                             data.draw(hnp.arrays(np.float64, width, elements=edgy)))
+
+        model = NetworkModel(layer_sizes, weights, scaling(layer_sizes[0], scaled[0]),
+                             scaling(1, scaled[1]))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        for loaded in (load_model(path), model_from_dict(model_to_dict(model))):
+            assert loaded.layer_sizes == layer_sizes
+            assert [w.tobytes() for w in loaded.weights] == [w.tobytes() for w in weights]
+            for got, want in ((loaded.input_scaling, model.input_scaling),
+                              (loaded.output_scaling, model.output_scaling)):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.scale.tobytes() == want.scale.tobytes()
+                    assert got.offset.tobytes() == want.offset.tobytes()
 
     def test_version_gate(self):
         data = model_to_dict(small_model())

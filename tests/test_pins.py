@@ -24,7 +24,7 @@ import workloads  # noqa: E402
 PINS = checks.Pins()
 
 
-@pytest.mark.parametrize("name", ["pipeline_demo", "predict_serve"])
+@pytest.mark.parametrize("name", ["pipeline_demo", "restart_search", "predict_serve"])
 def test_stored_run_matches_pins(name, tmp_path, monkeypatch):
     status = PINS.status(PINS.seed)
     if status != "checked":

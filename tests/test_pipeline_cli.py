@@ -682,6 +682,14 @@ class TestCli:
         ("report", SERVE_NAME, lambda r: {}, 0, None),
         ("predict", SERVE_NAME, lambda r: r["members"][1].pop("lag") and r, 8,
          f"{SERVE_NAME} lacks members.1.lag"),
+        ("predict", SERVE_NAME, lambda r: r.update(members=5) or r, 8,
+         f"{SERVE_NAME} holds a int at members, not a JSON array"),
+        ("predict", SERVE_NAME, lambda r: r.update(members=[5]) or r, 8,
+         f"{SERVE_NAME} holds a int at members.0, not a JSON object"),
+        ("predict", SERVE_NAME, lambda r: r.update(master={}) or r, 8,
+         f"{SERVE_NAME} lacks master.model_path"),
+        ("predict", SERVE_NAME, lambda r: r.update(master=5) or r, 8,
+         f"{SERVE_NAME} holds a int at master, not a JSON object"),
         ("predict", SERVE_NAME, lambda r: r["config"]["training"].update(restarts=0) or r, 8,
          f"{SERVE_NAME} holds an invalid config: config training.restarts"),
         ("report", MANIFEST_NAME, lambda r: r.pop("config") and r, 7,

@@ -369,6 +369,31 @@ class TestDenormalizePredictions:
         ])
         assert np.array_equal(matrix.denormalize_predictions(predicted), rowwise)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.integers(1, 60),
+        models=st.integers(1, 6),
+        recipe=st.sampled_from(["raw", "normalized"]),
+        start=st.integers(0, 59),
+    )
+    def test_stack_equals_row_by_row(self, seed, rows, models, recipe, start):
+        # a (models, rows) stack of predictions, as one scoring call denormalizes them
+        rng = np.random.default_rng(seed)
+        full = rng.uniform(0.5, 2.0, size=rows + 3)
+        if recipe == "normalized":
+            matrix = self.normalized_matrix(full, rows)
+        else:
+            matrix = TrainingMatrix(base_set_id=8, lag=1, input_names=("a",),
+                                    inputs=np.zeros((rows, 1)), output=full[3:],
+                                    months_out=np.arange(rows))
+        if start < rows:
+            matrix = matrix.slice_rows(start, rows)
+        stack = rng.normal(0.0, 0.2, size=(models, matrix.rows))
+        got = matrix.denormalize_predictions(stack)
+        want = np.array([matrix.denormalize_predictions(row) for row in stack])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_zero_trailing_mean(self):
         matrix = self.normalized_matrix(np.array([1.0, -1.0, 0.0, 1.0, 2.0, 3.0]), 3)
         with pytest.raises(ZeroTrailingMean):
