@@ -10,7 +10,6 @@
 import numpy as np
 
 from spreadnet.demo import synthetic_series
-from spreadnet.metrics import ism_sort_key
 from spreadnet.neural import TrainConfig, gradient_check, multi_restart_train, split, train
 from spreadnet.preprocess import assemble_base_sets
 from spreadnet.scoring import ism_scorer, score_model
@@ -50,7 +49,7 @@ print(f"max relative gap, analytic vs finite-difference gradients: {gap:.2e}")
 # 4. Multi-restart search
 # ---------------------------------------------------------------------------
 results = multi_restart_train(matrix, cfg, ism_scorer)
-keys = [ism_sort_key(r.score) for r in results]
+keys = [r.score for r in results]
 print(f"\n{cfg.restarts} restarts ranked by out-of-sample ISM:")
 print(f"  best {keys[0]:.3f} | median {np.median(keys):.3f} | worst {keys[-1]:.3f}")
 

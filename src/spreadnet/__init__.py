@@ -47,7 +47,6 @@ from .metrics import (
     divergence_percentage,
     equity_curves,
     excess_predictability,
-    ism_sort_key,
     mean_abs_error,
     modified_sharpe,
     ols_fit,

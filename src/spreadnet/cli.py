@@ -27,7 +27,9 @@ from .errors import PipelineStageError, SpreadnetError
 from .pipeline import (
     MANIFEST_NAME,
     PipelineConfig,
+    _member_entries,
     _read_json,
+    _score_text,
     _stage,
     emit_reports,
     export_matrices,
@@ -117,8 +119,8 @@ def cmd_train(args) -> int:
     result = _run_to(args, "train")
     print(f"trained {len(result.candidates)} candidates "
           f"({result.config.train_cfg.restarts} restarts each)")
-    for c in sorted(result.candidates, key=lambda c: c.name)[:10]:
-        print(f"  {c.name}: ISM={c.score.ism!r} hits={c.score.hit_rate:.2f}")
+    for entry in sorted(result.manifest["candidates"], key=lambda e: e["name"])[:10]:
+        print(f"  {entry['name']}: {_score_text(entry)}")
     print(f"manifest: {result.run_dir / MANIFEST_NAME}")
     return 0
 
@@ -126,18 +128,15 @@ def cmd_train(args) -> int:
 def cmd_select(args) -> int:
     result = _run_to(args, "select")
     print(f"selected {len(result.members)} members:")
-    for rank, c in enumerate(result.members, start=1):
-        ep = "-" if c.score.norm_ep is None else f"{c.score.norm_ep:.2f}%"
-        print(f"  {rank:2d}. {c.name}  ISM={c.score.ism!r}  normEP={ep}")
+    for rank, entry in enumerate(_member_entries(result.manifest), start=1):
+        print(f"  {rank:2d}. {entry['name']}  {_score_text(entry)}")
     print(f"manifest: {result.run_dir / MANIFEST_NAME}")
     return 0
 
 
 def cmd_master(args) -> int:
     result = _run_to(args, "master")
-    score = result.master.score
-    ep = "-" if score.norm_ep is None else f"{score.norm_ep:.2f}%"
-    print(f"master: ISM={score.ism!r}  normEP={ep}  hits={score.hit_rate:.2f}")
+    print(f"master: {_score_text(result.manifest['master'])}")
     print(f"manifest: {result.run_dir / MANIFEST_NAME}")
     return 0
 

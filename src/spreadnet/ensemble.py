@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DateMismatch, NoCandidates
-from .metrics import ism_sort_key
 from .neural import (
     NetworkModel,
     RestartResult,
@@ -58,7 +57,7 @@ def select_best(candidates: list[Candidate], k: int = 10) -> list[Candidate]:
     ranked = sorted(
         candidates,
         key=lambda c: (
-            -ism_sort_key(c.score.ism),
+            -c.score.ism,
             -(c.score.norm_ep if c.score.norm_ep is not None else -np.inf),
             c.base_set_id,
             c.lag,

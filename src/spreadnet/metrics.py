@@ -31,50 +31,13 @@ from .errors import (
 )
 
 
-class _PerfectStrategyType:
-    """Sentinel ISM for a strategy with zero failures.
-
-    Sorts above every finite value so model selection stays total without
-    dividing by a zero failure count.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "PerfectStrategy"
-
-    def __eq__(self, other):
-        return isinstance(other, _PerfectStrategyType)
-
-    def __hash__(self):
-        return hash("PerfectStrategy")
-
-    def __gt__(self, other):
-        return not isinstance(other, _PerfectStrategyType)
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _PerfectStrategyType)
-
-
-PERFECT_STRATEGY = _PerfectStrategyType()
-
-
-def ism_sort_key(value) -> float:
-    """Totally ordered key: the perfect-strategy sentinel maps to +inf."""
-    if isinstance(value, _PerfectStrategyType):
-        return math.inf
-    return float(value)
+# ISM of a strategy with zero failures: the limit of Q / average negative
+# volatility as that volatility falls to 0 (eq == pe there, so Q = 1). A
+# finite ISM cannot reach it: one wrong call makes the volatility at least
+# the smallest nonzero |log return| between two doubles (about 1e-16).
+# ``modified_sharpe`` returns this very object, so ``ism is PERFECT_STRATEGY``
+# holds for a failure-free strategy.
+PERFECT_STRATEGY = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +73,7 @@ class EquityReport:
     failures: list[tuple[int, float]] = field(default_factory=list)
     ave_negative_vol: float = 0.0
     q_ratio: float | None = None
-    ism: object | None = None
-
-    @property
-    def is_perfect(self) -> bool:
-        return not self.failures
+    ism: float | None = None
 
 
 def equity_curves(
@@ -169,24 +128,20 @@ def weighted_slope(curve: np.ndarray) -> float:
     return float(np.dot(x_c, amplified - amplified.mean()) / np.dot(x_c, x_c))
 
 
-def modified_sharpe(report: EquityReport):
+def modified_sharpe(report: EquityReport) -> float:
     """Q / average-negative-volatility; the model-selection discriminant.
 
     Q is the ratio of the amplified best-fit slopes of the equity and
-    perfect-equity curves. A failure-free strategy returns the
-    PERFECT_STRATEGY sentinel. Fills ``report.q_ratio`` and ``report.ism``.
+    perfect-equity curves. A failure-free strategy scores
+    PERFECT_STRATEGY (+inf). Fills ``report.q_ratio`` and ``report.ism``.
     """
     pe_slope = weighted_slope(report.pe)
     if pe_slope == 0.0:
         raise ZeroPerfectSlope("perfect-equity slope is zero (constant actuals)")
     q = weighted_slope(report.eq) / pe_slope
     report.q_ratio = q
-    if report.is_perfect:
-        report.ism = PERFECT_STRATEGY
-        return PERFECT_STRATEGY
-    ism = q / report.ave_negative_vol
-    report.ism = ism
-    return ism
+    report.ism = q / report.ave_negative_vol if report.failures else PERFECT_STRATEGY
+    return report.ism
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .errors import (
     MissingFile,
     TooFewRows,
 )
-from .metrics import ism_sort_key
 from .preprocess import TrainingMatrix
 
 MODEL_FORMAT = "spreadnet-model"
@@ -502,7 +501,7 @@ class RestartResult:
     """One restart's trained model, its out-of-sample score, and its seed."""
 
     model: NetworkModel
-    score: object  # float or the PERFECT_STRATEGY sentinel
+    score: float  # PERFECT_STRATEGY (+inf) for a failure-free strategy
     seed: int
 
 
@@ -528,8 +527,8 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     restarts; each restart's weights are bit-identical to ``train`` with its
     seed. ``scorer(models, test_part)`` is called once per matrix with the
     models of its trained restarts and returns their out-of-sample scores
-    in the same order (higher is better; the perfect-strategy sentinel
-    ranks first). Restarts whose initial loss is non-finite are skipped.
+    in the same order (higher is better; PERFECT_STRATEGY, +inf, ranks
+    first). Restarts whose initial loss is non-finite are skipped.
     Each matrix's list is sorted by descending score with the seed as a
     deterministic tiebreak.
 
@@ -571,7 +570,7 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
         scores = scorer([model for _, model in kept], test_part)
         results = [RestartResult(model=model, score=score, seed=seed)
                    for (seed, model), score in zip(kept, scores, strict=True)]
-        results.sort(key=lambda r: (-ism_sort_key(r.score), r.seed))
+        results.sort(key=lambda r: (-r.score, r.seed))
         rankings.append(results)
     if failure is not None:
         raise failure

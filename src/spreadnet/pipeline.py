@@ -431,14 +431,15 @@ def _write_json(target: Path, document: dict) -> None:
 
 
 def _fit_to_json(config: PipelineConfig, fit: Candidate, model_path: str) -> dict:
-    """The manifest fields that candidate and master entries share."""
+    """The manifest fields that candidate and master entries share. JSON has no
+    infinity: a PERFECT_STRATEGY ISM is written as "perfect"."""
     score = fit.score
     return {
         "matrix_seed": _matrix_seed(config, fit),
         "winning_seed": fit.seed,
         "restarts": config.train_cfg.restarts,
         "model_path": model_path,
-        "ism": "perfect" if score.ism is PERFECT_STRATEGY else float(score.ism),
+        "ism": "perfect" if score.ism == PERFECT_STRATEGY else float(score.ism),
         "q_ratio": float(score.report.q_ratio),
         "ave_negative_vol": float(score.report.ave_negative_vol),
         "failures": len(score.report.failures),
@@ -509,12 +510,8 @@ def build_manifest(result: RunResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _candidates_by_name(manifest: dict) -> dict[str, dict]:
-    return {c["name"]: c for c in manifest.get("candidates", [])}
-
-
 def _member_entries(manifest: dict) -> list[dict]:
-    by_name = _candidates_by_name(manifest)
+    by_name = {c["name"]: c for c in manifest.get("candidates", [])}
     try:
         return [by_name[name] for name in manifest["members"]]
     except KeyError as exc:
@@ -540,19 +537,13 @@ def emit_reports(manifest: dict, run_dir: str | Path) -> list[Path]:
 
     if "csv" in formats:
         paths.append(_write_divergence(reports, members))
-        for entry in members:
-            paths.append(_write_curve(reports, entry))
+        paths += [_write_curve(reports, entry) for entry in members]
         if "master" in manifest:
             paths.append(_write_curve(reports, manifest["master"], name="master"))
+        swept = [c for c in manifest["candidates"] if c["lag_swept"]]
         paths.append(_write_group_means(reports / "base_set_summary.csv",
                                         manifest["candidates"], key="base_set"))
-        paths.append(
-            _write_group_means(
-                reports / "lag_summary.csv",
-                [c for c in manifest["candidates"] if c["lag_swept"]],
-                key="lag",
-            )
-        )
+        paths.append(_write_group_means(reports / "lag_summary.csv", swept, key="lag"))
     if "txt" in formats:
         paths.append(_write_summary_text(reports / "summary.txt", manifest))
     return paths
@@ -651,24 +642,19 @@ def _score_text(entry: dict) -> str:
 
 
 def _write_summary_text(path: Path, manifest: dict) -> Path:
-    lines = []
     frame = manifest.get("frame", {})
-    lines.append("spreadnet run summary")
-    lines.append(f"config hash : {manifest['config_hash']}")
-    lines.append(
-        f"frame       : {frame.get('start')}..{frame.get('end')} ({frame.get('rows')} months)"
-    )
-    lines.append("")
-
+    lines = ["spreadnet run summary",
+             f"config hash : {manifest.get('config_hash')}",
+             f"frame       : {frame.get('start')}..{frame.get('end')} ({frame.get('rows')} months)",
+             ""]
     lines += _mean_table("mean scores by base set", "base_set", "set", manifest["candidates"])
     swept = [c for c in manifest["candidates"] if c["lag_swept"]]
     if swept:
         lines += _mean_table("mean scores by lag (lag-swept sets only)", "lag", "lag", swept)
 
     lines.append("selected members (rank order)")
-    by_name = _candidates_by_name(manifest)
-    for rank, name in enumerate(manifest.get("members", []), start=1):
-        lines.append(f"{rank:>3}. {name}  {_score_text(by_name[name])}")
+    for rank, entry in enumerate(_member_entries(manifest), start=1):
+        lines.append(f"{rank:>3}. {entry['name']}  {_score_text(entry)}")
     lines.append("")
 
     if "master" in manifest:
@@ -693,11 +679,15 @@ class PredictionReport:
 
 
 def load_run(run_dir: str | Path) -> dict:
+    """A stored run's manifest, each part that reports and forecasts read
+    checked to be of its kind (IncompleteManifest names the place)."""
     run_dir = Path(run_dir)
     path = run_dir / MANIFEST_NAME
     if not path.exists():
         raise MissingFile(f"no {MANIFEST_NAME} in {run_dir}")
-    return _read_record(path)
+    # every top-level part is optional: a partial run lacks some
+    return _checked_record(_read_record(path), path, _MANIFEST_KEYS,
+                           {"candidates": _CANDIDATE_KEYS, "master": _MASTER_KEYS}, required=False)
 
 
 def _read_record(path: Path) -> dict:
@@ -705,15 +695,89 @@ def _read_record(path: Path) -> dict:
     return _expect(_read_json(path, IncompleteManifest), dict, path)
 
 
-def _expect(value, kind: type, path: Path, where: str | None = None):
-    """``value`` when it is a ``kind`` (dict or list); otherwise IncompleteManifest
+# The JSON kinds of run-record values: each plain kind's name and the classes
+# ``json.loads`` gives its values (a bool is no integer, an integer a number).
+_JSON_TYPES = {dict: ({dict}, "a JSON object"), list: ({list}, "a JSON array"),
+               str: ({str}, "a string"), bool: ({bool}, "true or false"), int: ({int}, "an integer"),
+               float: ({int, float}, "a number"), type(None): ({type(None)}, "null")}
+_SERVE_KEYS = {"config": dict, "members": list, "master": dict}
+_SERVE_MEMBER_KEYS = {"name": str, "lag": int, "input_names": list[str],
+                      "output_recipe": typing.Literal[pp.RAW_OUTPUT, pp.NORMALIZED_OUTPUT],
+                      "model_path": str}
+_MANIFEST_KEYS = {"config": dict, "config_hash": str, "frame": dict, "candidates": list,
+                  "members": list[str], "master": dict}
+_MASTER_KEYS = {"model_path": str, "ism": float | typing.Literal["perfect"],
+                "norm_ep": float | None, "hit_rate": float, "test_months": list[str],
+                "predicted_levels": list[float], "actual_levels": list[float]}
+_CANDIDATE_KEYS = {**_SERVE_MEMBER_KEYS, "base_set": int, "lag_swept": bool, **_MASTER_KEYS}
+
+
+def _is(value, kind) -> bool:
+    """Whether the value ``json.loads`` gave is of ``kind``: a key of
+    ``_JSON_TYPES``, ``list[X]`` with X one of them, a ``Literal`` of the
+    strings allowed, or a union of these."""
+    if kind.__class__ is type:
+        return value.__class__ in _JSON_TYPES[kind][0]
+    args = kind.__args__
+    if kind.__class__ is types.GenericAlias:  # list[X]
+        return value.__class__ is list and set(map(type, value)) <= _JSON_TYPES[args[0]][0]
+    if getattr(kind, "__origin__", None) is typing.Literal:
+        return value.__class__ is str and value in args
+    return any(_is(value, k) for k in args)
+
+
+def _kind_name(kind) -> str:
+    """How ``kind`` (see ``_is``) reads in an error message."""
+    if kind.__class__ is type:
+        return _JSON_TYPES[kind][1]
+    args = kind.__args__
+    if kind.__class__ is types.GenericAlias:
+        return f"a JSON array, each item {_kind_name(args[0])}"
+    if getattr(kind, "__origin__", None) is typing.Literal:
+        return " or ".join(json.dumps(v) for v in args)
+    return " or ".join(_kind_name(k) for k in args)
+
+
+def _expect(value, kind, path: Path, where: str | None = None):
+    """``value`` when it is of ``kind`` (see ``_is``); otherwise IncompleteManifest
     names the file and, as a dotted ``where``, the place in it."""
-    if not isinstance(value, kind):
+    if not _is(value, kind):
         at = "" if where is None else f" at {where}"
-        json_kind = "object" if kind is dict else "array"
-        raise IncompleteManifest(
-            f"{path} holds a {type(value).__name__}{at}, not a JSON {json_kind}")
+        got = repr(value) if isinstance(value, str) else f"a {type(value).__name__}"
+        raise IncompleteManifest(f"{path} holds {got}{at}, not {_kind_name(kind)}")
     return value
+
+
+def _checked_record(record: dict, path: Path, keys: dict, parts: dict, required=True) -> dict:
+    """``record`` once the value at each of ``keys`` it holds is of its kind, and
+    each object at a key of ``parts`` (or in the array there) has ``parts[key]``
+    of their kinds. IncompleteManifest names the file and the dotted place of
+    the first value of a wrong kind, or of every key missing (top-level keys
+    only when ``required``)."""
+    missing = _missing(record, keys, path)
+    if missing and required:
+        raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
+    missing = []
+    for key, kinds in parts.items():
+        value = record.get(key, ())
+        for where, entry in ([(key, value)] if isinstance(value, dict)
+                             else ((f"{key}.{i}", e) for i, e in enumerate(value))):
+            missing += _missing(_expect(entry, dict, path, where), kinds, path, f"{where}.")
+    if missing:
+        raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
+    return record
+
+
+def _missing(entry: dict, kinds: dict, path: Path, where: str = "") -> list[str]:
+    """The keys of ``kinds`` that ``entry`` lacks, as places after ``where``;
+    a value that is there but not of its kind raises (``_expect``)."""
+    missing = []
+    for key, kind in kinds.items():
+        if key not in entry:
+            missing.append(where + key)
+        elif not _is(entry[key], kind):
+            _expect(entry[key], kind, path, where + key)
+    return missing
 
 
 def _read_json(path: Path, fault: type[Exception]):
@@ -722,9 +786,6 @@ def _read_json(path: Path, fault: type[Exception]):
         return json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise fault(f"{path} is not valid JSON: {exc}") from exc
-
-
-_SERVE_MEMBER_KEYS = ("name", "lag", "input_names", "output_recipe", "model_path")
 
 
 def serve_record(manifest: dict) -> dict:
@@ -747,25 +808,16 @@ def _load_serve_record(run_dir: Path) -> tuple[Path, dict]:
     """The file a forecast is served from and its record: ``serve.json``, or for
     a run without one the manifest and the record projected from it."""
     path = run_dir / SERVE_NAME
-    if not path.exists():
+    if path.exists():
+        record = _read_record(path)
+    else:
         path = run_dir / MANIFEST_NAME
         try:
-            return path, serve_record(load_run(run_dir))
+            record = serve_record(load_run(run_dir))
         except KeyError as exc:
             raise IncompleteManifest(f"{path} lacks {exc}") from exc
-    record = _read_record(path)
-    missing = [key for key in ("config", "members", "master") if key not in record]
-    if not missing:
-        members = _expect(record["members"], list, path, "members")
-        for i, entry in enumerate(members):
-            _expect(entry, dict, path, f"members.{i}")
-        missing = [f"members.{i}.{key}" for i, entry in enumerate(members)
-                   for key in _SERVE_MEMBER_KEYS if key not in entry]
-        if "model_path" not in _expect(record["master"], dict, path, "master"):
-            missing.append("master.model_path")
-    if missing:
-        raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
-    return path, record
+    return path, _checked_record(record, path, _SERVE_KEYS,
+                                 {"members": _SERVE_MEMBER_KEYS, "master": {"model_path": str}})
 
 
 def _record_config(record: dict, path: Path) -> PipelineConfig:
@@ -822,8 +874,7 @@ def predict_from_run(
             ) from exc
         value = float(predict(model, row[None, :])[0])
         if entry["output_recipe"] == pp.NORMALIZED_OUTPUT:
-            history = levels.values[-3:]
-            value = pp.denormalize_output(value, history)
+            value = pp.denormalize_output(value, levels.values[-3:])
         member_values[entry["name"]] = value
 
     master_model = load_model(run_dir / record["master"]["model_path"])
@@ -834,12 +885,7 @@ def predict_from_run(
             f"master expects {master_model.n_inputs} member inputs, got {len(inputs)}"
         )
     forecast = master_forecast(master_model, inputs, last_actual)
-    return PredictionReport(
-        target_month=format_month(target),
-        forecast=forecast,
-        member_forecasts=member_values,
-        last_actual=last_actual,
-    )
+    return PredictionReport(format_month(target), forecast, member_values, last_actual)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .preprocess import TrainingMatrix
 class ModelScore:
     """Everything the selection and reports need about one test run."""
 
-    ism: object                     # float or PERFECT_STRATEGY
+    ism: float                      # PERFECT_STRATEGY (+inf) without failures
     norm_ep: float | None
     ep: EPResult | None
     report: EquityReport
@@ -67,7 +67,7 @@ def score_model(model: NetworkModel, test_part: TrainingMatrix) -> ModelScore:
     return score_levels(levels, test_part.output_levels, test_part.months_out)
 
 
-def ism_scorer(models: list[NetworkModel], test_part: TrainingMatrix) -> list:
+def ism_scorer(models: list[NetworkModel], test_part: TrainingMatrix) -> list[float]:
     """Ranking scorer for multi-restart training: each model's out-of-sample ISM.
 
     One call scores all of a matrix's restarts, in the order given; it
@@ -81,7 +81,7 @@ def ism_scorer(models: list[NetworkModel], test_part: TrainingMatrix) -> list:
     actual = test_part.output_levels
     levels = test_part.denormalize_predictions(
         np.stack([predict(model, test_part.inputs) for model in models]))
-    by_positions: dict[bytes, object] = {}
+    by_positions: dict[bytes, float] = {}
     scores = []
     for predicted in levels:
         key = positions_from_forecasts(predicted, actual).tobytes()

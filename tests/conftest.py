@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from spreadnet import pipeline
 from spreadnet.demo import synthetic_series
 from spreadnet.preprocess import TrainingMatrix
 from spreadnet.series import align, parse_month
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def strict_run_records():
+    """Every manifest and serve record a test run writes is standard JSON: no
+    Infinity or NaN (a PERFECT_STRATEGY ISM is written "perfect")."""
+    write = pipeline._write_json
+
+    def write_checked(target, document):
+        write(target, document)
+        json.loads(target.read_text(encoding="utf-8"), parse_constant=_no_constant)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_write_json", write_checked)
+        yield
 
 
 @pytest.fixture(scope="session")

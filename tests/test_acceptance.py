@@ -18,7 +18,6 @@ from spreadnet.metrics import (
     PERFECT_STRATEGY,
     equity_curves,
     excess_predictability_from_positions,
-    ism_sort_key,
     modified_sharpe,
     ols_fit,
 )
@@ -180,9 +179,9 @@ def test_07_learnability_full_pipeline(tmp_path):
         result = run_pipeline(config, through="report")
         master = result.master.score
         assert master.norm_ep is not None and master.norm_ep > 95.0
-        assert ism_sort_key(master.ism) > 2.0
-        member_keys = [ism_sort_key(c.score.ism) for c in result.members]
-        assert ism_sort_key(master.ism) >= np.median(member_keys)
+        assert master.ism > 2.0
+        member_keys = [c.score.ism for c in result.members]
+        assert master.ism >= np.median(member_keys)
         assert time.perf_counter() - t0 < 300.0
 
 

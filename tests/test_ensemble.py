@@ -1,9 +1,12 @@
 """Selection, master-matrix stacking, master training, and prediction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadnet.ensemble import (
     Candidate,
@@ -13,7 +16,7 @@ from spreadnet.ensemble import (
     train_master,
 )
 from spreadnet.errors import DateMismatch, DimensionMismatch, NoCandidates
-from spreadnet.metrics import PERFECT_STRATEGY, ism_sort_key
+from spreadnet.metrics import PERFECT_STRATEGY
 from spreadnet.neural import NetworkModel, TrainConfig
 from spreadnet.preprocess import MASTER_SET_ID
 from spreadnet.scoring import score_levels
@@ -56,7 +59,7 @@ class TestSelectBest:
         ]
         members = select_best(candidates, k=10)
         assert len(members) == 10
-        keys = [ism_sort_key(m.score.ism) for m in members]
+        keys = [m.score.ism for m in members]
         assert keys == sorted(keys, reverse=True)
 
     def test_prefix_of_full_ranking(self):
@@ -95,6 +98,25 @@ class TestSelectBest:
     def test_no_candidates(self):
         with pytest.raises(NoCandidates):
             select_best([], k=10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs=st.lists(st.tuples(
+        st.integers(1, 10), st.integers(1, 4),
+        st.one_of(st.just(PERFECT_STRATEGY), st.sampled_from([0.0, 2.5]),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        st.one_of(st.none(), st.sampled_from([10.0, 50.0]), st.floats(0.0, 100.0))),
+        min_size=1, max_size=12), k=st.integers(1, 14))
+    def test_ranks_by_ism_ep_set_lag(self, specs, k):
+        candidates = [fabricated_member(*spec) for spec in specs]
+
+        def rank(c):  # a missing normEP ranks below every number
+            ep = c.score.norm_ep
+            return (-c.score.ism, math.inf if ep is None else -ep, c.base_set_id, c.lag)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # fewer than k candidates
+            got = select_best(candidates, k=k)
+        assert [id(c) for c in got] == [id(c) for c in sorted(candidates, key=rank)[:k]]
 
 
 class TestBuildMasterMatrix:
@@ -161,12 +183,12 @@ class TestTrainMaster:
 
     def test_stacking_dominates_oracle_member(self):
         members = self.build_members()
-        oracle_key = ism_sort_key(members[0].score.ism)
+        oracle_key = members[0].score.ism
         assert math.isinf(oracle_key)  # a true oracle never fails
         matrix = build_master_matrix(members)
         cfg = TrainConfig(restarts=30, rng_seed=6, cycles=400, stop_error=0.05)
         result = train_master(matrix, cfg)
-        assert ism_sort_key(result.score.ism) >= 0.9 * oracle_key
+        assert result.score.ism >= 0.9 * oracle_key
         assert isinstance(result, Candidate)
         assert (result.base_set_id, result.lag) == (MASTER_SET_ID, 0)
 
@@ -179,7 +201,7 @@ class TestTrainMaster:
         assert a.seed == b.seed
         for wa, wb in zip(a.model.weights, b.model.weights):
             assert np.array_equal(wa, wb)
-        assert ism_sort_key(a.score.ism) == ism_sort_key(b.score.ism)
+        assert a.score.ism == b.score.ism
 
 
 class TestPredictNext:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from spreadnet.errors import (
@@ -23,7 +25,6 @@ from spreadnet.metrics import (
     equity_curves,
     excess_predictability,
     excess_predictability_from_positions,
-    ism_sort_key,
     mean_abs_error,
     modified_sharpe,
     ols_fit,
@@ -170,11 +171,45 @@ class TestModifiedSharpe:
             scaled = modified_sharpe(equity_curves(c * pred, c * actual))
             assert scaled == pytest.approx(base, rel=1e-9)
 
+    # one month's move: none, one to three doubles up or down (the smallest
+    # nonzero log returns), or a relative change of up to 20%
+    MOVES = st.one_of(st.just(("flat", 0)), st.tuples(st.just("ulps"), st.integers(-3, 3)),
+                      st.tuples(st.just("rel"), st.floats(-0.2, 0.2)))
+
+    @staticmethod
+    def moved(level, move):
+        kind, size = move
+        if kind == "ulps":
+            for _ in range(abs(size)):
+                level = float(np.nextafter(level, math.copysign(math.inf, size)))
+            return level
+        return level * (1.0 + size) if kind == "rel" else level
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.floats(1e-3, 1e3), months=st.lists(st.tuples(MOVES, st.booleans()),
+                                                       min_size=2, max_size=30))
+    def test_perfect_exactly_without_failures(self, start, months):
+        actual = [start]
+        for move, _ in months:
+            actual.append(self.moved(actual[-1], move))
+        actual = np.array(actual)
+        report = equity_curves(forecasts_for_positions(actual, [1 if up else -1
+                                                               for _, up in months]), actual)
+        if not report.pe.any():  # no move at all
+            with pytest.raises(ZeroPerfectSlope):
+                modified_sharpe(report)
+            return
+        ism = modified_sharpe(report)
+        if report.failures:
+            assert math.isfinite(ism) and ism is not PERFECT_STRATEGY
+        else:
+            assert ism is PERFECT_STRATEGY and report.ism is PERFECT_STRATEGY
+
     def test_sentinel_ordering(self):
         assert PERFECT_STRATEGY > 1e18
         assert not (PERFECT_STRATEGY < 5.0)
-        assert ism_sort_key(PERFECT_STRATEGY) == math.inf
-        assert sorted([2.0, PERFECT_STRATEGY, -1.0], key=ism_sort_key)[-1] is PERFECT_STRATEGY
+        assert PERFECT_STRATEGY == math.inf
+        assert sorted([2.0, PERFECT_STRATEGY, -1.0])[-1] is PERFECT_STRATEGY
 
 
 class TestMeanAbsError:

@@ -18,7 +18,7 @@ from spreadnet.errors import (
     TooFewRows,
 )
 from spreadnet import neural
-from spreadnet.metrics import ism_sort_key
+from spreadnet.metrics import PERFECT_STRATEGY
 from spreadnet.neural import (
     AffineMap,
     NetworkModel,
@@ -192,12 +192,25 @@ class TestMultiRestart:
         results = multi_restart_train(matrix, TrainConfig(restarts=1), scorer)
         assert len(results) == 1
 
+    @settings(max_examples=30, deadline=None)
+    @given(scores=st.lists(st.one_of(st.just(PERFECT_STRATEGY), st.sampled_from([0.0, -0.0, 1.5]),
+                                     st.floats(allow_nan=False)), min_size=1, max_size=8))
+    def test_ranks_by_score_then_seed(self, scores):
+        # a scorer that hands out drawn floats, repeats and +inf included
+        matrix = make_matrix(n_rows=40, seed=14)
+        cfg = TrainConfig(restarts=len(scores), rng_seed=9, cycles=2)
+        results = multi_restart_train(matrix, cfg, lambda models, test_part: list(scores))
+        seeds = [int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
+        want = sorted(zip(seeds, scores), key=lambda pair: (-pair[1], pair[0]))
+        assert [r.seed for r in results] == [seed for seed, _ in want]
+        assert all(r.score is score for r, (_, score) in zip(results, want))
+
     def test_top_beats_median(self):
         matrix = make_matrix(n_rows=60, seed=11, noise=0.5)
         from spreadnet.scoring import ism_scorer
 
         results = multi_restart_train(matrix, TrainConfig(restarts=20, rng_seed=3), ism_scorer)
-        keys = [ism_sort_key(r.score) for r in results]
+        keys = [r.score for r in results]
         assert keys[0] >= np.median(keys)
         assert keys == sorted(keys, reverse=True)
 
@@ -210,7 +223,7 @@ class TestMultiRestart:
         b = multi_restart_train(matrix, cfg, ism_scorer)
         assert [r.seed for r in a] == [r.seed for r in b]
         for ra, rb in zip(a, b):
-            assert ism_sort_key(ra.score) == ism_sort_key(rb.score)
+            assert ra.score == rb.score
 
     def test_distinct_derived_seeds(self):
         seeds = restart_seeds(123, 50)
@@ -250,10 +263,10 @@ class TestMultiRestart:
         assert len(partial) == 6
         assert [r.seed for r in partial] == [r.seed for r in survivors]
         for rp, rc in zip(partial, survivors):
-            assert ism_sort_key(rp.score) == ism_sort_key(rc.score)
+            assert rp.score == rc.score
             for wp, wc in zip(rp.model.weights, rc.model.weights):
                 assert np.array_equal(wp, wc)
-        keys = [(-ism_sort_key(r.score), r.seed) for r in partial]
+        keys = [(-r.score, r.seed) for r in partial]
         assert keys == sorted(keys)
 
     def test_train_raises_on_nonfinite_initial_loss(self, monkeypatch):
@@ -459,7 +472,7 @@ class TestMultiMatrix:
             assert [r.seed for r in got] == [r.seed for r in want]
             assert not poisoned & {r.seed for r in got}
             for g, w in zip(got, want):
-                assert ism_sort_key(g.score) == ism_sort_key(w.score)
+                assert g.score == w.score
                 assert_same_weights(g.model, w.model.weights)
             best = train(split(matrix, cfg)[0], cfg, seed=got[0].seed)
             assert_same_weights(got[0].model, best.weights)

@@ -587,6 +587,21 @@ class TestCli:
         assert "forecast 2005-11" in out
         assert "member votes up" in out
 
+    def test_stage_commands_print_the_summary_scores(self, tmp_path, capsys):
+        # select and master print each score as summary.txt does (ISM=perfect, not inf)
+        _, config_path = write_demo_workspace(tmp_path, restarts=1, enabled_sets=[7])
+        assert cli_main(["master", "-c", str(config_path), "--run-dir", str(tmp_path / "a")]) == 0
+        printed_master = next(line for line in capsys.readouterr().out.splitlines()
+                              if line.startswith("master: "))
+        assert cli_main(["report", "--run", str(tmp_path / "a")]) == 0
+        summary = (tmp_path / "a" / "reports" / "summary.txt").read_text().splitlines()
+        assert printed_master == summary[-1]
+        assert cli_main(["select", "-c", str(config_path), "--run-dir", str(tmp_path / "b")]) == 0
+        printed_members = [line.strip() for line in capsys.readouterr().out.splitlines()
+                           if "ISM=" in line]
+        ranked = summary[summary.index("selected members (rank order)") + 1:-2]
+        assert printed_members == [line.strip() for line in ranked]
+
     def test_preprocess_exports_matrices(self, tmp_path, capsys):
         _, config_path = write_demo_workspace(tmp_path, enabled_sets=[3, 7])
         code = cli_main([
@@ -696,6 +711,40 @@ class TestCli:
          f"{MANIFEST_NAME} lacks config"),
         ("predict", MANIFEST_NAME, lambda r: r.pop("config") and r, 8,
          f"{MANIFEST_NAME} lacks 'config'"),
+        # a value of the wrong JSON kind
+        ("predict", SERVE_NAME, lambda r: r["members"][0].update(lag="x") or r, 8,
+         f"{SERVE_NAME} holds 'x' at members.0.lag, not an integer"),
+        ("predict", SERVE_NAME, lambda r: r["members"][0].update(lag=True) or r, 8,
+         f"{SERVE_NAME} holds a bool at members.0.lag, not an integer"),
+        ("predict", SERVE_NAME, lambda r: r["members"][1].update(input_names=5) or r, 8,
+         f"{SERVE_NAME} holds a int at members.1.input_names, "
+         "not a JSON array, each item a string"),
+        ("predict", SERVE_NAME, lambda r: r["members"][0].update(input_names=["a", 5]) or r, 8,
+         f"{SERVE_NAME} holds a list at members.0.input_names, not a JSON array"),
+        ("predict", SERVE_NAME, lambda r: r["members"][0].update(output_recipe="normalised") or r,
+         8, f"{SERVE_NAME} holds 'normalised' at members.0.output_recipe, not "
+         '"raw" or "normalized"'),
+        ("predict", SERVE_NAME, lambda r: r["members"][0].update(name=None) or r, 8,
+         f"{SERVE_NAME} holds a NoneType at members.0.name, not a string"),
+        ("predict", SERVE_NAME, lambda r: r["master"].update(model_path=5) or r, 8,
+         f"{SERVE_NAME} holds a int at master.model_path, not a string"),
+        ("predict", MANIFEST_NAME, lambda r: r["master"].update(model_path=5) or r, 8,
+         f"{MANIFEST_NAME} holds a int at master.model_path, not a string"),
+        ("predict", MANIFEST_NAME, lambda r: r["candidates"][2].update(lag="x") or r, 8,
+         f"{MANIFEST_NAME} holds 'x' at candidates.2.lag, not an integer"),
+        # what report reads of a manifest
+        ("report", MANIFEST_NAME, lambda r: [c.pop("hit_rate") for c in r["candidates"]] and r, 7,
+         f"{MANIFEST_NAME} lacks candidates.0.hit_rate, candidates.1.hit_rate"),
+        ("report", MANIFEST_NAME, lambda r: [c.pop("test_months") for c in r["candidates"]] and r,
+         7, f"{MANIFEST_NAME} lacks candidates.0.test_months, candidates.1.test_months"),
+        ("report", MANIFEST_NAME, lambda r: r.update(members=5) or r, 7,
+         f"{MANIFEST_NAME} holds a int at members, not a JSON array, each item a string"),
+        ("report", MANIFEST_NAME, lambda r: r.update(frame=[1]) or r, 7,
+         f"{MANIFEST_NAME} holds a list at frame, not a JSON object"),
+        ("report", MANIFEST_NAME, lambda r: r["master"].update(ism="inf") or r, 7,
+         f"{MANIFEST_NAME} holds 'inf' at master.ism, not a number or " '"perfect"'),
+        ("report", MANIFEST_NAME, lambda r: r["candidates"].insert(1, 5) or r, 7,
+         f"{MANIFEST_NAME} holds a int at candidates.1, not a JSON object"),
     ])
     def test_empty_run_record_exit_code(self, small_run, tmp_path, capsys,
                                         command, name, edit, code, problem):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spreadnet.errors import SpreadnetError
-from spreadnet.metrics import PERFECT_STRATEGY, equity_curves, ism_sort_key, modified_sharpe
+from spreadnet.metrics import PERFECT_STRATEGY, equity_curves, modified_sharpe
 from spreadnet.neural import AffineMap, NetworkModel, predict
 from spreadnet.preprocess import NORMALIZED_OUTPUT, RAW_OUTPUT, TrainingMatrix, denormalize_output
 from spreadnet.scoring import ism_scorer
@@ -43,11 +43,11 @@ def perfect_levels(recipe, predicted, first):
 
 
 def one_by_one(models, test_part):
-    """Each model's ISM key scored alone, or the type of the error the first raises."""
+    """Each model's ISM scored alone, or the type of the error the first raises."""
     try:
-        return [ism_sort_key(modified_sharpe(equity_curves(
+        return [modified_sharpe(equity_curves(
             test_part.denormalize_predictions(predict(model, test_part.inputs)),
-            test_part.output_levels))) for model in models]
+            test_part.output_levels)) for model in models]
     except SpreadnetError as exc:
         return type(exc)
 
@@ -103,7 +103,7 @@ def test_batched_equals_one_by_one(seed, recipe, n_inputs, hidden, rows, specs):
             ism_scorer(models, test_part)
         return
     scores = ism_scorer(models, test_part)
-    assert [ism_sort_key(s) for s in scores] == want
+    assert scores == want
     for model, score in zip(models, scores):
         if model is perfect:
             assert score is PERFECT_STRATEGY
@@ -124,5 +124,5 @@ def test_positions_one_call_apart():
     models.append(models[0])
     scores = ism_scorer(models, test_part)
     assert len(set(scores[:-1])) == rows
-    assert [ism_sort_key(s) for s in scores] == one_by_one(models, test_part)
+    assert scores == one_by_one(models, test_part)
 
