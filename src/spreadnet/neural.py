@@ -15,7 +15,10 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -370,8 +373,18 @@ def _prepare(train_data: TrainingMatrix) -> _Prepared:
     )
 
 
+def _model(prep: _Prepared, weights: list[np.ndarray]) -> NetworkModel:
+    """The network with these trained weights on the scalings of ``prep``."""
+    return NetworkModel(
+        layer_sizes=(prep.n_inputs, *(w.shape[0] for w in weights)),
+        weights=tuple(weights),
+        input_scaling=prep.input_scaling,
+        output_scaling=prep.output_scaling,
+    )
+
+
 def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int],
-                 histories: list[list] | None = None) -> list[NetworkModel | None]:
+                 histories: list[list] | None = None) -> list[list[np.ndarray] | None]:
     """Train one network per (batch, seed) pair, all in lockstep on stacked weights.
 
     ``preps[i]`` is the training batch of restart i. The batches may come
@@ -389,7 +402,8 @@ def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int],
 
     A restart leaves the stack, with its batch, when it stops, so its
     weights are exactly those it would reach trained alone. The result
-    holds None for a restart whose initial loss is non-finite.
+    holds each restart's final weight matrices, one per layer, or None for
+    a restart whose initial loss is non-finite.
     ``histories[i]``, when given, receives restart i's loss after every
     epoch, accepted or rejected.
 
@@ -451,15 +465,7 @@ def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int],
     weights, idx = state[:n_layers], state[-1]
     for k, i in enumerate(idx):
         finals[i] = [w[k].copy() for w in weights]
-    return [
-        None if f is None else NetworkModel(
-            layer_sizes=sizes,
-            weights=tuple(f),
-            input_scaling=p.input_scaling,
-            output_scaling=p.output_scaling,
-        )
-        for p, f in zip(preps, finals)
-    ]
+    return finals
 
 
 def train(
@@ -480,19 +486,21 @@ def train(
     """
     prep = _prepare(train_data)
     seed = cfg.rng_seed if seed is None else int(seed)
-    (model,) = _train_stack([prep], cfg, [seed], None if history is None else [history])
-    if model is None:
+    (weights,) = _train_stack([prep], cfg, [seed], None if history is None else [history])
+    if weights is None:
         raise DivergedTraining("initial loss is non-finite")
-    return model
+    return _model(prep, weights)
 
 
 # ---------------------------------------------------------------------------
 # Multi-restart search
 # ---------------------------------------------------------------------------
 
-# Restarts per stacked training call. Cost per restart is flat from about
-# 40 restarts up, while the working arrays (and peak memory) grow with the
-# block, so a fixed block keeps memory bounded at any restart count.
+# Most restarts per stacked training call. Cost per restart is flat from
+# about 40 restarts up, while the working arrays (and peak memory) grow with
+# the block, so a bounded block keeps memory bounded at any restart count.
+# A shape group smaller than one block per worker is cut into one block per
+# worker instead, so every CPU gets work; at one CPU the blocks are these.
 RESTART_BLOCK = 256
 
 
@@ -523,12 +531,14 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     """Train ``cfg.restarts`` seeded networks per matrix and rank each matrix's.
 
     Every (matrix, seed) pair whose training batch has the same shape, under
-    the same regime, trains in one stack, in blocks of ``RESTART_BLOCK``
-    restarts; each restart's weights are bit-identical to ``train`` with its
-    seed. ``scorer(models, test_part)`` is called once per matrix with the
-    models of its trained restarts and returns their out-of-sample scores
-    in the same order (higher is better; PERFECT_STRATEGY, +inf, ranks
-    first). Restarts whose initial loss is non-finite are skipped.
+    the same regime, trains in one stack, in blocks of at most
+    ``RESTART_BLOCK`` restarts (see ``_train_blocks``); each restart's
+    weights are bit-identical to ``train`` with its seed, whichever block
+    and process it trains in. ``scorer(models, test_part)`` is called in
+    this process, once per matrix, with the models of its trained restarts
+    and returns their out-of-sample scores in the same order (higher is
+    better; PERFECT_STRATEGY, +inf, ranks first). Restarts whose initial
+    loss is non-finite are skipped.
     Each matrix's list is sorted by descending score with the seed as a
     deterministic tiebreak.
 
@@ -553,14 +563,18 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     for j, (prep, cfg) in enumerate(zip(preps, cfgs)):
         key = (prep.aug0.shape, replace(cfg, rng_seed=0, restarts=1))
         groups.setdefault(key, []).extend((j, r) for r in range(cfg.restarts))
-    models = [[None] * cfg.restarts for cfg in cfgs]
+    workers = _worker_count()
+    blocks = []
     for pairs in groups.values():
-        for start in range(0, len(pairs), RESTART_BLOCK):
-            block = pairs[start:start + RESTART_BLOCK]
-            trained = _train_stack([preps[j] for j, _ in block], cfgs[block[0][0]],
-                                   [seeds[j][r] for j, r in block])
-            for (j, r), model in zip(block, trained):
-                models[j][r] = model
+        size = min(RESTART_BLOCK, -(-len(pairs) // workers))
+        blocks += [pairs[start:start + size] for start in range(0, len(pairs), size)]
+    finals = _train_blocks([[preps[j] for j, _ in block] for block in blocks],
+                           [cfgs[block[0][0]] for block in blocks],
+                           [[seeds[j][r] for j, r in block] for block in blocks], workers)
+    models = [[None] * cfg.restarts for cfg in cfgs]
+    for block, weights in zip(blocks, finals):
+        for (j, r), w in zip(block, weights):
+            models[j][r] = None if w is None else _model(preps[j], w)
 
     rankings = []
     for test_part, cfg, matrix_seeds, trained in zip(tests, cfgs, seeds, models):
@@ -575,6 +589,35 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     if failure is not None:
         raise failure
     return rankings
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on; 1 where ``fork`` is unavailable."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _train_blocks(batches: list[list[_Prepared]], cfgs: list[TrainConfig],
+                  seeds: list[list[int]], workers: int) -> list[list]:
+    """``_train_stack`` on each block (its batches, regime and seeds), in block order.
+
+    With more than one block and worker the blocks run in a pool of forked
+    processes, at most one per block, that lives only inside this call: a
+    worker's exception reaches the caller as its own type once the pool has
+    shut down. Children are forked, not spawned, so they train with the
+    functions this process holds, patched ones included. They return weight
+    arrays, not models: pickling skips ``NetworkModel``'s read-only freeze,
+    so the caller builds the models from its own batches.
+    """
+    workers = min(workers, len(cfgs))
+    if workers <= 1:
+        return list(map(_train_stack, batches, cfgs, seeds))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_train_stack, batches, cfgs, seeds))
 
 
 # ---------------------------------------------------------------------------

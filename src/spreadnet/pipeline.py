@@ -511,9 +511,13 @@ def build_manifest(result: RunResult) -> dict:
 
 
 def _member_entries(manifest: dict) -> list[dict]:
+    """Each member's candidate entry, in rank order. A manifest without
+    ``members`` raises the KeyError, which its reader turns into a named
+    failure; a member without an entry raises IncompleteManifest."""
     by_name = {c["name"]: c for c in manifest.get("candidates", [])}
+    names = manifest["members"]
     try:
-        return [by_name[name] for name in manifest["members"]]
+        return [by_name[name] for name in names]
     except KeyError as exc:
         raise IncompleteManifest(f"manifest lacks member entry {exc}") from exc
 
@@ -686,8 +690,16 @@ def load_run(run_dir: str | Path) -> dict:
     if not path.exists():
         raise MissingFile(f"no {MANIFEST_NAME} in {run_dir}")
     # every top-level part is optional: a partial run lacks some
-    return _checked_record(_read_record(path), path, _MANIFEST_KEYS,
-                           {"candidates": _CANDIDATE_KEYS, "master": _MASTER_KEYS}, required=False)
+    manifest = _checked_record(_read_record(path), path, _MANIFEST_KEYS,
+                               {"candidates": _CANDIDATE_KEYS, "master": _MASTER_KEYS},
+                               required=False)
+    for where, entry in (*_places(manifest, "candidates"), *_places(manifest, "master")):
+        counts = [len(entry[key]) for key in _SERIES_KEYS]
+        if min(counts) == 0 or len(set(counts)) > 1:
+            held = ", ".join(f"{n} {key}" for n, key in zip(counts, _SERIES_KEYS))
+            raise IncompleteManifest(f"{path} holds {held} at {where}, "
+                                     "not one non-empty length")
+    return manifest
 
 
 def _read_record(path: Path) -> dict:
@@ -710,6 +722,8 @@ _MASTER_KEYS = {"model_path": str, "ism": float | typing.Literal["perfect"],
                 "norm_ep": float | None, "hit_rate": float, "test_months": list[str],
                 "predicted_levels": list[float], "actual_levels": list[float]}
 _CANDIDATE_KEYS = {**_SERVE_MEMBER_KEYS, "base_set": int, "lag_swept": bool, **_MASTER_KEYS}
+# a scored fit's series, which reports read in step, one entry per test month
+_SERIES_KEYS = ("test_months", "predicted_levels", "actual_levels")
 
 
 def _is(value, kind) -> bool:
@@ -759,13 +773,18 @@ def _checked_record(record: dict, path: Path, keys: dict, parts: dict, required=
         raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
     missing = []
     for key, kinds in parts.items():
-        value = record.get(key, ())
-        for where, entry in ([(key, value)] if isinstance(value, dict)
-                             else ((f"{key}.{i}", e) for i, e in enumerate(value))):
+        for where, entry in _places(record, key):
             missing += _missing(_expect(entry, dict, path, where), kinds, path, f"{where}.")
     if missing:
         raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
     return record
+
+
+def _places(record: dict, key: str) -> list[tuple[str, object]]:
+    """The object at ``key``, or each item of the array there, with its dotted place."""
+    value = record.get(key, ())
+    return [(key, value)] if isinstance(value, dict) else [
+        (f"{key}.{i}", e) for i, e in enumerate(value)]
 
 
 def _missing(entry: dict, kinds: dict, path: Path, where: str = "") -> list[str]:

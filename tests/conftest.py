@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from spreadnet import pipeline
+from spreadnet import neural, pipeline
 from spreadnet.demo import synthetic_series
 from spreadnet.preprocess import TrainingMatrix
 from spreadnet.series import align, parse_month
@@ -30,6 +32,42 @@ def strict_run_records():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "_write_json", write_checked)
         yield
+
+
+_THREADED_FORKS: list[str] = []
+
+
+def _note_threads_at_fork():
+    others = [t.name for t in threading.enumerate() if t is not threading.current_thread()]
+    if others:
+        _THREADED_FORKS.append(", ".join(others))
+
+
+os.register_at_fork(before=_note_threads_at_fork)
+
+
+@pytest.fixture(autouse=True)
+def no_fork_while_threads_run():
+    """No test forks while another Python thread runs: the child would get a
+    copy of every lock that thread held, and no thread to release it."""
+    yield
+    forks = list(_THREADED_FORKS)
+    _THREADED_FORKS.clear()
+    assert not forks, f"forked while these threads ran: {forks}"
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each training pool the test starts, in order."""
+    started = []
+
+    class Recorded(neural.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(neural, "ProcessPoolExecutor", Recorded)
+    return started
 
 
 @pytest.fixture(scope="session")

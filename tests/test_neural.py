@@ -1,6 +1,7 @@
 """Forward pass, training behaviour, restarts, gradients, serialization."""
 
 import json
+import multiprocessing
 import sys
 
 import numpy as np
@@ -321,9 +322,9 @@ def rejections_per_epoch(histories):
             for e in range(1, max(map(len, histories)))]
 
 
-def assert_same_weights(model, weights):
-    assert len(model.weights) == len(weights)
-    for got, want in zip(model.weights, weights):
+def assert_same_weights(weights, want_weights):
+    assert len(weights) == len(want_weights)
+    for got, want in zip(weights, want_weights):
         assert np.array_equal(got, want)
 
 
@@ -350,15 +351,15 @@ class TestStackedKernel:
         prep = neural._prepare(matrix)
         whole = neural._train_stack([prep] * len(seeds), cfg, seeds)
         bounds = [0] + sorted({c for c in cuts if c < len(seeds)}) + [len(seeds)]
-        pieces = [m for a, b in zip(bounds, bounds[1:])
-                  for m in neural._train_stack([prep] * (b - a), cfg, seeds[a:b])]
+        pieces = [w for a, b in zip(bounds, bounds[1:])
+                  for w in neural._train_stack([prep] * (b - a), cfg, seeds[a:b])]
         for seed, in_whole, in_piece in zip(seeds, whole, pieces):
             history: list = []
             alone = train(matrix, cfg, seed=seed, history=history)
             want_weights, want_history = oracle_train(prep, cfg, seed)
             assert history == want_history
-            for model in (alone, in_whole, in_piece):
-                assert_same_weights(model, want_weights)
+            for weights in (alone.weights, in_whole, in_piece):
+                assert_same_weights(weights, want_weights)
 
     def test_early_stop_paths_differ_per_restart(self):
         # a loose stop criterion: restarts leave the stack at different epochs
@@ -367,14 +368,14 @@ class TestStackedKernel:
         prep = neural._prepare(matrix)
         seeds = [int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
         histories = [[] for _ in seeds]
-        models = neural._train_stack([prep] * len(seeds), cfg, seeds, histories)
+        finals = neural._train_stack([prep] * len(seeds), cfg, seeds, histories)
         lengths = {len(h) for h in histories}
         assert min(lengths) < cfg.cycles and len(lengths) > 1
         assert {False} in rejections_per_epoch(histories)  # an epoch where every restart accepts
-        for seed, model, history in zip(seeds, models, histories):
+        for seed, weights, history in zip(seeds, finals, histories):
             want_weights, want_history = oracle_train(prep, cfg, seed)
             assert history == want_history
-            assert_same_weights(model, want_weights)
+            assert_same_weights(weights, want_weights)
 
     def test_reject_and_halve_path(self):
         # an oversized rate: early steps overshoot, are rejected and halved
@@ -383,28 +384,32 @@ class TestStackedKernel:
         prep = neural._prepare(matrix)
         seeds = [int(s) for s in restart_seeds(3, cfg.restarts)]
         histories = [[] for _ in seeds]
-        models = neural._train_stack([prep] * len(seeds), cfg, seeds, histories)
-        for seed, model, history in zip(seeds, models, histories):
+        finals = neural._train_stack([prep] * len(seeds), cfg, seeds, histories)
+        for seed, weights, history in zip(seeds, finals, histories):
             want_weights, want_history = oracle_train(prep, cfg, seed)
             assert history == want_history
             assert any(a == b for a, b in zip(history, history[1:]))  # a rejected epoch
-            assert_same_weights(model, want_weights)
+            assert_same_weights(weights, want_weights)
         # an epoch in which some restarts reject while others accept: a per-restart select
         assert {True, False} in rejections_per_epoch(histories)
 
-    def test_multi_restart_blocks_match_oracle(self, monkeypatch):
-        # seeds fed in blocks of 3: the block boundary changes no bit
+    @pytest.mark.parametrize("workers, started", [(1, []), (2, [2])])
+    def test_multi_restart_blocks_match_oracle(self, monkeypatch, pools, workers, started):
+        # seeds fed in blocks of 3: the block boundary, and the process a
+        # block trains in, change no bit
         from spreadnet.scoring import ism_scorer
 
         matrix = make_matrix(n_rows=40, seed=23, noise=0.4)
         cfg = TrainConfig(cycles=50, restarts=7, rng_seed=4)
         monkeypatch.setattr(neural, "RESTART_BLOCK", 3)
+        monkeypatch.setattr(neural, "_worker_count", lambda: workers)
         results = multi_restart_train(matrix, cfg, ism_scorer)
+        assert pools == started
         prep = neural._prepare(split(matrix, cfg)[0])
         assert sorted(r.seed for r in results) == sorted(
             int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts))
         for r in results:
-            assert_same_weights(r.model, oracle_train(prep, cfg, r.seed)[0])
+            assert_same_weights(r.model.weights, oracle_train(prep, cfg, r.seed)[0])
 
 
 @st.composite
@@ -445,8 +450,9 @@ class TestMultiMatrix:
         stop_error=st.sampled_from([0.1, 0.2, 0.3]),
         block=st.integers(1, 6),
         poison=st.lists(st.integers(0, 19), max_size=3),
+        workers=st.sampled_from([1, 2]),
     )
-    def test_grouped_equals_alone(self, specs, restarts, stop_error, block, poison):
+    def test_grouped_equals_alone(self, specs, restarts, stop_error, block, poison, workers):
         from spreadnet.scoring import ism_scorer
 
         matrices = [make_matrix(n_rows=n, n_inputs=k, seed=j, noise=0.4)
@@ -460,8 +466,11 @@ class TestMultiMatrix:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neural, "RESTART_BLOCK", block)
             TestMultiRestart.poison_seeds(mp, poisoned)
+            # grouped in blocks over the drawn number of worker processes
+            mp.setattr(neural, "_worker_count", lambda: workers)
             got_error, grouped = first_error_and_rankings(
                 lambda: neural.multi_matrix_train(matrices, cfgs, ism_scorer))
+            mp.setattr(neural, "_worker_count", lambda: 1)
             want_error, alone = first_error_and_rankings(
                 lambda: [multi_restart_train(m, cfg, ism_scorer)
                          for m, cfg in zip(matrices, cfgs)])
@@ -473,9 +482,9 @@ class TestMultiMatrix:
             assert not poisoned & {r.seed for r in got}
             for g, w in zip(got, want):
                 assert g.score == w.score
-                assert_same_weights(g.model, w.model.weights)
+                assert_same_weights(g.model.weights, w.model.weights)
             best = train(split(matrix, cfg)[0], cfg, seed=got[0].seed)
-            assert_same_weights(got[0].model, best.weights)
+            assert_same_weights(got[0].model.weights, best.weights)
 
     @pytest.mark.parametrize("faults, expected", [
         (["ok", "constant", "short"], ConstantOutput),
@@ -501,6 +510,81 @@ class TestMultiMatrix:
             for s in restart_seeds(cfg.rng_seed, cfg.restarts)})
         with pytest.raises(expected):
             neural.multi_matrix_train(matrices, cfgs, ism_scorer)
+
+
+class Poisoned(Exception):
+    """Raised by a kernel a test has poisoned."""
+
+
+class TestWorkerPool:
+    """Blocks trained in forked workers: the same models, and no process left behind."""
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, pools):
+        def poisoned(*args):
+            raise Poisoned("poisoned kernel")
+
+        monkeypatch.setattr(neural, "_worker_count", lambda: 2)
+        monkeypatch.setattr(neural, "_epoch_math", poisoned)  # the forked workers inherit it
+        with pytest.raises(Poisoned, match="poisoned kernel"):
+            multi_restart_train(make_matrix(n_rows=40, seed=30), TrainConfig(restarts=4),
+                                lambda models, test_part: [0.0] * len(models))
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_models_are_read_only(self, monkeypatch, pools):
+        from spreadnet.scoring import ism_scorer
+
+        monkeypatch.setattr(neural, "_worker_count", lambda: 2)
+        results = multi_restart_train(make_matrix(n_rows=40, seed=31, noise=0.4),
+                                      TrainConfig(cycles=30, restarts=4), ism_scorer)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        for r in results:
+            for w in r.model.weights:
+                assert not w.flags.writeable
+                with pytest.raises(ValueError):
+                    w[0, 0] = 1.0
+
+    @pytest.mark.parametrize("workers, block, sizes", [
+        (1, 256, [10, 6]),              # one CPU: the blocks of RESTART_BLOCK
+        (1, 4, [4, 4, 2, 4, 2]),
+        (3, 256, [4, 4, 2, 2, 2, 2]),   # one block per worker in each shape group
+        (64, 256, [1] * 16),            # more workers than restarts: one restart each
+        (3, 2, [2] * 5 + [2, 2, 2]),    # RESTART_BLOCK still bounds a block
+    ])
+    def test_blocks_split_per_worker(self, monkeypatch, workers, block, sizes):
+        # the split at any worker count, trained here in this process
+        from spreadnet.scoring import ism_scorer
+
+        matrices = [make_matrix(n_rows=24, n_inputs=k, seed=j, noise=0.4)
+                    for j, k in enumerate([2, 2, 3])]
+        cfgs = [TrainConfig(cycles=5, restarts=r, rng_seed=j) for j, r in enumerate([5, 5, 6])]
+        want = neural.multi_matrix_train(matrices, cfgs, ism_scorer)
+        real, seen = neural._train_blocks, []
+
+        def in_process(batches, block_cfgs, seeds, count):
+            seen.append((count, [len(s) for s in seeds]))
+            return real(batches, block_cfgs, seeds, 1)
+
+        monkeypatch.setattr(neural, "_worker_count", lambda: workers)
+        monkeypatch.setattr(neural, "RESTART_BLOCK", block)
+        monkeypatch.setattr(neural, "_train_blocks", in_process)
+        got = neural.multi_matrix_train(matrices, cfgs, ism_scorer)
+        assert seen == [(workers, sizes)]
+        for g, w in zip(got, want):
+            assert [r.seed for r in g] == [r.seed for r in w]
+            for rg, rw in zip(g, w):
+                assert_same_weights(rg.model.weights, rw.model.weights)
+
+    def test_worker_count(self, monkeypatch):
+        # the CPUs in this process's affinity mask, measured without starting a process
+        monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert neural._worker_count() == 3
+        monkeypatch.delattr(neural.os, "sched_getaffinity")
+        monkeypatch.setattr(neural.os, "cpu_count", lambda: 6)
+        assert neural._worker_count() == 6
+        monkeypatch.setattr(neural.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert neural._worker_count() == 1
 
 
 class TestGradientCheck:

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import multiprocessing
 import re
 import shutil
 from dataclasses import replace
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadnet import preprocess
+from spreadnet import neural, preprocess
 from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
 from spreadnet.errors import (
     ConstantOutput,
+    DivergedTraining,
     IncompleteManifest,
     NonPositiveValue,
     PipelineStageError,
@@ -98,6 +100,11 @@ def with_csv_edit(config, directory, edit):
     for entry in data["data"]["variables"].values():
         entry["path"] = str(target)
     return PipelineConfig.from_dict(data)
+
+
+def first_member(manifest: dict) -> dict:
+    """The candidate entry of the manifest's first member."""
+    return next(c for c in manifest["candidates"] if c["name"] == manifest["members"][0])
 
 
 @pytest.fixture(scope="session")
@@ -524,6 +531,37 @@ class TestDeterminism:
         ma.pop("created_at"), mb.pop("created_at")
         assert json.dumps(ma, sort_keys=True) == json.dumps(mb, sort_keys=True)
 
+    def test_one_and_two_workers_write_the_same_run(self, tmp_path, monkeypatch, pools):
+        _, config_path = write_demo_workspace(
+            tmp_path, restarts=3, enabled_sets=[1, 7, 10], rng_seed=13
+        )
+        config = PipelineConfig.from_file(config_path)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(neural, "_worker_count", lambda: workers)
+            run = run_pipeline(config, run_dir=tmp_path / f"workers-{workers}").run_dir
+            assert multiprocessing.active_children() == []
+            files = {p.relative_to(run).as_posix(): p.read_bytes()
+                     for p in sorted(run.rglob("*")) if p.is_file()}
+            manifest = json.loads(files.pop(MANIFEST_NAME))
+            manifest.pop("created_at")
+            runs.append((files, manifest))
+        assert pools == [2, 2]  # the train stage's pool, then the master's
+        assert runs[0] == runs[1]
+
+    def test_failing_worker_fails_the_train_stage(self, tmp_path, monkeypatch, pools):
+        def poisoned(*args):
+            raise DivergedTraining("poisoned kernel")
+
+        monkeypatch.setattr(neural, "_worker_count", lambda: 2)
+        monkeypatch.setattr(neural, "_epoch_math", poisoned)
+        _, config_path = write_demo_workspace(tmp_path, restarts=2, enabled_sets=[7])
+        with pytest.raises(PipelineStageError, match="poisoned kernel") as info:
+            run_pipeline(PipelineConfig.from_file(config_path), run_dir=tmp_path / "run")
+        assert info.value.stage == "train"
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
 
 class TestCli:
     def test_validate(self, small_run, capsys):
@@ -564,7 +602,7 @@ class TestCli:
     def test_report_on_disjoint_member_windows(self, small_run, tmp_path, capsys):
         _, _, result = small_run
         manifest = load_run(result.run_dir)
-        first = next(c for c in manifest["candidates"] if c["name"] == manifest["members"][0])
+        first = first_member(manifest)
         first["test_months"] = [format_month(parse_month(m) + 240) for m in first["test_months"]]
         run = tmp_path / "run"
         run.mkdir()
@@ -745,6 +783,18 @@ class TestCli:
          f"{MANIFEST_NAME} holds 'inf' at master.ism, not a number or " '"perfect"'),
         ("report", MANIFEST_NAME, lambda r: r["candidates"].insert(1, 5) or r, 7,
          f"{MANIFEST_NAME} holds a int at candidates.1, not a JSON object"),
+        # series that reports pair up month by month: one length, at least one month
+        ("report", MANIFEST_NAME, lambda r: first_member(r)["test_months"].clear() or r, 7,
+         "holds 0 test_months, 36 predicted_levels, 36 actual_levels at candidates."),
+        ("report", MANIFEST_NAME, lambda r: first_member(r)["test_months"].__delitem__(slice(3, None)) or r,
+         7,
+         "holds 3 test_months, 36 predicted_levels, 36 actual_levels at candidates."),
+        ("report", MANIFEST_NAME, lambda r: r["master"]["actual_levels"].pop() and r, 7,
+         f"{MANIFEST_NAME} holds 15 test_months, 15 predicted_levels, 14 actual_levels at "
+         "master, not one non-empty length"),
+        # a manifest-only run with a master but no members
+        ("predict", MANIFEST_NAME, lambda r: r.pop("members") and r, 8,
+         f"{MANIFEST_NAME} lacks 'members'"),
     ])
     def test_empty_run_record_exit_code(self, small_run, tmp_path, capsys,
                                         command, name, edit, code, problem):
