@@ -20,6 +20,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -504,11 +507,11 @@ def train(
 RESTART_BLOCK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestartResult:
-    """One restart's trained model, its out-of-sample score, and its seed."""
+    """One restart's out-of-sample score and seed; the winner also carries its model."""
 
-    model: NetworkModel
+    model: NetworkModel | None  # set on a matrix's best restart only
     score: float  # PERFECT_STRATEGY (+inf) for a failure-free strategy
     seed: int
 
@@ -534,13 +537,20 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     the same regime, trains in one stack, in blocks of at most
     ``RESTART_BLOCK`` restarts (see ``_train_blocks``); each restart's
     weights are bit-identical to ``train`` with its seed, whichever block
-    and process it trains in. ``scorer(models, test_part)`` is called in
-    this process, once per matrix, with the models of its trained restarts
-    and returns their out-of-sample scores in the same order (higher is
-    better; PERFECT_STRATEGY, +inf, ranks first). Restarts whose initial
-    loss is non-finite are skipped.
-    Each matrix's list is sorted by descending score with the seed as a
-    deterministic tiebreak.
+    and process it trains in. Restarts whose initial loss is non-finite are
+    skipped.
+
+    The scorer runs where the block trained, in a worker process or here,
+    once per block and matrix: ``scorer(models, test_part)`` gets the
+    models of that matrix's trained restarts in the block and returns their
+    out-of-sample scores in the same order (higher is better;
+    PERFECT_STRATEGY, +inf, ranks first). It must be a pure function of
+    (models, test part), so a score does not depend on the block split. It
+    reaches the workers by fork, so it need not pickle.
+
+    Each matrix's list holds one result per trained restart, sorted by
+    descending score with the seed as a deterministic tiebreak. Only the
+    first, the winner, carries its model; the others are (score, seed).
 
     Errors come as if the matrices were trained one after another: the
     first matrix in input order that is too short to split, has a constant
@@ -568,27 +578,59 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     for pairs in groups.values():
         size = min(RESTART_BLOCK, -(-len(pairs) // workers))
         blocks += [pairs[start:start + size] for start in range(0, len(pairs), size)]
-    finals = _train_blocks([[preps[j] for j, _ in block] for block in blocks],
-                           [cfgs[block[0][0]] for block in blocks],
-                           [[seeds[j][r] for j, r in block] for block in blocks], workers)
-    models = [[None] * cfg.restarts for cfg in cfgs]
-    for block, weights in zip(blocks, finals):
-        for (j, r), w in zip(block, weights):
-            models[j][r] = None if w is None else _model(preps[j], w)
+    outcomes = _train_blocks([[preps[j] for j, _ in block] for block in blocks],
+                             [cfgs[block[0][0]] for block in blocks],
+                             [[seeds[j][r] for j, r in block] for block in blocks], workers,
+                             partial(_score_block, blocks, preps, tests, seeds, scorer))
 
+    scores = [[None] * cfg.restarts for cfg in cfgs]
+    bests: list[list[tuple]] = [[] for _ in cfgs]  # per matrix, each block's best
+    for block, (block_scores, block_bests) in zip(blocks, outcomes):
+        for (j, r), score in zip(block, block_scores):
+            scores[j][r] = score
+        for j, best in block_bests.items():
+            bests[j].append(best)
     rankings = []
-    for test_part, cfg, matrix_seeds, trained in zip(tests, cfgs, seeds, models):
-        kept = [(seed, model) for seed, model in zip(matrix_seeds, trained) if model is not None]
-        if not kept:
+    for j, cfg in enumerate(cfgs):
+        results = sorted((RestartResult(None, score, seed)
+                          for seed, score in zip(seeds[j], scores[j]) if score is not None),
+                         key=lambda r: _rank_key(r.score, r.seed))
+        if not results:
             raise AllDiverged(f"all {cfg.restarts} restarts diverged")
-        scores = scorer([model for _, model in kept], test_part)
-        results = [RestartResult(model=model, score=score, seed=seed)
-                   for (seed, model), score in zip(kept, scores, strict=True)]
-        results.sort(key=lambda r: (-r.score, r.seed))
+        # the best of the blocks' bests by the same key, a total order
+        _, weights = min(bests[j], key=itemgetter(0))
+        results[0] = replace(results[0], model=_model(preps[j], weights))
         rankings.append(results)
     if failure is not None:
         raise failure
     return rankings
+
+
+def _score_block(blocks, preps, tests, seeds, scorer, b: int, finals: list) -> tuple:
+    """Block ``b``'s trained restarts scored, one scorer call per matrix in it.
+
+    Returns each restart's score in block order (None where it diverged)
+    and, per matrix, its best restart in the block as
+    (``_rank_key``, weights).
+    """
+    block = blocks[b]
+    scores: list = [None] * len(block)
+    bests = {}
+    for j, positions in groupby(range(len(block)), key=lambda k: block[k][0]):
+        kept = [k for k in positions if finals[k] is not None]
+        if not kept:
+            continue
+        models = [_model(preps[j], finals[k]) for k in kept]
+        for k, score in zip(kept, scorer(models, tests[j]), strict=True):
+            scores[k] = score
+        bests[j] = min(((_rank_key(scores[k], seeds[j][block[k][1]]), finals[k]) for k in kept),
+                       key=itemgetter(0))
+    return scores, bests
+
+
+def _rank_key(score: float, seed: int) -> tuple:
+    """A restart's place in its matrix's ranking: higher score first, then lower seed."""
+    return -score, seed
 
 
 def _worker_count() -> int:
@@ -601,23 +643,41 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+# The running ``_train_blocks`` call's job, in a worker it forked.
+_job: tuple | None = None
+
+
+def _adopt(job: tuple) -> None:
+    global _job
+    _job = job
+
+
+def _run_block(b: int, job: tuple | None = None):
+    batches, cfgs, seeds, finish = _job if job is None else job
+    return finish(b, _train_stack(batches[b], cfgs[b], seeds[b]))
+
+
 def _train_blocks(batches: list[list[_Prepared]], cfgs: list[TrainConfig],
-                  seeds: list[list[int]], workers: int) -> list[list]:
-    """``_train_stack`` on each block (its batches, regime and seeds), in block order.
+                  seeds: list[list[int]], workers: int, finish) -> list:
+    """``finish(b, _train_stack(batches[b], cfgs[b], seeds[b]))`` for each block b, in order.
 
     With more than one block and worker the blocks run in a pool of forked
     processes, at most one per block, that lives only inside this call: a
     worker's exception reaches the caller as its own type once the pool has
     shut down. Children are forked, not spawned, so they train with the
-    functions this process holds, patched ones included. They return weight
-    arrays, not models: pickling skips ``NetworkModel``'s read-only freeze,
-    so the caller builds the models from its own batches.
+    functions this process holds, patched ones included. The job (batches,
+    regimes, seeds and ``finish``) reaches them by that fork, through the
+    pool's initializer, and is never pickled: only block numbers go out
+    and ``finish``'s results come back. Weight arrays that come back are
+    writable; the caller freezes what it keeps by building models.
     """
+    job = (batches, cfgs, seeds, finish)
     workers = min(workers, len(cfgs))
     if workers <= 1:
-        return list(map(_train_stack, batches, cfgs, seeds))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_train_stack, batches, cfgs, seeds))
+        return [_run_block(b, job) for b in range(len(cfgs))]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(job,)) as pool:
+        return list(pool.map(_run_block, range(len(cfgs))))
 
 
 # ---------------------------------------------------------------------------

@@ -70,13 +70,15 @@ def score_model(model: NetworkModel, test_part: TrainingMatrix) -> ModelScore:
 def ism_scorer(models: list[NetworkModel], test_part: TrainingMatrix) -> list[float]:
     """Ranking scorer for multi-restart training: each model's out-of-sample ISM.
 
-    One call scores all of a matrix's restarts, in the order given; it
-    skips the EP test and hit rate that ``score_model`` adds for the
-    winner. Each model is predicted on its own (``predict``), the stack of
-    predictions is denormalized in one call, and the ISM is computed once
-    per distinct long/short position vector: without ``months``,
-    ``equity_curves`` reads the predictions only through those positions,
-    so restarts that call every month alike share one exact score.
+    One call scores the models given, in order: a matrix's restarts in
+    one training block, in the worker that trained them. It skips the EP
+    test and hit rate that ``score_model`` adds for the winner. Each model
+    is predicted on its own (``predict``), the stack of predictions is
+    denormalized in one call, and the ISM is computed once per distinct
+    long/short position vector: without ``months``, ``equity_curves``
+    reads the predictions only through those positions, so restarts that
+    call every month alike share one exact score, in any split of the
+    models into calls.
     """
     actual = test_part.output_levels
     levels = test_part.denormalize_predictions(

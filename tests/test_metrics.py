@@ -27,8 +27,10 @@ from spreadnet.metrics import (
     excess_predictability_from_positions,
     mean_abs_error,
     modified_sharpe,
+    normal_cdf_percent,
     ols_fit,
     positions_from_forecasts,
+    two_sided_t_p,
     weighted_slope,
 )
 
@@ -255,7 +257,20 @@ class TestExcessPredictability:
         assert res.b_t == pytest.approx(b, abs=1e-15)
         assert res.variance_hat == pytest.approx(v, rel=1e-12)
         assert res.statistic == pytest.approx((a - b) / math.sqrt(v), rel=1e-12)
-        assert res.norm_ep == pytest.approx(stats.norm.cdf(res.statistic) * 100, rel=1e-12)
+        assert res.norm_ep == stats.norm.cdf(res.statistic) * 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(statistic=st.one_of(
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, 40.5, -40.5, 1e300, -1e300, 5e-324]),
+        st.floats(allow_nan=False)))
+    def test_norm_ep_bit_equals_scipy_stats(self, statistic):
+        got = normal_cdf_percent(statistic)
+        want = float(stats.norm.cdf(statistic)) * 100
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_norm_ep_of_nan_is_nan(self):
+        assert math.isnan(normal_cdf_percent(math.nan))
+        assert math.isnan(float(stats.norm.cdf(math.nan)))
 
     def test_antisymmetric_under_position_flip(self):
         rng = np.random.default_rng(21)
@@ -370,6 +385,28 @@ class TestOlsFit:
             )
             p = 2 * stats.t.sf(abs(slope / se), n - 2)
             assert res.p_value == pytest.approx(p, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 90), seed=st.integers(0, 2**16), slope=st.sampled_from([0.0, 0.3, 5.0]))
+    def test_p_value_bit_equals_scipy_stats(self, n, seed, slope):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        y = slope * x + rng.standard_normal(n)
+        res = ols_fit(x, y)
+        # the t statistic, computed as ols_fit computes it
+        x_c, y_c = x - x.mean(), y - y.mean()
+        sxx = float(np.dot(x_c, x_c))
+        b = float(np.dot(x_c, y_c)) / sxx
+        residuals = y_c - b * x_c
+        t = b / math.sqrt(float(np.dot(residuals, residuals)) / (n - 2) / sxx)
+        assert res.p_value == 2 * stats.t.sf(abs(t), n - 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, 40.5, -40.5, 1e300]),
+                       st.floats(allow_nan=False)),
+           df=st.one_of(st.integers(1, 5), st.integers(1, 10**6)))
+    def test_two_sided_t_p_bit_equals_scipy_stats(self, t, df):
+        assert two_sided_t_p(t, df) == 2 * float(stats.t.sf(abs(t), df))
 
     def test_probability_consistent_with_r_squared(self):
         # r^2 = 0.09 over n = 89 implies a slope t-stat near 2.933 and a

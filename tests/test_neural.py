@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -186,6 +187,42 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
 
 
+def table_scorer(table):
+    """A scorer that is a pure function of each model: the entry of ``table``
+    a checksum of the model's weights picks."""
+    def scorer(models, test_part):
+        return [table[zlib.crc32(b"".join(w.tobytes() for w in m.weights)) % len(table)]
+                for m in models]
+    return scorer
+
+
+# drawn scores: repeats, signed zeros and +inf included
+SCORES = st.one_of(st.just(PERFECT_STRATEGY), st.sampled_from([0.0, -0.0, 1.5]),
+                   st.floats(allow_nan=False))
+
+
+def same_bits(got, want):
+    return np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def record_block_weights(monkeypatch):
+    """Make ``_train_blocks`` also hand back every restart's weights, as they
+    left the process that trained them. Returns the list it fills with one
+    (batch, regime, seed, weights) entry per restart, in block order."""
+    real, trained = neural._train_blocks, []
+
+    def recording(batches, cfgs, seeds, workers, finish):
+        outcomes = real(batches, cfgs, seeds, workers,
+                        lambda b, finals: (finals, finish(b, finals)))
+        for preps, cfg, block_seeds, (finals, _) in zip(batches, cfgs, seeds, outcomes):
+            trained.extend((prep, cfg, seed, weights)
+                           for prep, seed, weights in zip(preps, block_seeds, finals))
+        return [outcome for _, outcome in outcomes]
+
+    monkeypatch.setattr(neural, "_train_blocks", recording)
+    return trained
+
+
 class TestMultiRestart:
     def test_single_restart_singleton(self):
         matrix = make_matrix(n_rows=40, seed=10)
@@ -194,17 +231,22 @@ class TestMultiRestart:
         assert len(results) == 1
 
     @settings(max_examples=30, deadline=None)
-    @given(scores=st.lists(st.one_of(st.just(PERFECT_STRATEGY), st.sampled_from([0.0, -0.0, 1.5]),
-                                     st.floats(allow_nan=False)), min_size=1, max_size=8))
-    def test_ranks_by_score_then_seed(self, scores):
-        # a scorer that hands out drawn floats, repeats and +inf included
+    @given(table=st.lists(SCORES, min_size=1, max_size=8), restarts=st.integers(1, 8))
+    def test_ranks_by_score_then_seed(self, table, restarts):
+        # a scorer that hands each model one of the drawn floats
         matrix = make_matrix(n_rows=40, seed=14)
-        cfg = TrainConfig(restarts=len(scores), rng_seed=9, cycles=2)
-        results = multi_restart_train(matrix, cfg, lambda models, test_part: list(scores))
+        cfg = TrainConfig(restarts=restarts, rng_seed=9, cycles=2)
+        scorer = table_scorer(table)
+        results = multi_restart_train(matrix, cfg, scorer)
+        train_part, test_part = split(matrix, cfg)
         seeds = [int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
+        scores = [scorer([train(train_part, cfg, seed=seed)], test_part)[0] for seed in seeds]
         want = sorted(zip(seeds, scores), key=lambda pair: (-pair[1], pair[0]))
         assert [r.seed for r in results] == [seed for seed, _ in want]
-        assert all(r.score is score for r, (_, score) in zip(results, want))
+        assert same_bits([r.score for r in results], [score for _, score in want])
+        assert_same_weights(results[0].model.weights,
+                            train(train_part, cfg, seed=results[0].seed).weights)
+        assert all(r.model is None for r in results[1:])  # only the winner carries a model
 
     def test_top_beats_median(self):
         matrix = make_matrix(n_rows=60, seed=11, noise=0.5)
@@ -255,18 +297,26 @@ class TestMultiRestart:
 
         matrix = make_matrix(n_rows=40, seed=13, noise=0.4)
         cfg = TrainConfig(restarts=9, rng_seed=6, cycles=80)
+        trained = record_block_weights(monkeypatch)
         clean = multi_restart_train(matrix, cfg, ism_scorer)
+        clean_weights = {seed: weights for _, _, seed, weights in trained}
+        trained.clear()
         poisoned = {int(s) for s in restart_seeds(cfg.rng_seed, 9)[::3]}
         self.poison_seeds(monkeypatch, poisoned)
         partial = multi_restart_train(matrix, cfg, ism_scorer)
+        partial_weights = {seed: weights for _, _, seed, weights in trained}
 
         survivors = [r for r in clean if r.seed not in poisoned]
         assert len(partial) == 6
         assert [r.seed for r in partial] == [r.seed for r in survivors]
-        for rp, rc in zip(partial, survivors):
-            assert rp.score == rc.score
-            for wp, wc in zip(rp.model.weights, rc.model.weights):
-                assert np.array_equal(wp, wc)
+        assert same_bits([r.score for r in partial], [r.score for r in survivors])
+        assert partial_weights.keys() == clean_weights.keys()
+        for seed, weights in partial_weights.items():
+            if seed in poisoned:
+                assert weights is None
+            else:
+                assert_same_weights(weights, clean_weights[seed])
+        assert_same_weights(partial[0].model.weights, clean_weights[partial[0].seed])
         keys = [(-r.score, r.seed) for r in partial]
         assert keys == sorted(keys)
 
@@ -403,13 +453,16 @@ class TestStackedKernel:
         cfg = TrainConfig(cycles=50, restarts=7, rng_seed=4)
         monkeypatch.setattr(neural, "RESTART_BLOCK", 3)
         monkeypatch.setattr(neural, "_worker_count", lambda: workers)
+        trained = record_block_weights(monkeypatch)
         results = multi_restart_train(matrix, cfg, ism_scorer)
         assert pools == started
         prep = neural._prepare(split(matrix, cfg)[0])
-        assert sorted(r.seed for r in results) == sorted(
-            int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts))
-        for r in results:
-            assert_same_weights(r.model.weights, oracle_train(prep, cfg, r.seed)[0])
+        seeds = sorted(int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts))
+        assert sorted(r.seed for r in results) == seeds
+        assert sorted(seed for _, _, seed, _ in trained) == seeds
+        for _, _, seed, weights in trained:  # every restart, as its block returned it
+            assert_same_weights(weights, oracle_train(prep, cfg, seed)[0])
+        assert_same_weights(results[0].model.weights, oracle_train(prep, cfg, results[0].seed)[0])
 
 
 @st.composite
@@ -468,8 +521,16 @@ class TestMultiMatrix:
             TestMultiRestart.poison_seeds(mp, poisoned)
             # grouped in blocks over the drawn number of worker processes
             mp.setattr(neural, "_worker_count", lambda: workers)
-            got_error, grouped = first_error_and_rankings(
-                lambda: neural.multi_matrix_train(matrices, cfgs, ism_scorer))
+            with pytest.MonkeyPatch.context() as recorded:
+                trained = record_block_weights(recorded)
+                got_error, grouped = first_error_and_rankings(
+                    lambda: neural.multi_matrix_train(matrices, cfgs, ism_scorer))
+            # every restart the blocks trained, against the same batch and seed trained alone
+            for prep, cfg, seed, weights in trained:
+                (want,) = neural._train_stack([prep], cfg, [seed])
+                assert (weights is None) == (want is None) == (seed in poisoned)
+                if want is not None:
+                    assert_same_weights(weights, want)
             mp.setattr(neural, "_worker_count", lambda: 1)
             want_error, alone = first_error_and_rankings(
                 lambda: [multi_restart_train(m, cfg, ism_scorer)
@@ -480,11 +541,48 @@ class TestMultiMatrix:
         for matrix, cfg, got, want in zip(matrices, cfgs, grouped, alone):
             assert [r.seed for r in got] == [r.seed for r in want]
             assert not poisoned & {r.seed for r in got}
-            for g, w in zip(got, want):
-                assert g.score == w.score
-                assert_same_weights(g.model.weights, w.model.weights)
+            assert same_bits([r.score for r in got], [r.score for r in want])
             best = train(split(matrix, cfg)[0], cfg, seed=got[0].seed)
             assert_same_weights(got[0].model.weights, best.weights)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        specs=st.lists(st.tuples(st.sampled_from([24, 31]), st.integers(1, 2)),
+                       min_size=1, max_size=4),
+        restarts=st.integers(1, 6),
+        table=st.lists(SCORES, min_size=1, max_size=4),
+        block=st.integers(1, 7),
+        workers=st.integers(1, 3),
+        poison=st.lists(st.integers(0, 23), max_size=3),
+    )
+    def test_merged_bests_equal_one_block(self, specs, restarts, table, block, workers, poison):
+        # the blocks' bests merged by (-score, seed), over 1-3 worker processes:
+        # the winner and every (score, seed) of each matrix trained as one block here
+        matrices = [make_matrix(n_rows=n, n_inputs=k, seed=j, noise=0.4)
+                    for j, (n, k) in enumerate(specs)]
+        cfgs = [TrainConfig(cycles=5, restarts=restarts, rng_seed=j) for j in range(len(specs))]
+        seeds = [int(s) for cfg in cfgs for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
+        poisoned = {seeds[i % len(seeds)] for i in poison}
+        scorer = table_scorer(table)
+        with pytest.MonkeyPatch.context() as mp:
+            TestMultiRestart.poison_seeds(mp, poisoned)
+            mp.setattr(neural, "RESTART_BLOCK", block)
+            mp.setattr(neural, "_worker_count", lambda: workers)
+            got_error, merged = first_error_and_rankings(
+                lambda: neural.multi_matrix_train(matrices, cfgs, scorer))
+            mp.setattr(neural, "RESTART_BLOCK", restarts)
+            mp.setattr(neural, "_worker_count", lambda: 1)
+            want_error, alone = first_error_and_rankings(
+                lambda: [multi_restart_train(m, cfg, scorer) for m, cfg in zip(matrices, cfgs)])
+        assert got_error is want_error
+        if want_error is not None:
+            return
+        for matrix, cfg, got, want in zip(matrices, cfgs, merged, alone):
+            assert [r.seed for r in got] == [r.seed for r in want]
+            assert same_bits([r.score for r in got], [r.score for r in want])
+            best = train(split(matrix, cfg)[0], cfg, seed=got[0].seed)  # the winner's own model
+            assert_same_weights(got[0].model.weights, best.weights)
+            assert all(r.model is None for r in got[1:])
 
     @pytest.mark.parametrize("faults, expected", [
         (["ok", "constant", "short"], ConstantOutput),
@@ -497,19 +595,24 @@ class TestMultiMatrix:
     def test_first_faulty_matrix_in_input_order_raises(self, monkeypatch, faults, expected):
         from spreadnet.scoring import ism_scorer
 
-        build = {
-            "ok": lambda: make_matrix(n_rows=30, seed=1, noise=0.4),
-            "diverged": lambda: make_matrix(n_rows=30, seed=2, noise=0.4),
-            "constant": lambda: make_matrix(n_rows=30, target=lambda x: np.full(len(x), 5.0)),
-            "short": lambda: make_matrix(n_rows=10),
-        }
-        matrices = [build[f]() for f in faults]
-        cfgs = [TrainConfig(cycles=10, restarts=3, rng_seed=j) for j in range(len(faults))]
-        TestMultiRestart.poison_seeds(monkeypatch, {
-            int(s) for f, cfg in zip(faults, cfgs) if f == "diverged"
-            for s in restart_seeds(cfg.rng_seed, cfg.restarts)})
+        matrices, cfgs = faulty_matrices(monkeypatch, faults, restarts=3)
         with pytest.raises(expected):
             neural.multi_matrix_train(matrices, cfgs, ism_scorer)
+
+
+def faulty_matrices(monkeypatch, faults, restarts):
+    """One matrix per named fault, with its regime; "diverged" gets every seed poisoned."""
+    build = {
+        "ok": lambda: make_matrix(n_rows=30, seed=1, noise=0.4),
+        "diverged": lambda: make_matrix(n_rows=30, seed=2, noise=0.4),
+        "constant": lambda: make_matrix(n_rows=30, target=lambda x: np.full(len(x), 5.0)),
+        "short": lambda: make_matrix(n_rows=10),
+    }
+    cfgs = [TrainConfig(cycles=10, restarts=restarts, rng_seed=j) for j in range(len(faults))]
+    TestMultiRestart.poison_seeds(monkeypatch, {
+        int(s) for f, cfg in zip(faults, cfgs) if f == "diverged"
+        for s in restart_seeds(cfg.rng_seed, cfg.restarts)})
+    return [build[f]() for f in faults], cfgs
 
 
 class Poisoned(Exception):
@@ -539,11 +642,28 @@ class TestWorkerPool:
                                       TrainConfig(cycles=30, restarts=4), ism_scorer)
         assert pools == [2]
         assert multiprocessing.active_children() == []
-        for r in results:
-            for w in r.model.weights:
-                assert not w.flags.writeable
-                with pytest.raises(ValueError):
-                    w[0, 0] = 1.0
+        assert len(results) == 4 and all(r.model is None for r in results[1:])
+        for w in results[0].model.weights:
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0
+
+    @pytest.mark.parametrize("faults, expected, started", [
+        (["diverged", "short"], AllDiverged, [2]),
+        (["short", "diverged"], TooFewRows, []),
+        (["ok", "diverged", "short"], AllDiverged, [2]),
+    ])
+    def test_first_faulty_matrix_raises_under_two_workers(self, monkeypatch, pools,
+                                                          faults, expected, started):
+        # four restarts a matrix over two workers: each matrix's restarts span two blocks
+        from spreadnet.scoring import ism_scorer
+
+        monkeypatch.setattr(neural, "_worker_count", lambda: 2)
+        matrices, cfgs = faulty_matrices(monkeypatch, faults, restarts=4)
+        with pytest.raises(expected):
+            neural.multi_matrix_train(matrices, cfgs, ism_scorer)
+        assert pools == started
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers, block, sizes", [
         (1, 256, [10, 6]),              # one CPU: the blocks of RESTART_BLOCK
@@ -562,9 +682,9 @@ class TestWorkerPool:
         want = neural.multi_matrix_train(matrices, cfgs, ism_scorer)
         real, seen = neural._train_blocks, []
 
-        def in_process(batches, block_cfgs, seeds, count):
+        def in_process(batches, block_cfgs, seeds, count, finish):
             seen.append((count, [len(s) for s in seeds]))
-            return real(batches, block_cfgs, seeds, 1)
+            return real(batches, block_cfgs, seeds, 1, finish)
 
         monkeypatch.setattr(neural, "_worker_count", lambda: workers)
         monkeypatch.setattr(neural, "RESTART_BLOCK", block)
@@ -573,8 +693,8 @@ class TestWorkerPool:
         assert seen == [(workers, sizes)]
         for g, w in zip(got, want):
             assert [r.seed for r in g] == [r.seed for r in w]
-            for rg, rw in zip(g, w):
-                assert_same_weights(rg.model.weights, rw.model.weights)
+            assert same_bits([r.score for r in g], [r.score for r in w])
+            assert_same_weights(g[0].model.weights, w[0].model.weights)
 
     def test_worker_count(self, monkeypatch):
         # the CPUs in this process's affinity mask, measured without starting a process

@@ -4,8 +4,12 @@ import copy
 import csv
 import json
 import multiprocessing
+import os
 import re
 import shutil
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spreadnet
 from spreadnet import neural, preprocess
 from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
@@ -889,3 +894,27 @@ class TestCli:
             train_all(config, [ok, constant, ok.slice_rows(0, 10)])
         assert info.value.stage == "train"
         assert isinstance(info.value.cause, ConstantOutput)
+
+
+class TestImportFloor:
+    def test_no_scipy_stats_in_a_fresh_process(self, tmp_path):
+        # scipy.stats alone costs about 70 MB and 0.9 s of every command's start-up.
+        # This pytest process imports it itself, so a fresh interpreter runs the check.
+        script = textwrap.dedent(f"""
+            import sys
+            import spreadnet, spreadnet.cli
+            from spreadnet.demo import write_demo_workspace
+            from spreadnet.pipeline import PipelineConfig, predict_from_run, run_pipeline
+            _, config_path = write_demo_workspace({str(tmp_path)!r}, restarts=2, enabled_sets=[7])
+            run = run_pipeline(PipelineConfig.from_file(config_path),
+                               run_dir={str(tmp_path / "run")!r})
+            predict_from_run(run.run_dir)
+            print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
+        """)
+        src = str(Path(spreadnet.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
