@@ -75,7 +75,8 @@ class LengthMismatch(SpreadnetError):
 
 
 class DegenerateInput(SpreadnetError):
-    """Input too short or too uniform for the statistic to be defined."""
+    """Input too short or too uniform for a statistic to be defined, or a
+    training column too extreme in magnitude for its scaling to be finite."""
 
 
 class ZeroPerfectSlope(SpreadnetError):

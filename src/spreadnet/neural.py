@@ -31,6 +31,7 @@ from .errors import (
     AllDiverged,
     ConstantOutput,
     CorruptModel,
+    DegenerateInput,
     DimensionMismatch,
     DivergedTraining,
     MissingFile,
@@ -76,14 +77,22 @@ class AffineMap:
         return (np.asarray(y, dtype=np.float64) - self.offset) / self.scale
 
     @staticmethod
-    def fit_minmax(columns: np.ndarray) -> "AffineMap":
-        """Map each column's [min, max] onto [-1, 1]; constant columns map to 0."""
+    def fit_minmax(columns: np.ndarray, names=None) -> "AffineMap":
+        """Map each column's [min, max] onto [-1, 1]; constant columns map to 0.
+        DegenerateInput names the first column (``names[j]``, else j) whose map
+        or mapped values are not finite: a span that overflows, say."""
         cols = np.atleast_2d(np.asarray(columns, dtype=np.float64))
-        lo = cols.min(axis=0)
-        hi = cols.max(axis=0)
-        span = hi - lo
-        scale = np.where(span > 0, 2.0 / np.where(span > 0, span, 1.0), 1.0)
-        offset = np.where(span > 0, -(hi + lo) / np.where(span > 0, span, 1.0), -lo)
+        lo, hi = cols.min(axis=0), cols.max(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = hi - lo
+            scale = np.where(span > 0, 2.0 / np.where(span > 0, span, 1.0), 1.0)
+            offset = np.where(span > 0, -(hi + lo) / np.where(span > 0, span, 1.0), -lo)
+            mapped = np.vstack([scale, offset, cols * scale + offset])
+        ok = (scale != 0.0) & np.isfinite(mapped).all(axis=0)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise DegenerateInput(f"column {names[j] if names else j!r} spans [{lo[j]:g}, "
+                                  f"{hi[j]:g}]; its min-max scaling is not finite")
         return AffineMap(scale, offset)
 
 
@@ -226,19 +235,9 @@ def split(matrix: TrainingMatrix, cfg: TrainConfig) -> tuple[TrainingMatrix, Tra
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
-    """Append the bias column of ones along the last axis.
-
-    The values equal ``np.concatenate`` with a float64 ones column. The
-    result is filled one long strided copy per column, as ``_epoch_math``
-    fills its hidden layers: about twice as fast as ``np.concatenate`` on a
-    training stack's hidden layer.
-    """
+    """Append the bias column of ones along the last axis."""
     x = np.atleast_2d(x)
-    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
-    for j in range(x.shape[-1]):
-        out[..., j] = x[..., j]
-    out[..., -1] = 1.0
-    return out
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
 class _Workspace:
@@ -363,10 +362,10 @@ class _Prepared:
 
 def _prepare(train_data: TrainingMatrix) -> _Prepared:
     y = train_data.output
-    if float(y.max() - y.min()) == 0.0:
+    if y.max() == y.min():
         raise ConstantOutput("output column is constant; nothing to fit")
-    input_scaling = AffineMap.fit_minmax(train_data.inputs)
-    output_scaling = AffineMap.fit_minmax(y[:, None])
+    input_scaling = AffineMap.fit_minmax(train_data.inputs, train_data.input_names)
+    output_scaling = AffineMap.fit_minmax(y[:, None], ["output"])
     return _Prepared(
         aug0=_augment(input_scaling.apply(train_data.inputs)),
         y_scaled=output_scaling.apply(y[:, None])[:, 0],
@@ -552,20 +551,17 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     descending score with the seed as a deterministic tiebreak. Only the
     first, the winner, carries its model; the others are (score, seed).
 
-    Errors come as if the matrices were trained one after another: the
-    first matrix in input order that is too short to split, has a constant
-    output, or whose restarts all diverged (AllDiverged) raises its error.
+    Input faults are found before the search, in input order: the first
+    matrix that is too short to split (TooFewRows), has a constant output
+    (ConstantOutput) or scales to a non-finite batch (DegenerateInput)
+    raises before any block trains. AllDiverged comes after training, for
+    the first matrix in input order whose restarts all diverged.
     """
-    preps, tests, failure = [], [], None
+    preps, tests = [], []
     for matrix, cfg in zip(matrices, cfgs, strict=True):
-        try:
-            train_part, test_part = split(matrix, cfg)
-            preps.append(_prepare(train_part))
-        except (TooFewRows, ConstantOutput) as exc:
-            failure = exc  # the matrices after it are never reached
-            break
+        train_part, test_part = split(matrix, cfg)
+        preps.append(_prepare(train_part))
         tests.append(test_part)
-    cfgs = cfgs[:len(preps)]
     seeds = [[int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)] for cfg in cfgs]
 
     # (matrix, restart) pairs by batch shape and regime, in input order
@@ -601,8 +597,6 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
         _, weights = min(bests[j], key=itemgetter(0))
         results[0] = replace(results[0], model=_model(preps[j], weights))
         rankings.append(results)
-    if failure is not None:
-        raise failure
     return rankings
 
 

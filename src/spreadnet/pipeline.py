@@ -349,17 +349,21 @@ def run_pipeline(
 
     Always writes the manifest (and any models trained so far) into the
     run directory; the manifest is written once, atomically, at the end.
+    A run directory that cannot be made, or whose ``config.json`` cannot be
+    written (a file in its place, say), fails the "config" stage.
     """
     if through not in STAGES:
         raise ValueError(f"unknown stage {through!r}; choose from {STAGES}")
     last = STAGES.index(through)
     run_dir = Path(run_dir) if run_dir is not None else _new_run_dir(config)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "config.json").write_text(
+            json.dumps(config.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
+        )
+    except OSError as exc:
+        raise PipelineStageError("config", exc) from exc
     result = RunResult(config=config, run_dir=run_dir)
-
-    (run_dir / "config.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
 
     result.frame = ingest(config)
     result.stages.append("ingest")

@@ -15,6 +15,7 @@ from conftest import make_matrix
 from spreadnet.errors import (
     AllDiverged,
     ConstantOutput,
+    DegenerateInput,
     DimensionMismatch,
     DivergedTraining,
     TooFewRows,
@@ -73,6 +74,15 @@ class TestAffineMap:
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
             AffineMap(np.array([0.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("extremes", [(1e308, -1e308), (1.7e308, 1.6e308), (1e-310, 2e-310)])
+    def test_non_finite_scaling_names_the_column(self, extremes):
+        # a span that overflows (zero scale), an offset that overflows, a scale that overflows
+        cols = np.array([[0.0, extremes[0]], [1.0, extremes[1]], [2.0, extremes[0]]])
+        with pytest.raises(DegenerateInput, match="column 'b' spans .* not finite"):
+            AffineMap.fit_minmax(cols, ("a", "b"))
+        with pytest.raises(DegenerateInput, match="column 1 spans"):
+            AffineMap.fit_minmax(cols)
 
 
 class TestForward:
@@ -587,14 +597,16 @@ class TestMultiMatrix:
     @pytest.mark.parametrize("faults, expected", [
         (["ok", "constant", "short"], ConstantOutput),
         (["ok", "short", "constant"], TooFewRows),
-        (["diverged", "short"], AllDiverged),
+        (["diverged", "short"], TooFewRows),  # input faults come before training
         (["short", "diverged"], TooFewRows),
-        (["ok", "diverged", "constant"], AllDiverged),
+        (["ok", "diverged", "constant"], ConstantOutput),
         (["constant", "diverged"], ConstantOutput),
+        (["diverged", "ok"], AllDiverged),
     ])
     def test_first_faulty_matrix_in_input_order_raises(self, monkeypatch, faults, expected):
         from spreadnet.scoring import ism_scorer
 
+        monkeypatch.setattr(neural, "_worker_count", lambda: 1)  # two: TestWorkerPool
         matrices, cfgs = faulty_matrices(monkeypatch, faults, restarts=3)
         with pytest.raises(expected):
             neural.multi_matrix_train(matrices, cfgs, ism_scorer)
@@ -649,9 +661,10 @@ class TestWorkerPool:
                 w[0, 0] = 1.0
 
     @pytest.mark.parametrize("faults, expected, started", [
-        (["diverged", "short"], AllDiverged, [2]),
+        (["diverged", "short"], TooFewRows, []),
         (["short", "diverged"], TooFewRows, []),
-        (["ok", "diverged", "short"], AllDiverged, [2]),
+        (["ok", "diverged", "short"], TooFewRows, []),
+        (["ok", "diverged"], AllDiverged, [2]),
     ])
     def test_first_faulty_matrix_raises_under_two_workers(self, monkeypatch, pools,
                                                           faults, expected, started):
@@ -664,6 +677,21 @@ class TestWorkerPool:
             neural.multi_matrix_train(matrices, cfgs, ism_scorer)
         assert pools == started
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_last_faulty_matrix_raises_before_any_training(self, monkeypatch, pools, workers):
+        # the constant output of the last matrix is found before the first block trains
+        from spreadnet.scoring import ism_scorer
+
+        def never(*args, **kwargs):
+            raise AssertionError("a block trained")
+
+        monkeypatch.setattr(neural, "_worker_count", lambda: workers)
+        monkeypatch.setattr(neural, "_train_stack", never)
+        matrices, cfgs = faulty_matrices(monkeypatch, ["ok", "ok", "constant"], restarts=4)
+        with pytest.raises(ConstantOutput):
+            neural.multi_matrix_train(matrices, cfgs, ism_scorer)
+        assert pools == []
 
     @pytest.mark.parametrize("workers, block, sizes", [
         (1, 256, [10, 6]),              # one CPU: the blocks of RESTART_BLOCK

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spreadnet
-from spreadnet import neural, preprocess
+from spreadnet import neural, pipeline, preprocess
 from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
 from spreadnet.errors import (
@@ -105,6 +106,27 @@ def with_csv_edit(config, directory, edit):
     for entry in data["data"]["variables"].values():
         entry["path"] = str(target)
     return PipelineConfig.from_dict(data)
+
+
+@st.composite
+def scored_entries(draw, count):
+    """The scores and series of ``count`` manifest entries whose test windows
+    (5-10 consecutive months, starting 0-2 months apart) share at least three months."""
+    base = parse_month("2001-01")
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    entries = []
+    for _ in range(count):
+        start, n = base + draw(st.integers(0, 2)), draw(st.integers(5, 10))
+        levels = st.lists(st.floats(1e-3, 1e6), min_size=n, max_size=n)
+        entries.append({
+            "ism": draw(st.just("perfect") | finite),
+            "norm_ep": draw(st.none() | finite),
+            "hit_rate": draw(st.floats(0.0, 1.0)),
+            "test_months": [format_month(start + i) for i in range(n)],
+            "predicted_levels": draw(levels),
+            "actual_levels": draw(levels),
+        })
+    return entries
 
 
 def first_member(manifest: dict) -> dict:
@@ -387,6 +409,28 @@ class TestReports:
         swept = [c for c in manifest["candidates"] if c["lag_swept"]]
         assert total == len(swept) == 30
         assert [int(r["lag"]) for r in rows] == sorted({c["lag"] for c in swept})
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_reports_of_a_reloaded_manifest_equal_the_written_ones(self, small_run, data):
+        # the manifest to the reports: written, read back, and reported byte for byte alike
+        _, _, result = small_run
+        manifest = copy.deepcopy(result.manifest)
+        by_name = {c["name"]: c for c in manifest["candidates"]}
+        scored = [by_name[name] for name in manifest["members"]] + [manifest["master"]]
+        for entry, drawn in zip(scored, data.draw(scored_entries(len(scored)))):
+            entry.update(drawn)
+        with tempfile.TemporaryDirectory() as tmp:
+            written, reloaded = Path(tmp, "written"), Path(tmp, "reloaded")
+            written.mkdir()
+            pipeline._write_manifest(written, manifest)
+            emit_reports(manifest, written)
+            emit_reports(load_run(written), reloaded)
+            names = sorted(p.name for p in (written / "reports").iterdir())
+            assert names == sorted(p.name for p in (reloaded / "reports").iterdir())
+            for name in names:
+                assert (written / "reports" / name).read_bytes() == \
+                    (reloaded / "reports" / name).read_bytes(), name
 
     @staticmethod
     def summary_sections(run_dir):
@@ -885,6 +929,49 @@ class TestCli:
         assert cli_main(["train", "-c", str(config_path),
                          "--run-dir", str(tmp_path / "run")]) == 4
         assert "stage 'train' failed: all 2 restarts diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extremes", [("1e308", "-1e308"), ("1.7e308", "1.6e308")])
+    def test_extreme_column_exits_as_train_stage(self, set7_run, tmp_path, capsys, extremes):
+        # a span that overflows (a zero scale), or values whose offset overflows
+        config, _ = set7_run
+
+        def extreme_tbill(rows):
+            j = rows[0].index("tbill")
+            for i, row in enumerate(rows[1:]):
+                row[j] = extremes[i % 2]
+
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(with_csv_edit(config, tmp_path, extreme_tbill).to_dict()))
+        assert cli_main(["train", "-c", str(path), "--run-dir", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert "error: stage 'train' failed: column 'tbill' spans" in err
+        assert "min-max scaling is not finite" in err
+
+    def test_extreme_master_column_exits_as_master_stage(self, tmp_path, capsys, monkeypatch):
+        real, names = pipeline.build_master_matrix, []
+
+        def extreme(members):  # the first member's forecasts swing across the float range
+            matrix = real(members)
+            inputs = matrix.inputs.copy()
+            inputs[:, 0] = np.where(np.arange(matrix.rows) % 2, 1e308, -1e308)
+            names.append(matrix.input_names[0])
+            return replace(matrix, inputs=inputs)
+
+        monkeypatch.setattr(pipeline, "build_master_matrix", extreme)
+        _, config_path = write_demo_workspace(tmp_path, restarts=1, enabled_sets=[7])
+        assert cli_main(["master", "-c", str(config_path),
+                         "--run-dir", str(tmp_path / "run")]) == 6
+        err = capsys.readouterr().err
+        assert f"error: stage 'master' failed: column {names[0]!r} spans" in err
+
+    @pytest.mark.parametrize("flag", ["--run-dir", "-o"])
+    def test_run_dir_on_a_file_exits_as_config_stage(self, tmp_path, capsys, flag):
+        # the directory itself (--run-dir) or its parent (-o) is a file
+        csv_path, config_path = write_demo_workspace(tmp_path, restarts=1, enabled_sets=[7])
+        assert cli_main(["train", "-c", str(config_path), flag, str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'config' failed:") and str(csv_path) in err
+        assert "Traceback" not in err
 
     def test_faulty_matrix_fails_train_stage(self, small_run):
         _, config, result = small_run
