@@ -109,7 +109,8 @@ def cmd_validate(args) -> int:
 def cmd_preprocess(args) -> int:
     result = _run_to(args, "preprocess")
     out = result.run_dir / "matrices"
-    export_matrices(result.matrices, out)
+    with _stage("preprocess"):
+        export_matrices(result.matrices, out)
     print(f"assembled {len(result.matrices)} matrices -> {out}")
     print(f"manifest: {result.run_dir / MANIFEST_NAME}")
     return 0

@@ -37,10 +37,7 @@ class Candidate:
     seed: int
     model: NetworkModel
     score: ModelScore
-
-    @property
-    def name(self) -> str:
-        return f"set{self.base_set_id:02d}_lag{self.lag:02d}"
+    name = TrainingMatrix.name  # the rule reads only base_set_id and lag
 
 
 def select_best(candidates: list[Candidate], k: int = 10) -> list[Candidate]:

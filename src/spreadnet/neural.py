@@ -555,12 +555,16 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     matrix that is too short to split (TooFewRows), has a constant output
     (ConstantOutput) or scales to a non-finite batch (DegenerateInput)
     raises before any block trains. AllDiverged comes after training, for
-    the first matrix in input order whose restarts all diverged.
+    the first matrix in input order whose restarts all diverged. Each of
+    these messages opens with the matrix's name (``set07_lag03: ...``).
     """
     preps, tests = [], []
     for matrix, cfg in zip(matrices, cfgs, strict=True):
-        train_part, test_part = split(matrix, cfg)
-        preps.append(_prepare(train_part))
+        try:
+            train_part, test_part = split(matrix, cfg)
+            preps.append(_prepare(train_part))
+        except (TooFewRows, ConstantOutput, DegenerateInput) as exc:
+            raise type(exc)(f"{matrix.name}: {exc}") from exc
         tests.append(test_part)
     seeds = [[int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)] for cfg in cfgs]
 
@@ -592,7 +596,7 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
                           for seed, score in zip(seeds[j], scores[j]) if score is not None),
                          key=lambda r: _rank_key(r.score, r.seed))
         if not results:
-            raise AllDiverged(f"all {cfg.restarts} restarts diverged")
+            raise AllDiverged(f"{matrices[j].name}: all {cfg.restarts} restarts diverged")
         # the best of the blocks' bests by the same key, a total order
         _, weights = min(bests[j], key=itemgetter(0))
         results[0] = replace(results[0], model=_model(preps[j], weights))

@@ -287,13 +287,13 @@ class RunResult:
 
 @contextlib.contextmanager
 def _stage(name):
-    """Context manager and decorator: a SpreadnetError inside fails stage ``name``
-    (a PipelineStageError from an inner stage passes unchanged)."""
+    """Context manager and decorator: a SpreadnetError or an OSError inside fails
+    stage ``name`` (a PipelineStageError from an inner stage passes unchanged)."""
     try:
         yield
     except PipelineStageError:
         raise
-    except SpreadnetError as exc:
+    except (SpreadnetError, OSError) as exc:
         raise PipelineStageError(name, exc) from exc
 
 
@@ -349,20 +349,18 @@ def run_pipeline(
 
     Always writes the manifest (and any models trained so far) into the
     run directory; the manifest is written once, atomically, at the end.
-    A run directory that cannot be made, or whose ``config.json`` cannot be
-    written (a file in its place, say), fails the "config" stage.
+    A file that cannot be written fails the stage that writes it: "config" for
+    the run directory, and ``through`` for the manifest and serve record.
     """
     if through not in STAGES:
         raise ValueError(f"unknown stage {through!r}; choose from {STAGES}")
     last = STAGES.index(through)
     run_dir = Path(run_dir) if run_dir is not None else _new_run_dir(config)
-    try:
+    with _stage("config"):
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "config.json").write_text(
             json.dumps(config.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
         )
-    except OSError as exc:
-        raise PipelineStageError("config", exc) from exc
     result = RunResult(config=config, run_dir=run_dir)
 
     result.frame = ingest(config)
@@ -371,19 +369,22 @@ def run_pipeline(
         result.matrices = assemble(config, result.frame)
         result.stages.append("preprocess")
     if last >= 2:
-        result.candidates = train_all(config, result.matrices)
-        _write_models(run_dir, result.candidates)
+        with _stage("train"):
+            result.candidates = train_all(config, result.matrices)
+            _write_models(run_dir, result.candidates)
         result.stages.append("train")
     if last >= 3:
         result.members = select(config, result.candidates)
         result.stages.append("select")
     if last >= 4:
-        result.master = master_stage(config, result.members)
-        save_model(result.master.model, run_dir / MASTER_MODEL_PATH)
+        with _stage("master"):
+            result.master = master_stage(config, result.members)
+            save_model(result.master.model, run_dir / MASTER_MODEL_PATH)
         result.stages.append("master")
 
     result.manifest = build_manifest(result)
-    _write_manifest(run_dir, result.manifest)
+    with _stage(through):
+        _write_manifest(run_dir, result.manifest)
 
     if last >= 5:
         with _stage("report"):
@@ -687,17 +688,17 @@ class PredictionReport:
 
 
 def load_run(run_dir: str | Path) -> dict:
-    """A stored run's manifest, each part that reports and forecasts read
-    checked to be of its kind (IncompleteManifest names the place)."""
+    """A stored run's manifest, checked against ``_MANIFEST`` (a partial run
+    lacks some top-level parts); IncompleteManifest names the place."""
     run_dir = Path(run_dir)
     path = run_dir / MANIFEST_NAME
     if not path.exists():
         raise MissingFile(f"no {MANIFEST_NAME} in {run_dir}")
-    # every top-level part is optional: a partial run lacks some
-    manifest = _checked_record(_read_record(path), path, _MANIFEST_KEYS,
-                               {"candidates": _CANDIDATE_KEYS, "master": _MASTER_KEYS},
-                               required=False)
-    for where, entry in (*_places(manifest, "candidates"), *_places(manifest, "master")):
+    manifest = _read_record(path, _MANIFEST, partial=True)
+    fits = {f"candidates.{i}": c for i, c in enumerate(manifest.get("candidates", ()))}
+    if "master" in manifest:
+        fits["master"] = manifest["master"]
+    for where, entry in fits.items():
         counts = [len(entry[key]) for key in _SERIES_KEYS]
         if min(counts) == 0 or len(set(counts)) > 1:
             held = ", ".join(f"{n} {key}" for n, key in zip(counts, _SERIES_KEYS))
@@ -706,26 +707,27 @@ def load_run(run_dir: str | Path) -> dict:
     return manifest
 
 
-def _read_record(path: Path) -> dict:
-    """A run record's JSON object; IncompleteManifest names a corrupt file."""
-    return _expect(_read_json(path, IncompleteManifest), dict, path)
-
-
 # The JSON kinds of run-record values: each plain kind's name and the classes
 # ``json.loads`` gives its values (a bool is no integer, an integer a number).
 _JSON_TYPES = {dict: ({dict}, "a JSON object"), list: ({list}, "a JSON array"),
                str: ({str}, "a string"), bool: ({bool}, "true or false"), int: ({int}, "an integer"),
                float: ({int, float}, "a number"), type(None): ({type(None)}, "null")}
-_SERVE_KEYS = {"config": dict, "members": list, "master": dict}
-_SERVE_MEMBER_KEYS = {"name": str, "lag": int, "input_names": list[str],
-                      "output_recipe": typing.Literal[pp.RAW_OUTPUT, pp.NORMALIZED_OUTPUT],
-                      "model_path": str}
-_MANIFEST_KEYS = {"config": dict, "config_hash": str, "frame": dict, "candidates": list,
-                  "members": list[str], "master": dict}
-_MASTER_KEYS = {"model_path": str, "ism": float | typing.Literal["perfect"],
-                "norm_ep": float | None, "hit_rate": float, "test_months": list[str],
-                "predicted_levels": list[float], "actual_levels": list[float]}
-_CANDIDATE_KEYS = {**_SERVE_MEMBER_KEYS, "base_set": int, "lag_swept": bool, **_MASTER_KEYS}
+# The shape of each run record, key for key as its writer writes it (see ``_walk``).
+_RECIPE = typing.Literal[pp.RAW_OUTPUT, pp.NORMALIZED_OUTPUT]
+_SERVE_MEMBER = {"name": str, "lag": int, "input_names": list[str], "output_recipe": _RECIPE,
+                 "model_path": str}
+_SERVE = {"config": dict, "members": [_SERVE_MEMBER], "master": {"model_path": str}}
+_FIT = {"matrix_seed": int, "winning_seed": int, "restarts": int, "model_path": str,
+        "ism": float | typing.Literal["perfect"], "q_ratio": float, "ave_negative_vol": float,
+        "failures": int, "norm_ep": float | None, "ep_statistic": float | None, "hit_rate": float,
+        "test_months": list[str], "predicted_levels": list[float], "actual_levels": list[float]}
+_MANIFEST = {"manifest_format": int, "created_at": str, "config": dict, "config_hash": str,
+             "stages": list[str], "restart_seed_rule": str,
+             "frame": {"start": str, "end": str, "rows": int},
+             "matrices": [{"base_set": int, "lag": int, "rows": int, "input_names": list[str],
+                           "output_recipe": _RECIPE, "matrix_seed": int}],
+             "candidates": [{**_SERVE_MEMBER, "base_set": int, "lag_swept": bool, **_FIT}],
+             "members": list[str], "master": {"member_count": int, **_FIT}}
 # a scored fit's series, which reports read in step, one entry per test month
 _SERIES_KEYS = ("test_months", "predicted_levels", "actual_levels")
 
@@ -756,51 +758,37 @@ def _kind_name(kind) -> str:
     return " or ".join(_kind_name(k) for k in args)
 
 
-def _expect(value, kind, path: Path, where: str | None = None):
-    """``value`` when it is of ``kind`` (see ``_is``); otherwise IncompleteManifest
-    names the file and, as a dotted ``where``, the place in it."""
-    if not _is(value, kind):
-        at = "" if where is None else f" at {where}"
-        got = repr(value) if isinstance(value, str) else f"a {type(value).__name__}"
-        raise IncompleteManifest(f"{path} holds {got}{at}, not {_kind_name(kind)}")
-    return value
-
-
-def _checked_record(record: dict, path: Path, keys: dict, parts: dict, required=True) -> dict:
-    """``record`` once the value at each of ``keys`` it holds is of its kind, and
-    each object at a key of ``parts`` (or in the array there) has ``parts[key]``
-    of their kinds. IncompleteManifest names the file and the dotted place of
-    the first value of a wrong kind, or of every key missing (top-level keys
-    only when ``required``)."""
-    missing = _missing(record, keys, path)
-    if missing and required:
-        raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
-    missing = []
-    for key, kinds in parts.items():
-        for where, entry in _places(record, key):
-            missing += _missing(_expect(entry, dict, path, where), kinds, path, f"{where}.")
+def _read_record(path: Path, shape: dict, partial: bool = False) -> dict:
+    """The run record in ``path`` once it has ``shape`` (see ``_walk``); IncompleteManifest
+    names the file and each key missing (a ``partial`` record may lack top-level keys)."""
+    record = _read_json(path, IncompleteManifest)
+    missing: list[str] = []
+    _walk(record, shape, path, "", missing, partial)
     if missing:
         raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
     return record
 
 
-def _places(record: dict, key: str) -> list[tuple[str, object]]:
-    """The object at ``key``, or each item of the array there, with its dotted place."""
-    value = record.get(key, ())
-    return [(key, value)] if isinstance(value, dict) else [
-        (f"{key}.{i}", e) for i, e in enumerate(value)]
-
-
-def _missing(entry: dict, kinds: dict, path: Path, where: str = "") -> list[str]:
-    """The keys of ``kinds`` that ``entry`` lacks, as places after ``where``;
-    a value that is there but not of its kind raises (``_expect``)."""
-    missing = []
-    for key, kind in kinds.items():
-        if key not in entry:
-            missing.append(where + key)
-        elif not _is(entry[key], kind):
-            _expect(entry[key], kind, path, where + key)
-    return missing
+def _walk(value, shape, path: Path, where: str, missing: list[str], partial=False) -> None:
+    """Check ``value`` at the dotted place ``where`` against ``shape``: a dict is a JSON
+    object holding at least its keys (a key it lacks goes into ``missing`` unless
+    ``partial``), a one-item list an array of such items, anything else a JSON kind
+    (``_is``). A value of a wrong kind raises IncompleteManifest naming its place."""
+    kind = shape.__class__ if shape.__class__ in (dict, list) else shape
+    if not _is(value, kind):
+        at = f" at {where}" if where else ""
+        got = repr(value) if isinstance(value, str) else f"a {type(value).__name__}"
+        raise IncompleteManifest(f"{path} holds {got}{at}, not {_kind_name(kind)}")
+    if shape.__class__ is dict:
+        for key, part in shape.items():
+            place = f"{where}.{key}" if where else key
+            if key in value:
+                _walk(value[key], part, path, place, missing)
+            elif not partial:
+                missing.append(place)
+    elif shape.__class__ is list:
+        for i, item in enumerate(value):
+            _walk(item, shape[0], path, f"{where}.{i}", missing)
 
 
 def _read_json(path: Path, fault: type[Exception]):
@@ -822,25 +810,22 @@ def serve_record(manifest: dict) -> dict:
         raise IncompleteManifest("run has no trained master; run the master stage first")
     return {
         "config": manifest["config"],
-        "members": [{k: e[k] for k in _SERVE_MEMBER_KEYS} for e in _member_entries(manifest)],
+        "members": [{k: e[k] for k in _SERVE_MEMBER} for e in _member_entries(manifest)],
         "master": {"model_path": manifest["master"]["model_path"]},
     }
 
 
 def _load_serve_record(run_dir: Path) -> tuple[Path, dict]:
-    """The file a forecast is served from and its record: ``serve.json``, or for
-    a run without one the manifest and the record projected from it."""
+    """The file a forecast is served from and its record: ``serve.json``, or for a run
+    without one the manifest (checked by ``load_run``) and the record projected from it."""
     path = run_dir / SERVE_NAME
     if path.exists():
-        record = _read_record(path)
-    else:
-        path = run_dir / MANIFEST_NAME
-        try:
-            record = serve_record(load_run(run_dir))
-        except KeyError as exc:
-            raise IncompleteManifest(f"{path} lacks {exc}") from exc
-    return path, _checked_record(record, path, _SERVE_KEYS,
-                                 {"members": _SERVE_MEMBER_KEYS, "master": {"model_path": str}})
+        return path, _read_record(path, _SERVE)
+    path = run_dir / MANIFEST_NAME
+    try:
+        return path, serve_record(load_run(run_dir))
+    except KeyError as exc:
+        raise IncompleteManifest(f"{path} lacks {exc}") from exc
 
 
 def _record_config(record: dict, path: Path) -> PipelineConfig:
@@ -924,7 +909,7 @@ def export_matrices(matrices: list[TrainingMatrix], directory: str | Path) -> li
     for m in matrices:
         rows = zip(m.months_in(), m.inputs, m.months_out, m.output, m.output_levels)
         paths.append(_write_csv(
-            directory / f"set{m.base_set_id:02d}_lag{m.lag:02d}.csv",
+            directory / f"{m.name}.csv",
             ["month_in", *m.input_names, "month_out", "output", "output_level"],
             ([format_month(month_in), *(repr(float(v)) for v in inputs),
               format_month(month_out), repr(float(out)), repr(float(level))]

@@ -363,6 +363,13 @@ class TrainingMatrix:
         object.__setattr__(self, "levels", levels)
 
     @property
+    def name(self) -> str:
+        """``set07_lag03``, or ``master``: the matrix's, its model's and its export's name."""
+        if self.base_set_id == MASTER_SET_ID:
+            return "master"
+        return f"set{self.base_set_id:02d}_lag{self.lag:02d}"
+
+    @property
     def rows(self) -> int:
         return len(self.months_out)
 

@@ -11,6 +11,7 @@ one or more numeric value columns, decimal point as separator, UTF-8.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -160,44 +161,47 @@ def load_series(
     path = Path(path)
     if not path.exists():
         raise MissingFile(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        # csv.DictReader's reading: the last of repeated header names wins
-        position = {col: i for i, col in enumerate(header)}
-        if date_column not in position:
-            raise MissingColumn(f"{path}: date column {date_column!r} not in header {header}")
-        for name, col in column_map.items():
-            if col not in position:
-                raise MissingColumn(f"{path}: column {col!r} (for series {name!r}) not in header")
-        date_at = position[date_column]
-        wanted = [(col, position[col], []) for col in column_map.values()]
-        months: list[int] = []
-        row_no = 0
-        for row in reader:
-            if not row:
-                continue  # a blank line is not a row
-            row_no += 1
-            # a field past the end of a short row reads as empty
-            width = len(row)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnparseableValue(f"{path} is not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    # csv.DictReader's reading: the last of repeated header names wins
+    position = {col: i for i, col in enumerate(header)}
+    if date_column not in position:
+        raise MissingColumn(f"{path}: date column {date_column!r} not in header {header}")
+    for name, col in column_map.items():
+        if col not in position:
+            raise MissingColumn(f"{path}: column {col!r} (for series {name!r}) not in header")
+    date_at = position[date_column]
+    wanted = [(col, position[col], []) for col in column_map.values()]
+    months: list[int] = []
+    row_no = 0
+    for row in reader:
+        if not row:
+            continue  # a blank line is not a row
+        row_no += 1
+        # a field past the end of a short row reads as empty
+        width = len(row)
+        try:
+            key = parse_month(row[date_at] if date_at < width else "")
+        except UnparseableValue as exc:
+            raise UnparseableValue(f"{path} row {row_no}: {exc}") from None
+        months.append(key)
+        for col, at, out in wanted:
+            raw = row[at].strip() if at < width else ""
             try:
-                key = parse_month(row[date_at] if date_at < width else "")
-            except UnparseableValue as exc:
-                raise UnparseableValue(f"{path} row {row_no}: {exc}") from None
-            months.append(key)
-            for col, at, out in wanted:
-                raw = row[at].strip() if at < width else ""
-                try:
-                    val = float(raw)
-                except ValueError:
-                    raise UnparseableValue(
-                        f"{path} row {row_no}: column {col!r} value {raw!r} is not a number"
-                    ) from None
-                if not math.isfinite(val):
-                    raise UnparseableValue(
-                        f"{path} row {row_no}: column {col!r} value {raw!r} is not finite"
-                    )
-                out.append(val)
+                val = float(raw)
+            except ValueError:
+                raise UnparseableValue(
+                    f"{path} row {row_no}: column {col!r} value {raw!r} is not a number"
+                ) from None
+            if not math.isfinite(val):
+                raise UnparseableValue(
+                    f"{path} row {row_no}: column {col!r} value {raw!r} is not finite"
+                )
+            out.append(val)
     if not months:
         raise UnparseableValue(f"{path}: no data rows")
     month_arr = np.asarray(months, dtype=np.int64)

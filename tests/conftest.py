@@ -19,15 +19,36 @@ def _no_constant(name):
     raise ValueError(f"{name} is not standard JSON")
 
 
+def _undeclared(value, shape, where=""):
+    """The dotted places of the keys in ``value`` that ``shape`` does not declare."""
+    if shape.__class__ is dict:
+        for key, item in value.items():
+            if key in shape:
+                yield from _undeclared(item, shape[key], f"{where}{key}.")
+            else:
+                yield where + key
+    elif shape.__class__ is list:
+        for i, item in enumerate(value):
+            yield from _undeclared(item, shape[0], f"{where}{i}.")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def strict_run_records():
-    """Every manifest and serve record a test run writes is standard JSON: no
-    Infinity or NaN (a PERFECT_STRATEGY ISM is written "perfect")."""
+    """Every manifest and serve record a test run writes is standard JSON (no
+    Infinity or NaN: a PERFECT_STRATEGY ISM is written "perfect") and has its
+    reader's shape key for key: the reader accepts it, a finished run's
+    manifest holding every top-level part, and the shape declares every key
+    written."""
     write = pipeline._write_json
 
     def write_checked(target, document):
         write(target, document)
         json.loads(target.read_text(encoding="utf-8"), parse_constant=_no_constant)
+        shape = pipeline._SERVE if target.name == pipeline.SERVE_NAME else pipeline._MANIFEST
+        # only a run stopped before its master may lack parts (a serve record has one)
+        pipeline._read_record(target, shape, partial="master" not in document)
+        undeclared = list(_undeclared(document, shape))
+        assert not undeclared, f"{target} holds keys its shape does not declare: {undeclared}"
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "_write_json", write_checked)

@@ -2,8 +2,10 @@
 
 import copy
 import csv
+import functools
 import json
 import multiprocessing
+import operator
 import os
 import re
 import shutil
@@ -11,16 +13,18 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import typing
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spreadnet
 from spreadnet import neural, pipeline, preprocess
+from spreadnet.cli import EXIT_CODES
 from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
 from spreadnet.errors import (
@@ -132,6 +136,98 @@ def scored_entries(draw, count):
 def first_member(manifest: dict) -> dict:
     """The candidate entry of the manifest's first member."""
     return next(c for c in manifest["candidates"] if c["name"] == manifest["members"][0])
+
+
+def replaced(path: Path, by_dir: bool) -> Path:
+    """``path``, whatever was there replaced by an empty directory or a file."""
+    if path.is_dir():
+        shutil.rmtree(path)
+    path.unlink(missing_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.mkdir() if by_dir else path.write_text("in the way\n")
+    return path
+
+
+def edit_json(path: Path, edit) -> None:
+    """Rewrite the JSON document at ``path`` after ``edit(document)`` changed it in place."""
+    document = json.loads(path.read_text())
+    edit(document)
+    path.write_text(json.dumps(document))
+
+
+def reading(config_path: Path, data: Path) -> Path:
+    """``data``, once the config at ``config_path`` reads every variable from it."""
+    edit_json(config_path, lambda c: [e.update(path=str(data))
+                                      for e in c["data"]["variables"].values()])
+    return data
+
+
+def not_utf8(config_path: Path, directory: Path) -> Path:
+    """A copy of the config's CSV whose first data row opens with byte 0xff."""
+    source = Path(json.loads(config_path.read_text())["data"]["variables"]["igaem"]["path"])
+    target = directory / "latin1.csv"
+    target.write_bytes(source.read_bytes().replace(b"\n", b"\n\xff", 1))
+    return reading(config_path, target)
+
+
+def served(run: Path, edit, named: str) -> Path:
+    """``run / named``, once ``edit`` changed the run's serve record."""
+    edit_json(run / SERVE_NAME, edit)
+    return run / named
+
+
+# A file a command cannot read or write: (command, exit code, fault(run, config
+# path) -> the path the failure names). Read-side faults first, then write-side.
+FILE_FAULTS = {
+    "serve_is_a_directory": ("predict", 8, lambda run, cfg: replaced(run / SERVE_NAME, True)),
+    "manifest_is_a_directory": ("report", 7, lambda run, cfg: replaced(run / MANIFEST_NAME, True)),
+    "member_model_path_empty": ("predict", 8, lambda run, cfg: served(
+        run, lambda r: r["members"][0].update(model_path=""), "")),
+    "master_model_path_a_directory": ("predict", 8, lambda run, cfg: served(
+        run, lambda r: r["master"].update(model_path="models"), "models")),
+    "data_path_a_directory": ("validate", 2, lambda run, cfg: reading(
+        cfg, replaced(run.parent / "data", True))),
+    "data_not_utf8": ("validate", 2, lambda run, cfg: not_utf8(cfg, run.parent)),
+    "reports_is_a_file": ("report", 7, lambda run, cfg: replaced(run / "reports", False)),
+    "models_is_a_file": ("train", 4, lambda run, cfg: replaced(run / "models", False)),
+    "manifest_is_a_directory_when_written": (
+        "train", 4, lambda run, cfg: replaced(run / MANIFEST_NAME, True)),
+    "matrices_is_a_file": ("preprocess", 3, lambda run, cfg: replaced(run / "matrices", False)),
+}
+
+
+def json_classes(part) -> set:
+    """The classes of the JSON values that a run-record shape entry accepts."""
+    if part.__class__ in (dict, list):  # an object, or an array of objects
+        return {part.__class__}
+    if part.__class__ is type:
+        return pipeline._JSON_TYPES[part][0]
+    origin = typing.get_origin(part)
+    if origin is list:
+        return {list}
+    if origin is typing.Literal:
+        return {str}
+    return set().union(*map(json_classes, typing.get_args(part)))
+
+
+def shape_places(shape, where=()):
+    """(key path, shape entry) of every place in a run-record shape; an
+    array's item and the places in it are those of its first item."""
+    for key, part in shape.items():
+        place = (*where, key)
+        yield place, part
+        if part.__class__ is list:
+            place, part = (*place, 0), part[0]
+            yield place, part
+        if part.__class__ is dict:
+            yield from shape_places(part, place)
+
+
+RECORD_SHAPES = {SERVE_NAME: pipeline._SERVE, MANIFEST_NAME: pipeline._MANIFEST}
+RECORD_PLACES = [(name, place, part) for name, shape in RECORD_SHAPES.items()
+                 for place, part in shape_places(shape)]
+OTHER_KINDS = [None, True, 7, 2.5, "x", [], {}]
+DELETED = "<deleted>"
 
 
 @pytest.fixture(scope="session")
@@ -928,7 +1024,8 @@ class TestCli:
         _, config_path = write_demo_workspace(tmp_path, restarts=2, enabled_sets=[7])
         assert cli_main(["train", "-c", str(config_path),
                          "--run-dir", str(tmp_path / "run")]) == 4
-        assert "stage 'train' failed: all 2 restarts diverged" in capsys.readouterr().err
+        assert ("stage 'train' failed: set07_lag01: all 2 restarts diverged"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("extremes", [("1e308", "-1e308"), ("1.7e308", "1.6e308")])
     def test_extreme_column_exits_as_train_stage(self, set7_run, tmp_path, capsys, extremes):
@@ -944,7 +1041,7 @@ class TestCli:
         path.write_text(json.dumps(with_csv_edit(config, tmp_path, extreme_tbill).to_dict()))
         assert cli_main(["train", "-c", str(path), "--run-dir", str(tmp_path / "run")]) == 4
         err = capsys.readouterr().err
-        assert "error: stage 'train' failed: column 'tbill' spans" in err
+        assert "error: stage 'train' failed: set07_lag01: column 'tbill' spans" in err
         assert "min-max scaling is not finite" in err
 
     def test_extreme_master_column_exits_as_master_stage(self, tmp_path, capsys, monkeypatch):
@@ -962,7 +1059,7 @@ class TestCli:
         assert cli_main(["master", "-c", str(config_path),
                          "--run-dir", str(tmp_path / "run")]) == 6
         err = capsys.readouterr().err
-        assert f"error: stage 'master' failed: column {names[0]!r} spans" in err
+        assert f"error: stage 'master' failed: master: column {names[0]!r} spans" in err
 
     @pytest.mark.parametrize("flag", ["--run-dir", "-o"])
     def test_run_dir_on_a_file_exits_as_config_stage(self, tmp_path, capsys, flag):
@@ -973,6 +1070,64 @@ class TestCli:
         assert err.startswith("error: stage 'config' failed:") and str(csv_path) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fault", FILE_FAULTS)
+    def test_file_fault_fails_its_stage(self, set7_run, tmp_path, capsys, fault):
+        # a file that cannot be read or written fails the stage that touches it
+        command, code, make = FILE_FAULTS[fault]
+        config, finished = set7_run
+        run = shutil.copytree(finished, tmp_path / "run")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        named = make(run, config_path)
+        argv = ([command, "--run", str(run)] if command in ("report", "predict")
+                else [command, "-c", str(config_path), "--run-dir", str(run)])
+        assert cli_main(argv) == code
+        stage = next(name for name, c in EXIT_CODES.items() if c == code)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage '{stage}' failed:") and str(named) in err
+
+    @pytest.fixture(scope="class")
+    def record_run(self, set7_run, tmp_path_factory):
+        """A copy of the set-7 run whose records a test edits and restores."""
+        return shutil.copytree(set7_run[1], tmp_path_factory.mktemp("records") / "run")
+
+    @pytest.mark.parametrize("name, place, part", RECORD_PLACES,
+                             ids=[f"{n}:{'.'.join(map(str, p))}" for n, p, _ in RECORD_PLACES])
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_place_of_a_run_record_is_checked(self, record_run, capsys, data,
+                                                    name, place, part):
+        # deleting a key (a partial manifest may lack a top-level part) or writing a
+        # value of another JSON kind fails the command, naming the file and the place
+        deletable = isinstance(place[-1], str) and (name == SERVE_NAME or len(place) > 1)
+        edit = data.draw(st.sampled_from([DELETED] * deletable + [
+            value for value in OTHER_KINDS if value.__class__ not in json_classes(part)]))
+        path, serve = record_run / name, record_run / SERVE_NAME
+        original = path.read_text()
+        record = json.loads(original)
+        node = functools.reduce(operator.getitem, place[:-1], record)
+        if edit == DELETED:
+            del node[place[-1]]
+        else:
+            node[place[-1]] = edit
+        path.write_text(json.dumps(record))
+        dotted = ".".join(map(str, place))
+        try:
+            for command, code in ([("predict", 8)] if name == SERVE_NAME
+                                  else [("report", 7), ("predict", 8)]):
+                if name == MANIFEST_NAME and command == "predict":
+                    serve.rename(record_run / "serve.away")  # predict reads the manifest
+                assert cli_main([command, "--run", str(record_run)]) == code
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: stage '{command}' failed: {path} ")
+                assert (err.endswith(f" lacks {dotted}\n") if edit == DELETED
+                        else f" at {dotted}, not " in err)
+        finally:
+            path.write_text(original)
+            if not serve.exists():
+                (record_run / "serve.away").rename(serve)
+
     def test_faulty_matrix_fails_train_stage(self, small_run):
         _, config, result = small_run
         ok = result.matrices[0]
@@ -981,6 +1136,23 @@ class TestCli:
             train_all(config, [ok, constant, ok.slice_rows(0, 10)])
         assert info.value.stage == "train"
         assert isinstance(info.value.cause, ConstantOutput)
+        assert str(info.value.cause) == (f"{constant.name}: "
+                                         "output column is constant; nothing to fit")
+
+    def test_constant_second_matrix_is_named_by_the_cli(self, tmp_path, capsys, monkeypatch):
+        real = pipeline.assemble_base_sets
+
+        def second_constant(*args, **kwargs):
+            matrices = real(*args, **kwargs)
+            matrices[1] = replace(matrices[1], output=np.full(matrices[1].rows, 5.0))
+            return matrices
+
+        monkeypatch.setattr(pipeline, "assemble_base_sets", second_constant)
+        _, config_path = write_demo_workspace(tmp_path, restarts=1, enabled_sets=[7])
+        assert cli_main(["train", "-c", str(config_path),
+                         "--run-dir", str(tmp_path / "run")]) == 4
+        assert capsys.readouterr().err == ("error: stage 'train' failed: set07_lag02: "
+                                           "output column is constant; nothing to fit\n")
 
 
 class TestImportFloor:

@@ -89,6 +89,19 @@ class TestLoadSeries:
         with pytest.raises(MissingFile):
             load_series(tmp_path / "absent.csv", {"level": "level"})
 
+    def test_crlf_lines_read_as_lf_lines(self, tmp_path):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(b"date,level\n2001-01,1.0\n\n2001-02,2.5\n")
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        (a,), (b,) = (load_series(p, {"level": "level"}) for p in (lf, crlf))
+        assert list(a.months) == list(b.months) and list(a.values) == list(b.values) == [1.0, 2.5]
+
+    def test_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"date,level\n2001-01,1.0\n2001-02,\xff\n")
+        with pytest.raises(UnparseableValue, match=f"{path} is not UTF-8 text"):
+            load_series(path, {"level": "level"})
+
     def test_short_row_without_date_names_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("v,date\n1,2000-01\n2\n", encoding="utf-8")
