@@ -18,9 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# The normal CDF and Student's t CDF that scipy.stats' norm.cdf and t.sf call,
-# bit for bit; importing scipy.stats itself would add about 70 MB and 0.9 s.
-from scipy.special import ndtr, stdtr
 
 from .errors import (
     ConstantRegressor,
@@ -214,7 +211,88 @@ def excess_predictability_from_positions(
 
 def normal_cdf_percent(statistic: float) -> float:
     """The standard normal CDF at ``statistic``, in percent (``norm_ep``)."""
-    return float(ndtr(statistic)) * 100.0
+    return _ndtr(float(statistic)) * 100.0
+
+
+# The normal CDF is the one non-elementary function the EP test needs. Loading
+# scipy.special for it would take every command from about 28 to 52 MB and
+# add about 0.17 s of start-up, so here is Moshier's Cephes ndtr.c, as scipy
+# ships it behind scipy.special.ndtr and scipy.stats.norm.cdf: the same
+# operations in the same order on the same constants give the same bits, and
+# the tests compare them with scipy's bit for bit, branch points included.
+_MAXLOG, _SQRT1_2 = 7.09782712893383996843E2, 0.70710678118654752440
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
+_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4)
+_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+      2.26290000613890934246E4, 4.92673942608635921086E4)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Cephes ``polevl``: the polynomial with coefficients ``coef``, highest first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    """Cephes ``p1evl``: as ``_polevl`` with an implied leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr(a: float) -> float:
+    """Cephes ``ndtr``: the standard normal CDF."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def _erf(x: float) -> float:
+    """Cephes ``erf``."""
+    if x < 0.0:
+        return -_erf(-x)
+    if abs(x) > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _erfc(a: float) -> float:
+    """Cephes ``erfc``; it returns 0 or 2 where exp(-a**2) would underflow."""
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z >= -_MAXLOG:
+        z = math.exp(z)
+        if x < 8.0:
+            p, q = _polevl(x, _P), _p1evl(x, _Q)
+        else:
+            p, q = _polevl(x, _R), _p1evl(x, _S)
+        y = (z * p) / q
+        if a < 0:
+            y = 2.0 - y
+        if y != 0.0:
+            return y
+    return 2.0 if a < 0 else 0.0
 
 
 def excess_predictability(predicted: np.ndarray, actual: np.ndarray) -> EPResult:
@@ -311,5 +389,12 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> RegressionResult:
 
 
 def two_sided_t_p(t_stat: float, df: int) -> float:
-    """Two-sided probability of ``|t_stat|`` under Student's t with ``df`` degrees of freedom."""
+    """Two-sided probability of ``|t_stat|`` under Student's t with ``df`` degrees of freedom.
+
+    ``stdtr`` is the function scipy.stats' ``t.sf`` calls, with the same bits.
+    It is imported here, on the one path that needs it (``ols_fit``, which no
+    command runs), so that no command loads scipy.
+    """
+    from scipy.special import stdtr
+
     return 2.0 * float(stdtr(df, -abs(t_stat)))

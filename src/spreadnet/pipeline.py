@@ -424,10 +424,14 @@ def _write_manifest(run_dir: Path, manifest: dict) -> None:
 
 
 def _write_json(target: Path, document: dict) -> None:
-    """Write ``document`` to ``target`` atomically (tmp file + rename)."""
+    """Write ``document`` to ``target`` atomically (tmp file + rename); a
+    write or rename that fails leaves no tmp file behind."""
     tmp = target.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(document, indent=1, sort_keys=True), encoding="utf-8")
-    os.replace(tmp, target)
+    try:
+        tmp.write_text(json.dumps(document, indent=1, sort_keys=True), encoding="utf-8")
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr
 
 from spreadnet.errors import (
     ConstantRegressor,
@@ -33,6 +34,16 @@ from spreadnet.metrics import (
     two_sided_t_p,
     weighted_slope,
 )
+
+
+# The branch points of Cephes' ndtr in its argument a, both signs: |a| = 1 (erf
+# or erfc), sqrt(2) (erfc through erf), 8 sqrt(2) (the P/Q or R/S fraction) and
+# sqrt(2 MAXLOG), past which exp(-a**2 / 2) underflows and erfc returns 0 or 2.
+NDTR_BRANCHES = [sign * b for b in (1.0, math.sqrt(2), 8 * math.sqrt(2),
+                                    math.sqrt(2 * 7.09782712893383996843E2))
+                 for sign in (1.0, -1.0)]
+NDTR_EDGES = [x for b in NDTR_BRANCHES
+              for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
 
 
 def levels_from_returns(returns, start=100.0):
@@ -261,12 +272,24 @@ class TestExcessPredictability:
 
     @settings(max_examples=300, deadline=None)
     @given(statistic=st.one_of(
-        st.sampled_from([0.0, -0.0, math.inf, -math.inf, 40.5, -40.5, 1e300, -1e300, 5e-324]),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, 40.5, -40.5, 1e300, -1e300, 5e-324,
+                         *NDTR_EDGES]),
         st.floats(allow_nan=False)))
     def test_norm_ep_bit_equals_scipy_stats(self, statistic):
         got = normal_cdf_percent(statistic)
         want = float(stats.norm.cdf(statistic)) * 100
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_norm_ep_sweep_bit_equals_scipy_special(self):
+        # about 10^5 arguments: a grid over +-45 that crosses every branch, and
+        # the 1,000 doubles either side of each branch point
+        ulps = np.arange(-1000, 1001)
+        near = [(np.array([b]).view(np.int64) + ulps).view(np.float64) for b in NDTR_BRANCHES]
+        args = np.concatenate([np.linspace(-45.0, 45.0, 84_001), *near,
+                               [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308]])
+        got = np.array([normal_cdf_percent(a) for a in args.tolist()])
+        want = ndtr(args) * 100.0
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_norm_ep_of_nan_is_nan(self):
         assert math.isnan(normal_cdf_percent(math.nan))
