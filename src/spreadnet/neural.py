@@ -15,12 +15,10 @@ bit-exactly.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -633,6 +631,8 @@ def _rank_key(score: float, seed: int) -> tuple:
 
 def _worker_count() -> int:
     """The CPUs this process may run on; 1 where ``fork`` is unavailable."""
+    import multiprocessing  # imported by training only: a forecast never loads the pool
+
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     try:
@@ -673,6 +673,9 @@ def _train_blocks(batches: list[list[_Prepared]], cfgs: list[TrainConfig],
     workers = min(workers, len(cfgs))
     if workers <= 1:
         return [_run_block(b, job) for b in range(len(cfgs))]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(job,)) as pool:
         return list(pool.map(_run_block, range(len(cfgs))))
@@ -781,10 +784,27 @@ def save_model(model: NetworkModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> NetworkModel:
     """The model stored at ``path``; MissingFile or CorruptModel names a file that
-    is absent or is not a model document (bad JSON, wrong format, missing keys)."""
+    is absent or is not a model document (bad JSON, nesting too deep to decode,
+    wrong format, missing keys).
+
+    The file is read on every call; its text is decoded once per distinct
+    text (see ``_decode_model``).
+    """
     try:
-        return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return _decode_model(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise MissingFile(f"no model file {path}") from exc
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON errors included
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise CorruptModel(f"{path} is not a {MODEL_FORMAT} document: {exc!r}") from exc
+
+
+# Distinct model texts kept decoded: a run's members and master number at most 65.
+_MODEL_TEXTS = 256
+
+
+@lru_cache(maxsize=_MODEL_TEXTS)
+def _decode_model(text: str) -> NetworkModel:
+    """The model a document's text holds. Equal texts decode to equal models, and
+    a model is immutable (frozen, read-only arrays), so every caller of one text
+    shares one; a text that fails raises each time and is not kept."""
+    return model_from_dict(json.loads(text))

@@ -796,10 +796,11 @@ def _walk(value, shape, path: Path, where: str, missing: list[str], partial=Fals
 
 
 def _read_json(path: Path, fault: type[Exception]):
-    """The JSON value in ``path``; ``fault`` names a file that is not UTF-8 JSON."""
+    """The JSON value in ``path``; ``fault`` names a file that is not UTF-8 JSON,
+    or nests too deep to decode."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise fault(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -853,7 +854,13 @@ def predict_from_run(
     member and master models, builds only the derived columns the members
     read, rebuilds each member's input row for its lag, stacks the member
     forecasts, and runs the master. The frame comes from ``config``
-    (defaults to the run's config). Nothing is cached between calls.
+    (defaults to the run's config).
+
+    Every call reads every file it uses. What a call keeps for the next is
+    keyed by a file's content, never by its path or time: a model text is
+    decoded, and a data CSV text parsed, once per distinct text (a bounded
+    memo in ``neural.load_model`` and ``series.load_series``), so a file
+    rewritten with other bytes is parsed afresh on the next call.
     """
     run_dir = Path(run_dir)
     path, record = _load_serve_record(run_dir)

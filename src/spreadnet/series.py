@@ -11,6 +11,7 @@ one or more numeric value columns, decimal point as separator, UTF-8.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import re
@@ -157,6 +158,9 @@ def load_series(
     read as ``csv.DictReader`` reads them: a field missing from a short row
     is empty, extra fields are ignored, and of two columns with one name
     the last counts.
+
+    The file is read on every call; its text is parsed once per distinct
+    (text, column map, date column) (see ``_parse_csv``).
     """
     path = Path(path)
     if not path.exists():
@@ -165,17 +169,36 @@ def load_series(
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UnparseableValue(f"{path} is not UTF-8 text: {exc}") from None
+    try:
+        return list(_parse_csv(text, tuple(column_map.items()), date_column))
+    except (MissingColumn, UnparseableValue, DuplicateDate, GapInDates) as exc:
+        raise type(exc)(f"{path}{exc}") from None
+
+
+# Distinct (CSV text, column map, date column) kept parsed: a run reads one or a few files.
+_CSV_TEXTS = 16
+
+
+@functools.lru_cache(maxsize=_CSV_TEXTS)
+def _parse_csv(text: str, columns: tuple[tuple[str, str], ...],
+               date_column: str) -> tuple[MonthlySeries, ...]:
+    """The series ``load_series`` reads from a CSV text, ``columns`` being its column
+    map's items. Equal arguments parse to equal series, and a series is immutable
+    (frozen, read-only arrays), so every caller of one text shares them; a text
+    that fails raises each time and is not kept. Its faults do not know the file:
+    each message continues the file's name, which ``load_series`` puts in front.
+    """
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, [])
     # csv.DictReader's reading: the last of repeated header names wins
     position = {col: i for i, col in enumerate(header)}
     if date_column not in position:
-        raise MissingColumn(f"{path}: date column {date_column!r} not in header {header}")
-    for name, col in column_map.items():
+        raise MissingColumn(f": date column {date_column!r} not in header {header}")
+    for name, col in columns:
         if col not in position:
-            raise MissingColumn(f"{path}: column {col!r} (for series {name!r}) not in header")
+            raise MissingColumn(f": column {col!r} (for series {name!r}) not in header")
     date_at = position[date_column]
-    wanted = [(col, position[col], []) for col in column_map.values()]
+    wanted = [(col, position[col], []) for _, col in columns]
     months: list[int] = []
     row_no = 0
     for row in reader:
@@ -187,7 +210,7 @@ def load_series(
         try:
             key = parse_month(row[date_at] if date_at < width else "")
         except UnparseableValue as exc:
-            raise UnparseableValue(f"{path} row {row_no}: {exc}") from None
+            raise UnparseableValue(f" row {row_no}: {exc}") from None
         months.append(key)
         for col, at, out in wanted:
             raw = row[at].strip() if at < width else ""
@@ -195,21 +218,21 @@ def load_series(
                 val = float(raw)
             except ValueError:
                 raise UnparseableValue(
-                    f"{path} row {row_no}: column {col!r} value {raw!r} is not a number"
+                    f" row {row_no}: column {col!r} value {raw!r} is not a number"
                 ) from None
             if not math.isfinite(val):
                 raise UnparseableValue(
-                    f"{path} row {row_no}: column {col!r} value {raw!r} is not finite"
+                    f" row {row_no}: column {col!r} value {raw!r} is not finite"
                 )
             out.append(val)
     if not months:
-        raise UnparseableValue(f"{path}: no data rows")
+        raise UnparseableValue(": no data rows")
     month_arr = np.asarray(months, dtype=np.int64)
-    _check_month_axis(month_arr, str(path))
-    return [
+    _check_month_axis(month_arr, "")
+    return tuple(
         MonthlySeries(name, month_arr, np.asarray(out))
-        for name, (_, _, out) in zip(column_map, wanted)
-    ]
+        for (name, _), (_, _, out) in zip(columns, wanted)
+    )
 
 
 def _check_month_axis(months: np.ndarray, origin: str) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import threading
@@ -9,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from spreadnet import neural, pipeline
+from spreadnet import neural, pipeline, series
 from spreadnet.demo import synthetic_series
 from spreadnet.preprocess import TrainingMatrix
 from spreadnet.series import align, parse_month
@@ -82,13 +83,22 @@ def pools(monkeypatch):
     """The worker count of each training pool the test starts, in order."""
     started = []
 
-    class Recorded(neural.ProcessPoolExecutor):
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(neural, "ProcessPoolExecutor", Recorded)
+    # ``neural._train_blocks`` imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
     return started
+
+
+@pytest.fixture(autouse=True)
+def cold_decode_memos():
+    """Every test starts with empty model and CSV memos, so no test passes only
+    because an earlier one decoded its files."""
+    neural._decode_model.cache_clear()
+    series._parse_csv.cache_clear()
 
 
 @pytest.fixture(scope="session")

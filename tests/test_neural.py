@@ -731,7 +731,7 @@ class TestWorkerPool:
         monkeypatch.delattr(neural.os, "sched_getaffinity")
         monkeypatch.setattr(neural.os, "cpu_count", lambda: 6)
         assert neural._worker_count() == 6
-        monkeypatch.setattr(neural.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert neural._worker_count() == 1
 
 

@@ -14,7 +14,7 @@ import sys
 import tempfile
 import textwrap
 import typing
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +23,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spreadnet
-from spreadnet import neural, pipeline, preprocess
+from spreadnet import neural, pipeline, preprocess, series
 from spreadnet.cli import EXIT_CODES
 from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
 from spreadnet.errors import (
     ConstantOutput,
+    CorruptModel,
     DivergedTraining,
     IncompleteManifest,
     NonPositiveValue,
@@ -110,6 +111,22 @@ def with_csv_edit(config, directory, edit):
     for entry in data["data"]["variables"].values():
         entry["path"] = str(target)
     return PipelineConfig.from_dict(data)
+
+
+def fresh_python(script: str) -> str:
+    """The standard output of ``script`` run by a fresh interpreter on this package."""
+    src = str(Path(spreadnet.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def fingerprint(report) -> str:
+    """Every number of a forecast, floats spelled exactly."""
+    return json.dumps(asdict(report))
 
 
 @st.composite
@@ -228,6 +245,8 @@ RECORD_PLACES = [(name, place, part) for name, shape in RECORD_SHAPES.items()
                  for place, part in shape_places(shape)]
 OTHER_KINDS = [None, True, 7, 2.5, "x", [], {}]
 DELETED = "<deleted>"
+# a JSON document nested deeper than the decoder recurses
+NESTED = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture(scope="session")
@@ -447,7 +466,9 @@ class TestConfigRoundTrip:
     def test_readme_example_is_the_layout(self):
         assert PipelineConfig.from_dict(README_CONFIG).to_dict() == README_CONFIG
 
-    @pytest.mark.parametrize("raw", [b"{not json", b'{"data": "\xff"}'])  # the second is not UTF-8
+    # the second is not UTF-8, the third nests too deep to decode
+    @pytest.mark.parametrize("raw", [b"{not json", b'{"data": "\xff"}',
+                                     pytest.param(NESTED.encode(), id="nested")])
     def test_from_file_names_a_malformed_file(self, tmp_path, raw):
         path = tmp_path / "config.json"
         path.write_bytes(raw)
@@ -664,6 +685,87 @@ class TestServeRecord:
         assert not (result.run_dir / SERVE_NAME).exists()
 
 
+class TestDecodeMemo:
+    """Model and CSV texts are decoded once per distinct content and shared, so
+    a call never sees another file's, an older file's or a mutated result."""
+
+    def test_calls_share_decoded_files_and_agree(self, set7_run):
+        _, run = set7_run
+        with pytest.MonkeyPatch.context() as patch:  # the reference decodes every file afresh
+            patch.setattr(neural, "_decode_model", neural._decode_model.__wrapped__)
+            patch.setattr(series, "_parse_csv", series._parse_csv.__wrapped__)
+            want = fingerprint(predict_from_run(run))
+        decoded = []
+        for _ in range(2):
+            got = fingerprint(predict_from_run(run))
+            decoded.append((neural._decode_model.cache_info().misses,
+                            series._parse_csv.cache_info().misses))
+            assert got == want
+        # the first call decodes 10 members, the master and one CSV; the second nothing
+        assert decoded == [(11, 1), (11, 1)]
+
+    def test_a_rewritten_model_is_decoded_again(self, set7_run, tmp_path):
+        _, source = set7_run
+        run = shutil.copytree(source, tmp_path / "run")
+        before = predict_from_run(run)
+        member = json.loads((run / SERVE_NAME).read_text())["members"][0]
+        path = run / member["model_path"]
+        document = json.loads(path.read_text())
+        document["weights"][-1][0][-1] += 1.0  # another output bias: another valid model
+        path.write_text(json.dumps(document, indent=1))
+        after = predict_from_run(run)
+        assert after.member_forecasts[member["name"]] != before.member_forecasts[member["name"]]
+        assert after.forecast != before.forecast
+        assert fingerprint(after) == fresh_python(f"""
+            from dataclasses import asdict
+            import json
+            from spreadnet.pipeline import predict_from_run
+            print(json.dumps(asdict(predict_from_run({str(run)!r}))))
+        """)
+
+    def test_an_edited_csv_is_parsed_again(self, set7_run, tmp_path):
+        config, run = set7_run
+        edited = with_csv_edit(config, tmp_path, lambda rows: None)
+        before = predict_from_run(run, config=edited)
+        path = Path(edited.variables[OUTPUT_VARIABLE]["path"])
+        rows = list(csv.reader(path.open(newline="", encoding="utf-8")))
+        rows[-1][1:] = [repr(float(v) * 1.25) for v in rows[-1][1:]]  # the last month
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        after = predict_from_run(run, config=edited)
+        assert after.last_actual == float(rows[-1][rows[0].index(OUTPUT_VARIABLE)])
+        assert after.last_actual != before.last_actual
+        # the lag-1 member reads the last month's inputs, the others earlier months'
+        lag1 = "set07_lag01"
+        assert after.member_forecasts[lag1] != before.member_forecasts[lag1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series, "_parse_csv", series._parse_csv.__wrapped__)
+            assert fingerprint(after) == fingerprint(predict_from_run(run, config=edited))
+
+    def test_a_corrupt_model_fails_every_call_until_restored(self, set7_run, tmp_path):
+        _, source = set7_run
+        run = shutil.copytree(source, tmp_path / "run")
+        want = fingerprint(predict_from_run(run))
+        path = run / "models" / "master.json"
+        good = path.read_text()
+        path.write_text(good[: len(good) // 2])
+        for _ in range(2):
+            with pytest.raises(CorruptModel, match=re.escape(str(path))):
+                predict_from_run(run)
+        path.write_text(good)
+        assert fingerprint(predict_from_run(run)) == want
+
+    def test_a_shared_model_is_read_only(self, set7_run):
+        _, run = set7_run
+        path = run / json.loads((run / SERVE_NAME).read_text())["master"]["model_path"]
+        model = load_model(path)
+        assert load_model(path) is model  # one decoded model, shared by every call
+        scalings = (model.input_scaling, model.output_scaling)
+        for array in (*model.weights, *(a for m in scalings for a in (m.scale, m.offset))):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
+
+
 class TestDeterminism:
     def test_two_runs_identical_manifests(self, tmp_path):
         _, config_path = write_demo_workspace(
@@ -854,6 +956,7 @@ class TestCli:
         assert "stage 'config' failed" in err and extra[1].split("=")[0] in err
 
     @pytest.mark.parametrize("text, problem", [("{", "not valid JSON"),
+                                               pytest.param(NESTED, "not valid JSON", id="nested"),
                                                ("[1, 2]", "not a JSON object")])
     @pytest.mark.parametrize("command, name, code", [
         ("predict", SERVE_NAME, 8),
@@ -960,6 +1063,8 @@ class TestCli:
         ("member", "{}"),                 # not a model document
         ("member", None),                 # a model document without layer_sizes
         ("master", None),                 # no master.json at all
+        pytest.param("member", NESTED, id="member-nested"),
+        pytest.param("master", NESTED, id="master-nested"),
     ])
     def test_unreadable_model_file_exit_code(self, small_run, tmp_path, capsys, model, text):
         _, _, result = small_run
@@ -967,7 +1072,7 @@ class TestCli:
         entry = json.loads((run / SERVE_NAME).read_text())
         path = run / (entry["members"][0]["model_path"] if model == "member"
                       else entry["master"]["model_path"])
-        if model == "master":
+        if (model, text) == ("master", None):
             path.unlink()
         elif text is None:
             document = json.loads(path.read_text())
@@ -1004,9 +1109,10 @@ class TestCli:
         assert cli_main(["validate", "-c", str(tmp_path / "nope.json")]) == 1
         assert "stage 'config' failed" in capsys.readouterr().err
 
-    def test_malformed_config_json_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["{not json", pytest.param(NESTED, id="nested")])
+    def test_malformed_config_json_exit_code(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         assert cli_main(["validate", "-c", str(bad)]) == 1
         assert "stage 'config' failed" in capsys.readouterr().err
 
@@ -1162,7 +1268,7 @@ class TestImportFloor:
         # scipy.stats alone costs about 70 MB and 0.9 s of every command's start-up,
         # scipy.special about 24 MB and 0.17 s. This pytest process imports both
         # itself, so a fresh interpreter runs the check.
-        script = textwrap.dedent(f"""
+        assert fresh_python(f"""
             import sys
             import spreadnet, spreadnet.cli
             from spreadnet.demo import write_demo_workspace
@@ -1172,11 +1278,17 @@ class TestImportFloor:
                                run_dir={str(tmp_path / "run")!r})
             predict_from_run(run.run_dir)
             print(sorted(name for name in sys.modules if name.startswith("scipy")))
-        """)
-        src = str(Path(spreadnet.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        """) == "[]"
+
+    def test_a_forecast_loads_no_pool(self, set7_run):
+        # A forecast trains nothing: its process need not load the training pool's
+        # modules (multiprocessing with queue, socket, selectors; about 9 ms).
+        _, run = set7_run
+        assert fresh_python(f"""
+            import sys
+            from spreadnet import cli
+            assert cli.main(["predict", "--run", {str(run)!r}]) == 0
+            print(sorted(name for name in sys.modules
+                         for pool in ("multiprocessing", "concurrent.futures")
+                         if name == pool or name.startswith(pool + ".")))
+        """).splitlines()[-1] == "[]"

@@ -96,6 +96,43 @@ class TestLoadSeries:
         (a,), (b,) = (load_series(p, {"level": "level"}) for p in (lf, crlf))
         assert list(a.months) == list(b.months) and list(a.values) == list(b.values) == [1.0, 2.5]
 
+    def test_one_text_read_through_other_columns(self, tmp_path):
+        # the text is parsed once per column map and date column, never once for all
+        path = tmp_path / "d.csv"
+        path.write_text("date,a,b,when\n2000-01,1,2,2001-05\n2000-02,3,4,2001-06\n")
+        (a,), (b,), (t,) = (load_series(path, m) for m in ({"s": "a"}, {"s": "b"}, {"t": "a"}))
+        (later,) = load_series(path, {"s": "a"}, date_column="when")
+        assert a.values.tolist() == [1.0, 3.0] and b.values.tolist() == [2.0, 4.0]
+        assert (a.name, t.name) == ("s", "t") and t.values.tolist() == [1.0, 3.0]
+        assert later.month_labels() == ["2001-05", "2001-06"]
+
+    @pytest.mark.parametrize("text, fault, message", [
+        ("date,v\n2000-01,abc\n", UnparseableValue,
+         " row 1: column 'v' value 'abc' is not a number"),
+        ("date,v\n2000-01,1\n2000-01,2\n", DuplicateDate, " row 2: month 2000-01 repeats row 1"),
+        ("date,w\n2000-01,1\n", MissingColumn, ": column 'v' (for series 'v') not in header"),
+        ("date,v\n", UnparseableValue, ": no data rows"),
+    ], ids=["not-a-number", "repeated-month", "missing-column", "no-rows"])
+    def test_a_fault_names_the_file_read(self, tmp_path, text, fault, message):
+        # two files, one text: each call's fault names its own file
+        for name in ("x.csv", "y.csv"):
+            path = tmp_path / name
+            path.write_text(text)
+            for _ in range(2):
+                with pytest.raises(fault) as info:
+                    load_series(path, {"v": "v"})
+                assert str(info.value) == f"{path}{message}"
+
+    def test_shared_series_are_read_only(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["2001-01,1.0", "2001-02,2.0"])
+        loaded = load_series(path, {"level": "level"})
+        (series,) = loaded
+        for array in (series.values, series.months):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        loaded.clear()  # each call returns its own list
+        assert [s.values.tolist() for s in load_series(path, {"level": "level"})] == [[1.0, 2.0]]
+
     def test_not_utf8_names_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"date,level\n2001-01,1.0\n2001-02,\xff\n")
