@@ -499,8 +499,12 @@ def train(
 # Most restarts per stacked training call. Cost per restart is flat from
 # about 40 restarts up, while the working arrays (and peak memory) grow with
 # the block, so a bounded block keeps memory bounded at any restart count.
-# A shape group smaller than one block per worker is cut into one block per
-# worker instead, so every CPU gets work; at one CPU the blocks are these.
+# A job smaller than one such block per worker is cut into blocks of at most
+# one worker's share of all its restarts instead (``_plan_blocks``), so every
+# CPU gets work. The share is the whole job's, not each shape group's: a
+# block's epoch loop has a fixed cost (about 27 us an epoch on a 2-vCPU VM,
+# beside under 2 us per restart and epoch), so a group cut finer than the
+# share only adds loops. At one CPU the blocks are these.
 RESTART_BLOCK = 256
 
 
@@ -531,8 +535,12 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     """Train ``cfg.restarts`` seeded networks per matrix and rank each matrix's.
 
     Every (matrix, seed) pair whose training batch has the same shape, under
-    the same regime, trains in one stack, in blocks of at most
-    ``RESTART_BLOCK`` restarts (see ``_train_blocks``); each restart's
+    the same regime, trains in one stack, in blocks of at most one worker's
+    share of the whole job, ``min(RESTART_BLOCK, ceil(pairs / workers))``,
+    and in a block count that the workers share evenly (see ``_plan_blocks``
+    and ``_train_blocks``). The share is the job's, not each group's,
+    because every block pays a fixed cost per epoch: a small group stays
+    whole rather than being cut once per worker. Each restart's
     weights are bit-identical to ``train`` with its seed, whichever block
     and process it trains in. Restarts whose initial loss is non-finite are
     skipped.
@@ -572,10 +580,7 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
         key = (prep.aug0.shape, replace(cfg, rng_seed=0, restarts=1))
         groups.setdefault(key, []).extend((j, r) for r in range(cfg.restarts))
     workers = _worker_count()
-    blocks = []
-    for pairs in groups.values():
-        size = min(RESTART_BLOCK, -(-len(pairs) // workers))
-        blocks += [pairs[start:start + size] for start in range(0, len(pairs), size)]
+    blocks = _plan_blocks(list(groups.values()), workers)
     outcomes = _train_blocks([[preps[j] for j, _ in block] for block in blocks],
                              [cfgs[block[0][0]] for block in blocks],
                              [[seeds[j][r] for j, r in block] for block in blocks], workers,
@@ -600,6 +605,38 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
         results[0] = replace(results[0], model=_model(preps[j], weights))
         rankings.append(results)
     return rankings
+
+
+def _plan_blocks(groups: list[list], workers: int) -> list[list]:
+    """The job's blocks: each group cut into contiguous runs of at most one worker's share.
+
+    ``share = min(RESTART_BLOCK, ceil(total / workers))`` over all groups'
+    items; a group of n items becomes ``ceil(n / share)`` blocks whose sizes
+    differ by at most one, the larger first. Blocks keep the groups' order.
+
+    Blocks of about one size finish at about the same pace, so when there
+    are more blocks than workers, a worker left with one block more than
+    the others sets the stage's end. The count is then rounded up to a
+    multiple of the workers, one block at a time to the group whose blocks
+    are largest (the demo at 50 restarts and two workers: 14 blocks, not
+    13), while any block holds more than one item.
+    """
+    share = min(RESTART_BLOCK, -(-sum(map(len, groups)) // workers))
+    counts = [-(-len(items) // share) for items in groups]
+    while sum(counts) > workers and sum(counts) % workers:
+        g = max(range(len(groups)), key=lambda g: len(groups[g]) / counts[g])
+        if len(groups[g]) == counts[g]:
+            break
+        counts[g] += 1
+    blocks = []
+    for items, count in zip(groups, counts):
+        size, extra = divmod(len(items), count)
+        start = 0
+        for b in range(count):
+            end = start + size + (b < extra)
+            blocks.append(items[start:end])
+            start = end
+    return blocks
 
 
 def _score_block(blocks, preps, tests, seeds, scorer, b: int, finals: list) -> tuple:

@@ -604,12 +604,29 @@ def _group_means(candidates: list[dict], key: str) -> list[dict]:
                 key: value,
                 "models": len(entries),
                 "perfect": sum(1 for c in entries if c["ism"] == "perfect"),
-                "mean_ism": float(np.mean(finite)) if finite else None,
-                "mean_norm_ep": float(np.mean(eps)) if eps else None,
-                "mean_hit_rate": float(np.mean([c["hit_rate"] for c in entries])),
+                "mean_ism": _mean(finite) if finite else None,
+                "mean_norm_ep": _mean(eps) if eps else None,
+                "mean_hit_rate": _mean([c["hit_rate"] for c in entries]),
             }
         )
     return rows
+
+
+def _mean(values: list[float]) -> float:
+    """The mean of finite values, finite and within their [min, max].
+
+    ``np.mean`` where its sum stays finite; where it overflows (two ISMs
+    near 1.7e308), the mean of the values over their largest magnitude,
+    times that magnitude. Rounding can put a mean an ulp outside the
+    values' range (three equal values), so it is clipped to it.
+    """
+    x = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(x)
+    if not np.isfinite(mean):
+        scale = np.max(np.abs(x))
+        mean = scale * np.mean(x / scale)
+    return float(np.clip(mean, x.min(), x.max()))
 
 
 def _write_group_means(path: Path, candidates: list[dict], key: str) -> Path:

@@ -695,10 +695,12 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("workers, block, sizes", [
         (1, 256, [10, 6]),              # one CPU: the blocks of RESTART_BLOCK
-        (1, 4, [4, 4, 2, 4, 2]),
-        (3, 256, [4, 4, 2, 2, 2, 2]),   # one block per worker in each shape group
+        (1, 4, [4, 3, 3, 3, 3]),        # a group's blocks differ in size by at most one
+        (3, 256, [5, 5, 6]),            # one worker's share of all 16 restarts: 6
+        (2, 256, [5, 5, 3, 3]),         # 3 blocks by the share, 4 for 2 workers
         (64, 256, [1] * 16),            # more workers than restarts: one restart each
-        (3, 2, [2] * 5 + [2, 2, 2]),    # RESTART_BLOCK still bounds a block
+        # RESTART_BLOCK bounds a block; 9 blocks, not 8, so each of 3 workers runs 3
+        (3, 2, [2, 2, 2, 2, 1, 1, 2, 2, 2]),
     ])
     def test_blocks_split_per_worker(self, monkeypatch, workers, block, sizes):
         # the split at any worker count, trained here in this process
@@ -723,6 +725,54 @@ class TestWorkerPool:
             assert [r.seed for r in g] == [r.seed for r in w]
             assert same_bits([r.score for r in g], [r.score for r in w])
             assert_same_weights(g[0].model.weights, w[0].model.weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 600), min_size=1, max_size=6),
+           workers=st.integers(1, 64), block=st.integers(1, 300))
+    def test_plan_covers_each_pair_once_in_bounded_even_blocks(self, lengths, workers, block):
+        groups = [[(g, r) for r in range(n)] for g, n in enumerate(lengths)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "RESTART_BLOCK", block)
+            blocks = neural._plan_blocks(groups, workers)
+        assert [pair for b in blocks for pair in b] == [pair for g in groups for pair in g]
+        share = min(block, -(-sum(lengths) // workers))
+        cut = sum(-(-n // share) for n in lengths)  # each group cut by the share alone
+        if cut <= workers:
+            assert len(blocks) == cut
+        else:  # rounded up to a multiple of the workers, unless every block holds one pair
+            assert cut <= len(blocks) < cut + workers
+            assert len(blocks) % workers == 0 or all(len(b) == 1 for b in blocks)
+        for g, n in enumerate(lengths):
+            sizes = [len(b) for b in blocks if b[0][0] == g]
+            assert all(pair[0] == g for b in blocks if b[0][0] == g for pair in b)
+            assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+            assert max(sizes) <= share
+
+    @pytest.mark.parametrize("restarts, sizes", [
+        (4, [88, 88, 40, 40]),
+        # 13 blocks by the share, 14 for 2 workers: the added one goes to the largest blocks
+        (50, [245] * 4 + [244] * 5 + [167, 167, 166, 250, 250]),
+    ])
+    def test_demo_plan_at_two_workers(self, monkeypatch, tmp_path, restarts, sizes):
+        # the 64 demo matrices in three shape groups, planned and not trained
+        from spreadnet import pipeline
+        from spreadnet.demo import write_demo_workspace
+
+        class Planned(Exception):
+            pass
+
+        def record(batches, block_cfgs, seeds, count, finish):
+            raise Planned(count, [len(s) for s in seeds])
+
+        _, config_path = write_demo_workspace(tmp_path, restarts=restarts)
+        config = pipeline.PipelineConfig.from_file(config_path)
+        matrices = pipeline.assemble(config, pipeline.ingest(config))
+        monkeypatch.setattr(neural, "_worker_count", lambda: 2)
+        monkeypatch.setattr(neural, "_train_blocks", record)
+        with pytest.raises(Planned) as planned:
+            pipeline.train_all(config, matrices)
+        assert len(matrices) == 64
+        assert planned.value.args == (2, sizes)
 
     def test_worker_count(self, monkeypatch):
         # the CPUs in this process's affinity mask, measured without starting a process

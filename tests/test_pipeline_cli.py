@@ -550,6 +550,30 @@ class TestReports:
                     (reloaded / "reports" / name).read_bytes(), name
 
     @staticmethod
+    def group(isms):
+        """Candidates of one base set with these ISMs, as a manifest lists them."""
+        return [{"base_set": 1, "ism": ism, "norm_ep": 50.0, "hit_rate": 0.5} for ism in isms]
+
+    def test_group_mean_of_isms_near_the_float_limit_is_finite(self):
+        # np.mean's sum of these overflows: the mean is taken over the largest ISM
+        (row,) = pipeline._group_means(self.group([1.7e308, 1.7e308, "perfect"]), "base_set")
+        assert row["mean_ism"] == 1.7e308 and row["perfect"] == 1
+        (row,) = pipeline._group_means(self.group([-1.7e308, -1.7e308, 0.0]), "base_set")
+        assert row["mean_ism"] == pytest.approx(-1.7e308 / 3 * 2, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(isms=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                         max_size=12))
+    def test_group_mean_of_finite_isms_is_finite_and_within_them(self, isms):
+        (row,) = pipeline._group_means(self.group(isms), "base_set")
+        assert np.isfinite(row["mean_ism"])
+        assert min(isms) <= row["mean_ism"] <= max(isms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = float(np.mean(isms))
+        if np.isfinite(plain) and min(isms) <= plain <= max(isms):
+            assert row["mean_ism"] == plain  # a sum that stays finite keeps its bytes
+
+    @staticmethod
     def summary_sections(run_dir):
         """summary.txt as {section header: its lines up to the next blank line}."""
         blocks = (run_dir / "reports" / "summary.txt").read_text().split("\n\n")
