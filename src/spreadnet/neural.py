@@ -241,23 +241,26 @@ def _augment(x: np.ndarray) -> np.ndarray:
 class _Workspace:
     """The arrays one epoch of a stack writes, allocated once for ``block`` networks.
 
-    ``resize(m)`` points every working view at the leading ``m`` networks
-    of the buffers, so the epochs of a block allocate nothing: at 256
-    restarts each of these arrays is up to half a megabyte, and a fresh
-    one per epoch cost page faults on every call. The bias column of each
-    hidden layer's augmented buffer is set to one here, once.
+    Each network's parameters are one row of ``n_params`` floats: layer by
+    layer, each stored as its (fan_in + 1, fan_out) transpose, so a hidden
+    layer's product needs no transposed copy and a step or a select is one
+    call on the whole row. ``layers(row)`` views a (B, n_params) stack of
+    rows per layer. ``resize(m)`` points every working view at the leading
+    ``m`` networks of the buffers, so the epochs of a block allocate
+    nothing: at 256 restarts each of these arrays is up to half a megabyte,
+    and a fresh one per epoch cost page faults on every call. The bias
+    column of each hidden layer's augmented buffer is set to one here, once.
     """
 
     def __init__(self, sizes: tuple[int, ...], block: int, rows: int):
-        fans = list(zip(sizes[:-1], sizes[1:]))  # (fan_in, fan_out) per layer
+        self.shapes = [(i + 1, o) for i, o in zip(sizes[:-1], sizes[1:])]  # stored per layer
+        self.n_params = sum(i * o for i, o in self.shapes)
         widths = sizes[1:-1]  # hidden layers
         self._full = dict(
-            w_t=[np.empty((block, i + 1, o)) for i, o in fans],
-            w_cut=[np.empty((block, o, i)) for i, o in fans[1:]],
-            grads=[np.empty((block, o, i + 1)) for i, o in fans],
-            hidden=[np.empty((block, rows, h)) for h in widths],
+            grad=np.empty((block, self.n_params)),
+            hidden=[np.empty((block, h, rows)) for h in widths],
             augs=[np.ones((block, rows, h + 1)) for h in widths],
-            deltas=[np.empty((block, rows, h)) for h in widths],
+            deltas=[np.empty((block, h, rows)) for h in widths],
             out=np.empty((block, rows, 1)),
             err=np.empty((block, rows)),
             sq=np.empty((block, rows)),
@@ -267,24 +270,36 @@ class _Workspace:
         )
         self.resize(block)
 
+    def layers(self, row: np.ndarray) -> list[np.ndarray]:
+        """Views (B, fan_in + 1, fan_out) of a (B, n_params) stack of parameter rows."""
+        views, start = [], 0
+        for shape in self.shapes:
+            end = start + shape[0] * shape[1]
+            views.append(row[:, start:end].reshape(len(row), *shape, copy=False))
+            start = end
+        return views
+
     def resize(self, m: int) -> None:
         for name, full in self._full.items():
             setattr(self, name, [a[:m] for a in full] if isinstance(full, list) else full[:m])
+        self.grads = self.layers(self.grad)
 
 
 def _epoch_math(weights, aug0, y_scaled, ws: _Workspace):
     """Fused forward + backward over one full batch, for a stack of networks.
 
-    ``weights[l]`` has shape (B, fan_out, fan_in + 1): layer ``l`` of each
-    of B networks. ``aug0`` is the (B, rows, inputs + 1) stack of input
-    matrices with the bias column already appended, and ``y_scaled`` the
-    (B, rows) stack of targets: network b trains on item b. ``ws`` is a
-    ``_Workspace`` for these layer sizes and rows, viewed at B networks;
-    every array the epoch computes is written into it through ``out=``, so
-    the call allocates no array. Returns per-network (loss, grads, scaled
-    MAE) as views into ``ws`` with a leading axis of length B, valid until
-    the workspace's next epoch; loss is the half mean squared error in
-    scaled space.
+    ``weights`` are ``ws.layers`` views of a (B, n_params) stack of
+    parameter rows: layer ``l`` of each of B networks as its
+    (fan_in + 1, fan_out) transpose. ``aug0`` is the (B, rows, inputs + 1)
+    stack of input matrices with the bias column already appended, and
+    ``y_scaled`` the (B, rows) stack of targets: network b trains on item
+    b. ``ws`` is a ``_Workspace`` for these layer sizes and rows, viewed at
+    B networks; every array the epoch computes is written into it through
+    ``out=``, so the call allocates no array. Returns per-network (loss,
+    gradient row, scaled MAE) as views into ``ws`` with a leading axis of
+    length B, valid until the workspace's next epoch: the gradient row is
+    laid out as the parameter row, and loss is the half mean squared error
+    in scaled space.
 
     Every product is ``np.matmul`` on the stacked arrays, which runs the
     same 2-D product for each network, and every mean reduces along the
@@ -292,23 +307,26 @@ def _epoch_math(weights, aug0, y_scaled, ws: _Workspace):
     in the stack. (``einsum`` sums in another order and drifts.) A mean is
     the sum then a divide, exactly as ``np.mean`` computes it.
 
-    Weight operands go to ``matmul`` as contiguous copies: the same bits at
-    2-3x less cost per product than a transposed or sliced view. The
-    transposed ``delta`` of the gradient product stays a view, because a
-    contiguous copy of it changes bits. ``tanh`` runs in place on a
-    contiguous buffer and is then copied column by column into the
-    augmented buffer, whose bias column the workspace set once: ``tanh``
-    into the strided columns would leave numpy's SIMD loop.
+    A hidden layer's activations and error terms are held as
+    (B, units, rows). The product ``W @ aug_in^T`` takes both operands as
+    views; ``tanh`` and its derivative ``1 - t*t`` run in place on that
+    contiguous buffer, whose rows are then copied into the next layer's
+    (B, rows, units + 1) augmented buffer (its bias column the workspace
+    set once). The output layer's product and gradient keep that augmented
+    layout: fed the transposed buffer, both change bits. The product that
+    carries an error term down a layer runs its inner loop along the rows,
+    which makes the output layer's k = 1 product cheap. A hidden gradient
+    is ``aug_in^T @ delta^T`` on views, written straight into its
+    (fan_in + 1, units) place in the gradient row.
     """
     n = aug0.shape[-2]
     augs = [aug0, *ws.augs]
-    for w, w_t in zip(weights, ws.w_t):
-        np.copyto(w_t, w.transpose(0, 2, 1))
     for l, t in enumerate(ws.hidden):
-        np.tanh(np.matmul(augs[l], ws.w_t[l], out=t), out=t)
-        for j in range(t.shape[-1]):
-            augs[l + 1][..., j] = t[..., j]
-    out = np.matmul(augs[-1], ws.w_t[-1], out=ws.out)
+        np.tanh(np.matmul(weights[l].transpose(0, 2, 1), augs[l].transpose(0, 2, 1), out=t),
+                out=t)
+        for j in range(t.shape[1]):
+            augs[l + 1][..., j] = t[:, j]
+    out = np.matmul(augs[-1], weights[-1], out=ws.out)
 
     err = np.subtract(out[..., 0], y_scaled, out=ws.err)
     np.multiply(err, err, out=ws.sq)
@@ -317,23 +335,20 @@ def _epoch_math(weights, aug0, y_scaled, ws: _Workspace):
     mae = np.add.reduce(np.abs(err, out=ws.sq), axis=-1, out=ws.mae)
     np.divide(mae, n, out=mae)
 
-    # The output error as two views that differ only in strides. In the
-    # gradient sum, the stride-0 axis keeps matmul in numpy's own loop,
-    # whose summation order the models carry. The k = 1 product has one
-    # term per entry, so the contiguous view may take BLAS: the same bits,
-    # signed zeros included, at about half the cost at a full block.
+    # The output error as a (B, 1, rows) view whose unit axis has stride 0.
+    # In the output gradient that stride keeps matmul in numpy's own loop,
+    # whose summation order the models carry.
     np.divide(err, n, out=ws.delta_out)
-    summed = ws.delta_out[..., None]
-    delta = ws.delta_out.reshape(*ws.delta_out.shape, 1)
-    for l in range(len(weights) - 1, -1, -1):
-        np.matmul(summed.transpose(0, 2, 1), augs[l], out=ws.grads[l])
-        if l > 0:
-            t = ws.hidden[l - 1]
-            np.copyto(ws.w_cut[l - 1], weights[l][..., :-1])
-            delta = summed = np.matmul(delta, ws.w_cut[l - 1], out=ws.deltas[l - 1])
-            np.multiply(t, t, out=t)  # the tanh output becomes its derivative 1 - t*t
-            np.multiply(delta, np.subtract(1.0, t, out=t), out=delta)
-    return loss, ws.grads, mae
+    delta = ws.delta_out[:, None, :]
+    np.matmul(delta, augs[-1], out=ws.grads[-1].transpose(0, 2, 1))
+    for l in range(len(weights) - 1, 0, -1):
+        t, below = ws.hidden[l - 1], ws.deltas[l - 1]
+        np.matmul(weights[l][:, :-1], delta, out=below)
+        np.multiply(t, t, out=t)  # the tanh output becomes its derivative 1 - t*t
+        np.multiply(below, np.subtract(1.0, t, out=t), out=below)
+        np.matmul(augs[l - 1].transpose(0, 2, 1), below.transpose(0, 2, 1), out=ws.grads[l - 1])
+        delta = below
+    return loss, ws.grad, mae
 
 
 def _init_weights(n_inputs: int, cfg: TrainConfig, seed: int):
@@ -408,43 +423,39 @@ def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int],
     epoch, accepted or rejected.
 
     The block allocates its arrays once: a ``_Workspace`` for the kernel
-    and the state (weights, gradients, candidate, batches, loss, rate),
-    which every epoch updates in place through ``out=`` and
-    ``np.copyto(..., where=)``. When restarts leave, the survivors are
-    compacted to the front of each array and the views shrink to them.
+    and the state (parameter rows, gradient rows, candidate rows, batches,
+    loss, rate), which every epoch updates in place through ``out=`` and
+    ``np.copyto(..., where=)``, one call each on the whole rows. When
+    restarts leave, the survivors are compacted to the front of each array
+    and the views shrink to them.
     """
     inits = [_init_weights(p.n_inputs, cfg, seed) for p, seed in zip(preps, seeds)]
     sizes = inits[0][0]
-    weights = [np.stack(layer) for layer in zip(*(w for _, w in inits))]
     aug0 = np.stack([p.aug0 for p in preps])
     y_scaled = np.stack([p.y_scaled for p in preps])
     ws = _Workspace(sizes, len(seeds), aug0.shape[-2])
-    loss, grads, _ = _epoch_math(weights, aug0, y_scaled, ws)
+    params = _pack(ws, [w for _, w in inits])
+    loss, grad, _ = _epoch_math(ws.layers(params), aug0, y_scaled, ws)
 
     finals: list = [None] * len(seeds)
     live = np.isfinite(loss)
     idx = np.flatnonzero(live)  # batch position of each stacked restart
     # the block's state, sized once; boolean indexing copies out of the workspace
-    state = [*(w[live] for w in weights), *(g[live] for g in grads),
-             aug0[live], y_scaled[live], loss[live], np.full(len(idx), cfg.learning_rate), idx]
-    n_layers = len(weights)
-    candidate = [np.empty_like(w) for w in state[:n_layers]]
+    state = [params[live], grad[live], aug0[live], y_scaled[live], loss[live],
+             np.full(len(idx), cfg.learning_rate), idx]
+    candidate = np.empty_like(state[0])
+    trial = ws.layers(candidate)  # the kernel's per-layer views of it
     ws.resize(len(idx))
     for _ in range(cfg.cycles):
-        weights, grads = state[:n_layers], state[n_layers:2 * n_layers]
-        aug0, y_scaled, loss, lr, idx = state[2 * n_layers:]
+        params, grad, aug0, y_scaled, loss, lr, idx = state
         if len(idx) == 0:
             break
-        step = lr[:, None, None]
-        for c, w, g in zip(candidate, weights, grads):
-            np.subtract(w, np.multiply(step, g, out=c), out=c)
-        c_loss, c_grads, c_mae = _epoch_math(candidate, aug0, y_scaled, ws)
+        np.subtract(params, np.multiply(lr[:, None], grad, out=candidate), out=candidate)
+        c_loss, c_grad, c_mae = _epoch_math(trial, aug0, y_scaled, ws)
         ok = np.isfinite(c_loss) & (c_loss <= loss)
-        pick = ok[:, None, None]
-        for c, w in zip(candidate, weights):
-            np.copyto(w, c, where=pick)
-        for c, g in zip(c_grads, grads):
-            np.copyto(g, c, where=pick)
+        pick = ok[:, None]
+        np.copyto(params, candidate, where=pick)
+        np.copyto(grad, c_grad, where=pick)
         np.copyto(loss, c_loss, where=ok)
         lr *= 0.5
         np.copyto(lr, cfg.learning_rate, where=ok)
@@ -454,18 +465,35 @@ def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int],
         done = np.where(ok, c_mae / 2.0 < cfg.stop_error, lr < _MIN_LEARNING_RATE)
         if done.any():
             for k in np.flatnonzero(done):
-                finals[idx[k]] = [w[k].copy() for w in weights]
+                finals[idx[k]] = _unpack(ws, params[k])
             keep = ~done
             m = int(np.count_nonzero(keep))
             for a in state:
                 a[:m] = a[keep]
             state = [a[:m] for a in state]
-            candidate = [c[:m] for c in candidate]
+            candidate = candidate[:m]
+            trial = ws.layers(candidate)
             ws.resize(m)
-    weights, idx = state[:n_layers], state[-1]
+    params, idx = state[0], state[-1]
     for k, i in enumerate(idx):
-        finals[i] = [w[k].copy() for w in weights]
+        finals[i] = _unpack(ws, params[k])
     return finals
+
+
+def _pack(ws: _Workspace, networks: list) -> np.ndarray:
+    """The (B, n_params) parameter rows of B networks' weight matrices, each
+    network given as the model's (fan_out, fan_in + 1) matrices."""
+    rows = np.empty((len(networks), ws.n_params))
+    for view, layer in zip(ws.layers(rows), zip(*networks)):
+        np.copyto(view, np.stack(layer).transpose(0, 2, 1))
+    return rows
+
+
+def _unpack(ws: _Workspace, row: np.ndarray) -> list[np.ndarray]:
+    """One parameter row as the model's (fan_out, fan_in + 1) weight matrices, in
+    memory of their own: a transpose of a (fan_in + 1, 1) view is already
+    contiguous, so ``ascontiguousarray`` would hand back a view of the row."""
+    return [w[0].T.copy() for w in ws.layers(row[None])]
 
 
 def train(
@@ -744,26 +772,19 @@ def gradient_check(model: NetworkModel, sample: tuple[np.ndarray, float],
 
     aug = _augment(x_scaled)[None]
     y_scaled = y_scaled[None]
+    ws = _Workspace(model.layer_sizes, 1, 1)
+    row = _pack(ws, [model.weights])
 
-    def epoch(weights):  # a fresh workspace: the results stay valid
-        return _epoch_math(weights, aug, y_scaled, _Workspace(model.layer_sizes, 1, 1))
+    def loss(params):
+        return float(_epoch_math(ws.layers(params), aug, y_scaled, ws)[0][0])
 
-    _, grads, _ = epoch([w[None] for w in model.weights])
-
-    def loss_with_bump(layer, idx, bump):
-        weights = [w[None].copy() for w in model.weights]
-        weights[layer][(0, *idx)] += bump
-        return float(epoch(weights)[0][0])
-
+    analytic = _epoch_math(ws.layers(row), aug, y_scaled, ws)[1][0].copy()
     worst = 0.0
-    for l, w in enumerate(model.weights):
-        for idx in np.ndindex(w.shape):
-            up = loss_with_bump(l, idx, epsilon)
-            down = loss_with_bump(l, idx, -epsilon)
-            numeric = (up - down) / (2 * epsilon)
-            analytic = grads[l][(0, *idx)]
-            denom = max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
+    for p, grad in enumerate(analytic):
+        bump = np.zeros_like(row)
+        bump[0, p] = epsilon
+        numeric = (loss(row + bump) - loss(row - bump)) / (2 * epsilon)
+        worst = max(worst, abs(grad - numeric) / max(abs(grad), abs(numeric), 1e-8))
     return worst
 
 

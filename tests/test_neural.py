@@ -336,29 +336,32 @@ class TestMultiRestart:
             train(make_matrix(n_rows=30), TrainConfig(restarts=1), seed=4)
 
 
+def oracle_epoch(aug0, y, w1, w2):
+    """Reference: one epoch of one network on 2-D arrays in the model's layout;
+    returns (loss, [grad1, grad2], MAE), all in scaled space."""
+    n = len(y)
+    t = np.tanh(aug0 @ w1.T)
+    aug1 = np.hstack([t, np.ones((n, 1))])
+    err = (aug1 @ w2.T)[:, 0] - y
+    delta2 = err[:, None] / n
+    delta1 = (delta2 @ w2[:, :-1]) * (1.0 - t * t)
+    grads = [delta1.T @ aug0, delta2.T @ aug1]
+    return 0.5 * float(np.mean(err * err)), grads, float(np.mean(np.abs(err)))
+
+
 def oracle_train(prep, cfg: TrainConfig, seed: int):
     """Reference: one restart trained alone, 2-D arrays, one epoch at a time."""
-    aug0, y, n = prep.aug0, prep.y_scaled, len(prep.y_scaled)
-
-    def epoch(w1, w2):
-        t = np.tanh(aug0 @ w1.T)
-        aug1 = np.hstack([t, np.ones((n, 1))])
-        err = (aug1 @ w2.T)[:, 0] - y
-        delta2 = err[:, None] / n
-        delta1 = (delta2 @ w2[:, :-1]) * (1.0 - t * t)
-        grads = [delta1.T @ aug0, delta2.T @ aug1]
-        return 0.5 * float(np.mean(err * err)), grads, float(np.mean(np.abs(err)))
-
+    aug0, y = prep.aug0, prep.y_scaled
     rng = np.random.default_rng(seed)
     n_in = aug0.shape[1] - 1
     hidden = cfg.hidden_size or n_in
     weights = [rng.uniform(-0.5, 0.5, size=(hidden, n_in + 1)),
                rng.uniform(-0.5, 0.5, size=(1, hidden + 1))]
-    loss, grads, _ = epoch(*weights)
+    loss, grads, _ = oracle_epoch(aug0, y, *weights)
     lr, history = cfg.learning_rate, []
     for _ in range(cfg.cycles):
         candidate = [w - lr * g for w, g in zip(weights, grads)]
-        c_loss, c_grads, c_mae = epoch(*candidate)
+        c_loss, c_grads, c_mae = oracle_epoch(aug0, y, *candidate)
         if np.isfinite(c_loss) and c_loss <= loss:
             weights, loss, grads, lr = candidate, c_loss, c_grads, cfg.learning_rate
             history.append(loss)
@@ -383,9 +386,12 @@ def rejections_per_epoch(histories):
 
 
 def assert_same_weights(weights, want_weights):
+    """Byte for byte, signed zeros included (``np.array_equal`` takes -0.0 for +0.0)."""
     assert len(weights) == len(want_weights)
     for got, want in zip(weights, want_weights):
-        assert np.array_equal(got, want)
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStackedKernel:
@@ -473,6 +479,92 @@ class TestStackedKernel:
         for _, _, seed, weights in trained:  # every restart, as its block returned it
             assert_same_weights(weights, oracle_train(prep, cfg, seed)[0])
         assert_same_weights(results[0].model.weights, oracle_train(prep, cfg, results[0].seed)[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**16),
+        n_rows=st.integers(12, 45),
+        n_inputs=st.integers(1, 11),
+        hidden=st.integers(1, 12),
+        stack=st.integers(1, 9),
+        prefix=st.integers(1, 9),
+        zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_one_epoch_equals_each_network_alone(self, data_seed, n_rows, n_inputs, hidden,
+                                                 stack, prefix, zeros):
+        # each network of a stack, and of a prefix the workspace was resized
+        # to, gets the loss, MAE and gradients of a 2-D epoch, byte for byte
+        rng = np.random.default_rng(data_seed)
+        preps = [neural._prepare(make_matrix(n_rows=n_rows, n_inputs=n_inputs,
+                                             seed=data_seed + b, noise=0.5))
+                 for b in range(stack)]
+        # exact zeros drawn in, so that products of signed zeros occur
+        weights = [[np.where(rng.random(shape) < zeros, 0.0, rng.uniform(-2.0, 2.0, shape))
+                     for shape in ((hidden, n_inputs + 1), (1, hidden + 1))]
+                   for _ in range(stack)]
+        ws = neural._Workspace((n_inputs, hidden, 1), stack, n_rows)
+        row = neural._pack(ws, weights)
+        aug0 = np.stack([p.aug0 for p in preps])
+        y_scaled = np.stack([p.y_scaled for p in preps])
+        for m in (stack, min(prefix, stack)):
+            ws.resize(m)
+            loss, grad, mae = neural._epoch_math(ws.layers(row[:m]), aug0[:m], y_scaled[:m], ws)
+            assert loss.shape == mae.shape == (m,) and grad.shape == (m, ws.n_params)
+            for b, (w, got_grads) in enumerate(zip(weights, zip(*ws.layers(grad)))):
+                want_loss, want_grads, want_mae = oracle_epoch(preps[b].aug0, preps[b].y_scaled, *w)
+                assert same_bits(loss[b], want_loss) and same_bits(mae[b], want_mae)
+                assert_same_weights([g.T for g in got_grads], want_grads)
+
+    def test_finals_own_their_memory_at_one_hidden_unit(self, monkeypatch):
+        # a (fan_in + 1, 1) layer's transpose is already contiguous, so a final
+        # made by ascontiguousarray would be a view of the block's rows, which
+        # the epochs after it overwrite
+        rows_seen, layers = [], neural._Workspace.layers
+
+        def recording(ws, row):
+            rows_seen.append(row)
+            return layers(ws, row)
+
+        monkeypatch.setattr(neural._Workspace, "layers", recording)
+        matrix = make_matrix(n_rows=40, seed=21, noise=0.3)
+        cfg = TrainConfig(cycles=200, stop_error=0.12, restarts=12, rng_seed=8, hidden_size=1)
+        prep = neural._prepare(matrix)
+        seeds = [int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
+        histories = [[] for _ in seeds]
+        finals = neural._train_stack([prep] * len(seeds), cfg, seeds, histories)
+        assert len({len(h) for h in histories}) > 1  # restarts left at different epochs
+        arrays = [w for weights in finals for w in weights]
+        for i, a in enumerate(arrays):
+            assert a.flags.owndata
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+            assert not any(np.shares_memory(a, row) for row in rows_seen)
+        for seed, weights in zip(seeds, finals):
+            assert_same_weights(weights, oracle_train(prep, cfg, seed)[0])
+
+    def test_an_epoch_allocates_no_array(self):
+        import tracemalloc
+
+        stack, prep = 64, neural._prepare(make_matrix(n_rows=40, n_inputs=4, seed=24, noise=0.4))
+        sizes = neural._init_weights(prep.n_inputs, TrainConfig(), 0)[0]
+        ws = neural._Workspace(sizes, stack, len(prep.y_scaled))
+        row = neural._pack(ws, [neural._init_weights(prep.n_inputs, TrainConfig(), s)[1]
+                                for s in range(stack)])
+        weights = ws.layers(row)
+        aug0 = np.stack([prep.aug0] * stack)
+        y_scaled = np.stack([prep.y_scaled] * stack)
+        neural._epoch_math(weights, aug0, y_scaled, ws)  # warm-up
+        tracemalloc.start()
+        try:
+            neural._epoch_math(weights, aug0, y_scaled, ws)
+            _, peak = tracemalloc.get_traced_memory()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        kept = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        assert kept.statistics("lineno") == []  # no numpy data outlives the call
+        # and none was made on the way: everything the call allocated at once,
+        # Python's objects included, is smaller than one (B, rows) array
+        assert peak < y_scaled.nbytes
 
 
 @st.composite
@@ -793,6 +885,20 @@ class TestGradientCheck:
             x = rng.uniform(-1, 1, size=3)
             y = rng.uniform(-50, 50)
             assert gradient_check(model, (x, y), epsilon=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("sizes", [(3, 4, 2, 1), (5, 2, 4, 3, 1)])
+    def test_deeper_models(self, sizes):
+        # the kernel handles any depth: hidden layers feeding hidden layers
+        rng = np.random.default_rng(sum(sizes))
+        for _ in range(3):
+            weights = tuple(rng.uniform(-0.8, 0.8, size=(o, i + 1))
+                            for i, o in zip(sizes[:-1], sizes[1:]))
+            model = NetworkModel(layer_sizes=sizes, weights=weights,
+                                 input_scaling=AffineMap(rng.uniform(0.5, 2.0, sizes[0]),
+                                                         rng.uniform(-1, 1, sizes[0])),
+                                 output_scaling=AffineMap(np.array([0.02]), np.array([-1.0])))
+            x = rng.uniform(-1, 1, size=sizes[0])
+            assert gradient_check(model, (x, rng.uniform(-50, 50)), epsilon=1e-5) < 1e-4
 
     def test_zero_stationary_point_exact(self):
         model = NetworkModel(
