@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DateMismatch, NoCandidates
 from .neural import (
     NetworkModel,
-    RestartResult,
+    Search,
     TrainConfig,
     forward,
     multi_matrix_train,
@@ -119,23 +119,23 @@ def build_master_matrix(members: list[Candidate]) -> TrainingMatrix:
 def fit_candidates(matrices: list[TrainingMatrix], cfgs: list[TrainConfig]) -> list[Candidate]:
     """Per matrix, the best of ``cfg.restarts`` restarts by out-of-sample ISM,
     scored in full. All matrices train together (``multi_matrix_train``)."""
-    rankings = multi_matrix_train(matrices, cfgs, ism_scorer)
-    return [_best_candidate(m, cfg, ranked) for m, cfg, ranked in zip(matrices, cfgs, rankings)]
+    searches = multi_matrix_train(matrices, cfgs, ism_scorer)
+    return [_best_candidate(m, cfg, search) for m, cfg, search in zip(matrices, cfgs, searches)]
 
 
 def train_master(matrix: TrainingMatrix, cfg: TrainConfig) -> Candidate:
     """Multi-restart training of the stacking network, same regime as members:
     the one-matrix case of ``fit_candidates``, through the per-matrix entry
-    point ``multi_restart_train``."""
+    point ``multi_restart_train``. Both names stay while the benchmark times
+    the master stage by them (``perfbench/spans.py``); once it traces
+    ``multi_matrix_train``, the master stage can call ``fit_candidates``."""
     return _best_candidate(matrix, cfg, multi_restart_train(matrix, cfg, ism_scorer))
 
 
-def _best_candidate(matrix: TrainingMatrix, cfg: TrainConfig,
-                    ranked: list[RestartResult]) -> Candidate:
-    best = ranked[0]
+def _best_candidate(matrix: TrainingMatrix, cfg: TrainConfig, search: Search) -> Candidate:
     _, test_part = split(matrix, cfg)
-    return Candidate(matrix.base_set_id, matrix.lag, best.seed, best.model,
-                     score_model(best.model, test_part))
+    return Candidate(matrix.base_set_id, matrix.lag, search.seed, search.model,
+                     score_model(search.model, test_part))
 
 
 @dataclass(frozen=True)

@@ -398,7 +398,7 @@ def _model(prep: _Prepared, weights: list[np.ndarray]) -> NetworkModel:
     )
 
 
-def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int],
+def _train_stack(preps: list[_Prepared], cfg: TrainConfig, seeds: list[int] | np.ndarray,
                  histories: list[list] | None = None) -> list[list[np.ndarray] | None]:
     """Train one network per (batch, seed) pair, all in lockstep on stacked weights.
 
@@ -536,13 +536,20 @@ def train(
 RESTART_BLOCK = 256
 
 
-@dataclass(frozen=True, slots=True)
-class RestartResult:
-    """One restart's out-of-sample score and seed; the winner also carries its model."""
+@dataclass(frozen=True)
+class Search:
+    """One matrix's restart search: the winner (``seed``, ``model``) and, in
+    generation order, the ``seeds`` (uint32) and ``scores`` (float64) of the
+    restarts that trained. A diverged restart is in neither array, and
+    ``len()`` counts the scored ones."""
 
-    model: NetworkModel | None  # set on a matrix's best restart only
-    score: float  # PERFECT_STRATEGY (+inf) for a failure-free strategy
     seed: int
+    model: NetworkModel
+    seeds: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.seeds)
 
 
 def restart_seeds(master_seed: int, restarts: int) -> np.ndarray:
@@ -550,8 +557,8 @@ def restart_seeds(master_seed: int, restarts: int) -> np.ndarray:
     return np.random.SeedSequence(int(master_seed)).generate_state(restarts)
 
 
-def multi_restart_train(matrix: TrainingMatrix, cfg: TrainConfig, scorer) -> list[RestartResult]:
-    """Train ``cfg.restarts`` independently seeded networks and rank them.
+def multi_restart_train(matrix: TrainingMatrix, cfg: TrainConfig, scorer) -> Search:
+    """Train ``cfg.restarts`` independently seeded networks and keep the best.
 
     The one-matrix case of ``multi_matrix_train``; see there.
     """
@@ -559,8 +566,8 @@ def multi_restart_train(matrix: TrainingMatrix, cfg: TrainConfig, scorer) -> lis
 
 
 def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
-                       scorer) -> list[list[RestartResult]]:
-    """Train ``cfg.restarts`` seeded networks per matrix and rank each matrix's.
+                       scorer) -> list[Search]:
+    """Train ``cfg.restarts`` seeded networks per matrix and find each matrix's best.
 
     Every (matrix, seed) pair whose training batch has the same shape, under
     the same regime, trains in one stack, in blocks of at most one worker's
@@ -581,9 +588,9 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
     (models, test part), so a score does not depend on the block split. It
     reaches the workers by fork, so it need not pickle.
 
-    Each matrix's list holds one result per trained restart, sorted by
-    descending score with the seed as a deterministic tiebreak. Only the
-    first, the winner, carries its model; the others are (score, seed).
+    Returns one ``Search`` per matrix, in input order. Each block sends
+    back its scores as one array and, per matrix, its best restart's
+    weights; the winner is the best of those bests by ``_rank_key``.
 
     Input faults are found before the search, in input order: the first
     matrix that is too short to split (TooFewRows), has a constant output
@@ -600,93 +607,85 @@ def multi_matrix_train(matrices: list[TrainingMatrix], cfgs: list[TrainConfig],
         except (TooFewRows, ConstantOutput, DegenerateInput) as exc:
             raise type(exc)(f"{matrix.name}: {exc}") from exc
         tests.append(test_part)
-    seeds = [[int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)] for cfg in cfgs]
 
-    # (matrix, restart) pairs by batch shape and regime, in input order
-    groups: dict[tuple, list[tuple[int, int]]] = {}
+    # matrices by batch shape and regime, in input order; the job runs group
+    # by group, and each matrix's restarts in generation order
+    groups: dict[tuple, list[int]] = {}
     for j, (prep, cfg) in enumerate(zip(preps, cfgs)):
-        key = (prep.aug0.shape, replace(cfg, rng_seed=0, restarts=1))
-        groups.setdefault(key, []).extend((j, r) for r in range(cfg.restarts))
+        groups.setdefault((prep.aug0.shape, replace(cfg, rng_seed=0, restarts=1)), []).append(j)
+    order = [j for members in groups.values() for j in members]
+    owner = np.repeat(order, [cfgs[j].restarts for j in order])  # each restart's matrix
+    seeds = np.concatenate([restart_seeds(cfgs[j].rng_seed, cfgs[j].restarts) for j in order])
     workers = _worker_count()
-    blocks = _plan_blocks(list(groups.values()), workers)
-    outcomes = _train_blocks([[preps[j] for j, _ in block] for block in blocks],
-                             [cfgs[block[0][0]] for block in blocks],
-                             [[seeds[j][r] for j, r in block] for block in blocks], workers,
-                             partial(_score_block, blocks, preps, tests, seeds, scorer))
+    spans = _plan_blocks([sum(cfgs[j].restarts for j in g) for g in groups.values()], workers)
+    outcomes = _train_blocks([[preps[j] for j in owner[s]] for s in spans],
+                             [cfgs[owner[s.start]] for s in spans], [seeds[s] for s in spans],
+                             workers, partial(_score_block, spans, owner, preps, tests, seeds,
+                                              scorer))
 
-    scores = [[None] * cfg.restarts for cfg in cfgs]
-    bests: list[list[tuple]] = [[] for _ in cfgs]  # per matrix, each block's best
-    for block, (block_scores, block_bests) in zip(blocks, outcomes):
-        for (j, r), score in zip(block, block_scores):
-            scores[j][r] = score
-        for j, best in block_bests.items():
-            bests[j].append(best)
-    rankings = []
-    for j, cfg in enumerate(cfgs):
-        results = sorted((RestartResult(None, score, seed)
-                          for seed, score in zip(seeds[j], scores[j]) if score is not None),
-                         key=lambda r: _rank_key(r.score, r.seed))
-        if not results:
-            raise AllDiverged(f"{matrices[j].name}: all {cfg.restarts} restarts diverged")
-        # the best of the blocks' bests by the same key, a total order
-        _, weights = min(bests[j], key=itemgetter(0))
-        results[0] = replace(results[0], model=_model(preps[j], weights))
-        rankings.append(results)
-    return rankings
+    searches = []
+    for j, (matrix, cfg) in enumerate(zip(matrices, cfgs)):
+        found = [outcome[j] for outcome in outcomes if j in outcome]  # in generation order
+        if not found:
+            raise AllDiverged(f"{matrix.name}: all {cfg.restarts} restarts diverged")
+        block_seeds, block_scores, bests = zip(*found)
+        (_, seed), weights = min(bests, key=itemgetter(0))  # a total order
+        searches.append(Search(int(seed), _model(preps[j], weights),
+                               np.concatenate(block_seeds), np.concatenate(block_scores)))
+    return searches
 
 
-def _plan_blocks(groups: list[list], workers: int) -> list[list]:
+def _plan_blocks(sizes: list[int], workers: int) -> list[slice]:
     """The job's blocks: each group cut into contiguous runs of at most one worker's share.
 
-    ``share = min(RESTART_BLOCK, ceil(total / workers))`` over all groups'
-    items; a group of n items becomes ``ceil(n / share)`` blocks whose sizes
-    differ by at most one, the larger first. Blocks keep the groups' order.
+    ``sizes`` are the groups' restart counts; the job runs the groups one
+    after another, and each block is a slice of it within one group. With
+    ``share = min(RESTART_BLOCK, ceil(total / workers))``, a group of n
+    restarts becomes ``ceil(n / share)`` blocks whose sizes differ by at
+    most one, the larger first.
 
     Blocks of about one size finish at about the same pace, so when there
     are more blocks than workers, a worker left with one block more than
     the others sets the stage's end. The count is then rounded up to a
     multiple of the workers, one block at a time to the group whose blocks
     are largest (the demo at 50 restarts and two workers: 14 blocks, not
-    13), while any block holds more than one item.
+    13), while any block holds more than one restart.
     """
-    share = min(RESTART_BLOCK, -(-sum(map(len, groups)) // workers))
-    counts = [-(-len(items) // share) for items in groups]
+    share = min(RESTART_BLOCK, -(-sum(sizes) // workers))
+    counts = [-(-n // share) for n in sizes]
     while sum(counts) > workers and sum(counts) % workers:
-        g = max(range(len(groups)), key=lambda g: len(groups[g]) / counts[g])
-        if len(groups[g]) == counts[g]:
+        g = max(range(len(sizes)), key=lambda g: sizes[g] / counts[g])
+        if sizes[g] == counts[g]:
             break
         counts[g] += 1
-    blocks = []
-    for items, count in zip(groups, counts):
-        size, extra = divmod(len(items), count)
-        start = 0
+    blocks, start = [], 0
+    for n, count in zip(sizes, counts):
+        size, extra = divmod(n, count)
         for b in range(count):
-            end = start + size + (b < extra)
-            blocks.append(items[start:end])
-            start = end
+            blocks.append(slice(start, start + size + (b < extra)))
+            start = blocks[-1].stop
     return blocks
 
 
-def _score_block(blocks, preps, tests, seeds, scorer, b: int, finals: list) -> tuple:
+def _score_block(spans, owner, preps, tests, seeds, scorer, b: int, finals: list) -> dict:
     """Block ``b``'s trained restarts scored, one scorer call per matrix in it.
 
-    Returns each restart's score in block order (None where it diverged)
-    and, per matrix, its best restart in the block as
-    (``_rank_key``, weights).
+    Returns, per matrix with a trained restart in the block, the seeds and
+    scores of those restarts as two arrays in generation order, and the best
+    of them as (``_rank_key``, weights).
     """
-    block = blocks[b]
-    scores: list = [None] * len(block)
-    bests = {}
-    for j, positions in groupby(range(len(block)), key=lambda k: block[k][0]):
-        kept = [k for k in positions if finals[k] is not None]
-        if not kept:
-            continue
-        models = [_model(preps[j], finals[k]) for k in kept]
-        for k, score in zip(kept, scorer(models, tests[j]), strict=True):
-            scores[k] = score
-        bests[j] = min(((_rank_key(scores[k], seeds[j][block[k][1]]), finals[k]) for k in kept),
-                       key=itemgetter(0))
-    return scores, bests
+    matrix, block_seeds = owner[spans[b]], seeds[spans[b]]
+    found = {}
+    trained = (k for k, weights in enumerate(finals) if weights is not None)
+    for j, positions in groupby(trained, key=matrix.__getitem__):
+        positions = list(positions)
+        models = [_model(preps[j], finals[k]) for k in positions]
+        scores = np.array([score for _, score in zip(models, scorer(models, tests[j]),
+                                                     strict=True)], dtype=np.float64)
+        best = min(((_rank_key(score, int(block_seeds[k])), finals[k])
+                    for k, score in zip(positions, scores)), key=itemgetter(0))
+        found[int(j)] = block_seeds[positions], scores, best
+    return found
 
 
 def _rank_key(score: float, seed: int) -> tuple:
@@ -721,7 +720,7 @@ def _run_block(b: int, job: tuple | None = None):
 
 
 def _train_blocks(batches: list[list[_Prepared]], cfgs: list[TrainConfig],
-                  seeds: list[list[int]], workers: int, finish) -> list:
+                  seeds: list[np.ndarray], workers: int, finish) -> list:
     """``finish(b, _train_stack(batches[b], cfgs[b], seeds[b]))`` for each block b, in order.
 
     With more than one block and worker the blocks run in a pool of forked

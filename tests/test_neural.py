@@ -215,6 +215,11 @@ def same_bits(got, want):
     return np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
+def best_seed(seeds, scores):
+    """The ranking rule's winner: the highest score, then the lowest seed."""
+    return min(zip(seeds, scores), key=lambda pair: (-pair[1], pair[0]))[0]
+
+
 def record_block_weights(monkeypatch):
     """Make ``_train_blocks`` also hand back every restart's weights, as they
     left the process that trained them. Returns the list it fills with one
@@ -225,7 +230,7 @@ def record_block_weights(monkeypatch):
         outcomes = real(batches, cfgs, seeds, workers,
                         lambda b, finals: (finals, finish(b, finals)))
         for preps, cfg, block_seeds, (finals, _) in zip(batches, cfgs, seeds, outcomes):
-            trained.extend((prep, cfg, seed, weights)
+            trained.extend((prep, cfg, int(seed), weights)
                            for prep, seed, weights in zip(preps, block_seeds, finals))
         return [outcome for _, outcome in outcomes]
 
@@ -237,35 +242,53 @@ class TestMultiRestart:
     def test_single_restart_singleton(self):
         matrix = make_matrix(n_rows=40, seed=10)
         scorer = lambda models, test_part: [1.0] * len(models)
-        results = multi_restart_train(matrix, TrainConfig(restarts=1), scorer)
-        assert len(results) == 1
+        search = multi_restart_train(matrix, TrainConfig(restarts=1), scorer)
+        assert len(search) == 1
+        assert search.seed == search.seeds[0] == restart_seeds(0, 1)[0]
+        assert same_bits(search.scores, [1.0])
 
     @settings(max_examples=30, deadline=None)
-    @given(table=st.lists(SCORES, min_size=1, max_size=8), restarts=st.integers(1, 8))
-    def test_ranks_by_score_then_seed(self, table, restarts):
-        # a scorer that hands each model one of the drawn floats
+    @given(table=st.lists(SCORES, min_size=1, max_size=8), restarts=st.integers(1, 8),
+           poison=st.lists(st.integers(0, 7), max_size=3))
+    def test_ranks_by_score_then_seed(self, table, restarts, poison):
+        # a scorer that hands each model one of the drawn floats; poisoned seeds diverge
         matrix = make_matrix(n_rows=40, seed=14)
         cfg = TrainConfig(restarts=restarts, rng_seed=9, cycles=2)
         scorer = table_scorer(table)
-        results = multi_restart_train(matrix, cfg, scorer)
-        train_part, test_part = split(matrix, cfg)
         seeds = [int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
-        scores = [scorer([train(train_part, cfg, seed=seed)], test_part)[0] for seed in seeds]
-        want = sorted(zip(seeds, scores), key=lambda pair: (-pair[1], pair[0]))
-        assert [r.seed for r in results] == [seed for seed, _ in want]
-        assert same_bits([r.score for r in results], [score for _, score in want])
-        assert_same_weights(results[0].model.weights,
-                            train(train_part, cfg, seed=results[0].seed).weights)
-        assert all(r.model is None for r in results[1:])  # only the winner carries a model
+        poisoned = {seeds[i % restarts] for i in poison}
+        with pytest.MonkeyPatch.context() as mp:
+            TestMultiRestart.poison_seeds(mp, poisoned)
+            trained = record_block_weights(mp)
+            got_error, search = first_error_and_rankings(
+                lambda: multi_restart_train(matrix, cfg, scorer))
+        train_part, test_part = split(matrix, cfg)
+        assert sorted(seed for _, _, seed, _ in trained) == sorted(seeds)
+        for _, _, seed, weights in trained:  # every restart, as its block returned it
+            if seed in poisoned:
+                assert weights is None
+            else:
+                assert_same_weights(weights, train(train_part, cfg, seed=seed).weights)
+        survivors = [seed for seed in seeds if seed not in poisoned]
+        assert got_error is (None if survivors else AllDiverged)
+        if not survivors:
+            return
+        scores = [scorer([train(train_part, cfg, seed=seed)], test_part)[0] for seed in survivors]
+        assert search.seeds.dtype == np.uint32 and search.scores.dtype == np.float64
+        assert search.seeds.tolist() == survivors  # generation order, diverged left out
+        assert same_bits(search.scores, scores)
+        assert type(search.seed) is int and search.seed == best_seed(survivors, scores)
+        assert_same_weights(search.model.weights,
+                            train(train_part, cfg, seed=search.seed).weights)
 
     def test_top_beats_median(self):
         matrix = make_matrix(n_rows=60, seed=11, noise=0.5)
         from spreadnet.scoring import ism_scorer
 
-        results = multi_restart_train(matrix, TrainConfig(restarts=20, rng_seed=3), ism_scorer)
-        keys = [r.score for r in results]
-        assert keys[0] >= np.median(keys)
-        assert keys == sorted(keys, reverse=True)
+        search = multi_restart_train(matrix, TrainConfig(restarts=20, rng_seed=3), ism_scorer)
+        (top,) = search.scores[search.seeds == search.seed]
+        assert top == search.scores.max() >= np.median(search.scores)
+        assert search.seed == best_seed(search.seeds.tolist(), search.scores.tolist())
 
     def test_deterministic_ranking(self):
         matrix = make_matrix(n_rows=40, seed=12, noise=0.4)
@@ -274,9 +297,10 @@ class TestMultiRestart:
         cfg = TrainConfig(restarts=8, rng_seed=5)
         a = multi_restart_train(matrix, cfg, ism_scorer)
         b = multi_restart_train(matrix, cfg, ism_scorer)
-        assert [r.seed for r in a] == [r.seed for r in b]
-        for ra, rb in zip(a, b):
-            assert ra.score == rb.score
+        assert a.seed == b.seed
+        assert a.seeds.tolist() == b.seeds.tolist()
+        assert same_bits(a.scores, b.scores)
+        assert_same_weights(a.model.weights, b.model.weights)
 
     def test_distinct_derived_seeds(self):
         seeds = restart_seeds(123, 50)
@@ -316,19 +340,18 @@ class TestMultiRestart:
         partial = multi_restart_train(matrix, cfg, ism_scorer)
         partial_weights = {seed: weights for _, _, seed, weights in trained}
 
-        survivors = [r for r in clean if r.seed not in poisoned]
-        assert len(partial) == 6
-        assert [r.seed for r in partial] == [r.seed for r in survivors]
-        assert same_bits([r.score for r in partial], [r.score for r in survivors])
+        survivors = [seed not in poisoned for seed in clean.seeds.tolist()]
+        assert len(clean) == 9 and len(partial) == 6
+        assert partial.seeds.tolist() == clean.seeds[survivors].tolist()
+        assert same_bits(partial.scores, clean.scores[survivors])
         assert partial_weights.keys() == clean_weights.keys()
         for seed, weights in partial_weights.items():
             if seed in poisoned:
                 assert weights is None
             else:
                 assert_same_weights(weights, clean_weights[seed])
-        assert_same_weights(partial[0].model.weights, clean_weights[partial[0].seed])
-        keys = [(-r.score, r.seed) for r in partial]
-        assert keys == sorted(keys)
+        assert_same_weights(partial.model.weights, clean_weights[partial.seed])
+        assert partial.seed == best_seed(partial.seeds.tolist(), partial.scores.tolist())
 
     def test_train_raises_on_nonfinite_initial_loss(self, monkeypatch):
         self.poison_seeds(monkeypatch, {4})
@@ -470,15 +493,15 @@ class TestStackedKernel:
         monkeypatch.setattr(neural, "RESTART_BLOCK", 3)
         monkeypatch.setattr(neural, "_worker_count", lambda: workers)
         trained = record_block_weights(monkeypatch)
-        results = multi_restart_train(matrix, cfg, ism_scorer)
+        search = multi_restart_train(matrix, cfg, ism_scorer)
         assert pools == started
         prep = neural._prepare(split(matrix, cfg)[0])
-        seeds = sorted(int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts))
-        assert sorted(r.seed for r in results) == seeds
-        assert sorted(seed for _, _, seed, _ in trained) == seeds
+        seeds = [int(s) for s in restart_seeds(cfg.rng_seed, cfg.restarts)]
+        assert search.seeds.tolist() == seeds
+        assert sorted(seed for _, _, seed, _ in trained) == sorted(seeds)
         for _, _, seed, weights in trained:  # every restart, as its block returned it
             assert_same_weights(weights, oracle_train(prep, cfg, seed)[0])
-        assert_same_weights(results[0].model.weights, oracle_train(prep, cfg, results[0].seed)[0])
+        assert_same_weights(search.model.weights, oracle_train(prep, cfg, search.seed)[0])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -641,11 +664,12 @@ class TestMultiMatrix:
         if want_error is not None:
             return
         for matrix, cfg, got, want in zip(matrices, cfgs, grouped, alone):
-            assert [r.seed for r in got] == [r.seed for r in want]
-            assert not poisoned & {r.seed for r in got}
-            assert same_bits([r.score for r in got], [r.score for r in want])
-            best = train(split(matrix, cfg)[0], cfg, seed=got[0].seed)
-            assert_same_weights(got[0].model.weights, best.weights)
+            assert got.seed == want.seed
+            assert got.seeds.tolist() == want.seeds.tolist()
+            assert not poisoned & set(got.seeds.tolist())
+            assert same_bits(got.scores, want.scores)
+            best = train(split(matrix, cfg)[0], cfg, seed=got.seed)
+            assert_same_weights(got.model.weights, best.weights)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -680,11 +704,36 @@ class TestMultiMatrix:
         if want_error is not None:
             return
         for matrix, cfg, got, want in zip(matrices, cfgs, merged, alone):
-            assert [r.seed for r in got] == [r.seed for r in want]
-            assert same_bits([r.score for r in got], [r.score for r in want])
-            best = train(split(matrix, cfg)[0], cfg, seed=got[0].seed)  # the winner's own model
-            assert_same_weights(got[0].model.weights, best.weights)
-            assert all(r.model is None for r in got[1:])
+            assert got.seeds.tolist() == want.seeds.tolist()
+            assert same_bits(got.scores, want.scores)
+            assert got.seed == want.seed == best_seed(got.seeds.tolist(), got.scores.tolist())
+            best = train(split(matrix, cfg)[0], cfg, seed=got.seed)  # the winner's own model
+            assert_same_weights(got.model.weights, best.weights)
+
+    def test_the_search_costs_this_process_a_few_array_bytes_per_restart(self, monkeypatch):
+        """The traced peak of a search grows with the restart count by a few
+        array entries per restart: its seed, score, matrix and batch slot.
+        The search this replaced kept Python objects per restart (a ranked
+        result, an int seed, a (matrix, restart) tuple and list slots): this
+        test measured it at 182 bytes per restart, and measures 38 now."""
+        import tracemalloc
+
+        monkeypatch.setattr(neural, "_worker_count", lambda: 1)  # blocks of 256, in process
+        matrix = make_matrix(n_rows=24, n_inputs=2, seed=40, noise=0.4)
+        scorer = lambda models, test_part: [float(m.weights[-1][0, 0]) for m in models]
+
+        def peak(restarts):
+            cfg = TrainConfig(cycles=1, restarts=restarts, rng_seed=5)
+            tracemalloc.start()
+            try:
+                multi_restart_train(matrix, cfg, scorer)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        low, high = 512, 1536  # two blocks against six, all of 256 restarts
+        peak(low)  # warm-up
+        assert (peak(high) - peak(low)) / (high - low) < 64
 
     @pytest.mark.parametrize("faults, expected", [
         (["ok", "constant", "short"], ConstantOutput),
@@ -742,12 +791,12 @@ class TestWorkerPool:
         from spreadnet.scoring import ism_scorer
 
         monkeypatch.setattr(neural, "_worker_count", lambda: 2)
-        results = multi_restart_train(make_matrix(n_rows=40, seed=31, noise=0.4),
-                                      TrainConfig(cycles=30, restarts=4), ism_scorer)
+        search = multi_restart_train(make_matrix(n_rows=40, seed=31, noise=0.4),
+                                     TrainConfig(cycles=30, restarts=4), ism_scorer)
         assert pools == [2]
         assert multiprocessing.active_children() == []
-        assert len(results) == 4 and all(r.model is None for r in results[1:])
-        for w in results[0].model.weights:
+        assert len(search) == 4
+        for w in search.model.weights:
             assert not w.flags.writeable
             with pytest.raises(ValueError):
                 w[0, 0] = 1.0
@@ -814,19 +863,23 @@ class TestWorkerPool:
         got = neural.multi_matrix_train(matrices, cfgs, ism_scorer)
         assert seen == [(workers, sizes)]
         for g, w in zip(got, want):
-            assert [r.seed for r in g] == [r.seed for r in w]
-            assert same_bits([r.score for r in g], [r.score for r in w])
-            assert_same_weights(g[0].model.weights, w[0].model.weights)
+            assert g.seed == w.seed and g.seeds.tolist() == w.seeds.tolist()
+            assert same_bits(g.scores, w.scores)
+            assert_same_weights(g.model.weights, w.model.weights)
 
     @settings(max_examples=200, deadline=None)
     @given(lengths=st.lists(st.integers(1, 600), min_size=1, max_size=6),
            workers=st.integers(1, 64), block=st.integers(1, 300))
     def test_plan_covers_each_pair_once_in_bounded_even_blocks(self, lengths, workers, block):
-        groups = [[(g, r) for r in range(n)] for g, n in enumerate(lengths)]
+        # the job runs the groups one after another: group g's restarts are the
+        # job's indices from ends[g] - lengths[g] up to ends[g]
+        job, ends = range(sum(lengths)), np.cumsum(lengths)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neural, "RESTART_BLOCK", block)
-            blocks = neural._plan_blocks(groups, workers)
-        assert [pair for b in blocks for pair in b] == [pair for g in groups for pair in g]
+            blocks = [job[b] for b in neural._plan_blocks(lengths, workers)]
+        assert [i for b in blocks for i in b] == list(job)
+        group = [int(np.searchsorted(ends, b[0], side="right")) for b in blocks]
+        assert all(np.searchsorted(ends, b[-1], side="right") == g for b, g in zip(blocks, group))
         share = min(block, -(-sum(lengths) // workers))
         cut = sum(-(-n // share) for n in lengths)  # each group cut by the share alone
         if cut <= workers:
@@ -835,8 +888,7 @@ class TestWorkerPool:
             assert cut <= len(blocks) < cut + workers
             assert len(blocks) % workers == 0 or all(len(b) == 1 for b in blocks)
         for g, n in enumerate(lengths):
-            sizes = [len(b) for b in blocks if b[0][0] == g]
-            assert all(pair[0] == g for b in blocks if b[0][0] == g for pair in b)
+            sizes = [len(b) for b, in_group in zip(blocks, group) if in_group == g]
             assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
             assert max(sizes) <= share
 
