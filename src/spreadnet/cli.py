@@ -142,8 +142,21 @@ def cmd_master(args) -> int:
     return 0
 
 
+# each flag that a command may leave unread, by its ``args`` attribute
+_FLAG_DEST = {"--config": "config", "--set": "set", "-o": "output_dir", "--run-dir": "run_dir"}
+
+
+def _refuse_unread(args, command: str, *flags: str) -> None:
+    """Fail as "config", naming each of ``flags`` given: flags ``command`` would not read."""
+    given = [flag for flag in flags if getattr(args, _FLAG_DEST[flag]) not in (None, [])]
+    if given:
+        raise PipelineStageError("config", ValueError(
+            f"{command} does not read {', '.join(given)}"))
+
+
 def cmd_report(args) -> int:
     if args.run:
+        _refuse_unread(args, "report --run", "--config", "--set", "-o", "--run-dir")
         with _stage("report"):
             paths = emit_reports(load_run(args.run), args.run)
     elif args.config:
@@ -158,6 +171,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _refuse_unread(args, "predict", "-o", "--run-dir")
+    if not args.config:
+        _refuse_unread(args, "predict without --config", "--set")
     config = _load_config(args) if args.config else None
     with _stage("predict"):
         report = predict_from_run(args.run, config=config)
@@ -170,8 +186,17 @@ def cmd_predict(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit as "config" (1): argparse's own
+    code, 2, is the ingest stage's here. ``--help`` still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CODES["config"], f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spreadnet",
         description="Country-risk spread forecasting pipeline",
     )

@@ -36,6 +36,7 @@ from .errors import (
     TooFewRows,
 )
 from .preprocess import TrainingMatrix
+from .series import read_file
 
 MODEL_FORMAT = "spreadnet-model"
 MODEL_FORMAT_VERSION = 1
@@ -123,7 +124,8 @@ class NetworkModel:
             raise ValueError("one weight matrix per layer transition required")
         frozen = []
         for l, w in enumerate(self.weights):
-            w = np.asarray(w, dtype=np.float64)
+            # C order: a product gets one memory layout, alone or stacked (predict_many)
+            w = np.ascontiguousarray(w, dtype=np.float64)
             expect = (self.layer_sizes[l + 1], self.layer_sizes[l] + 1)
             if w.shape != expect:
                 raise ValueError(f"weight matrix {l} has shape {w.shape}, expected {expect}")
@@ -132,18 +134,15 @@ class NetworkModel:
             w.setflags(write=False)
             frozen.append(w)
         object.__setattr__(self, "weights", tuple(frozen))
+        for scaling, width, name in ((self.input_scaling, self.layer_sizes[0], "input"),
+                                     (self.output_scaling, 1, "output")):
+            if scaling is not None and scaling.scale.shape != (width,):
+                raise ValueError(f"{name} scaling maps {scaling.scale.shape} columns, "
+                                 f"expected ({width},)")
 
     @property
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
-
-
-def _forward_scaled(model: NetworkModel, x_scaled: np.ndarray) -> np.ndarray:
-    """Batch forward pass in scaled space; returns shape (rows,)."""
-    h = np.atleast_2d(x_scaled)
-    for w in model.weights[:-1]:
-        h = np.tanh(_augment(h) @ w.T)
-    return (_augment(h) @ model.weights[-1].T)[:, 0]
 
 
 def forward(model: NetworkModel, inputs: np.ndarray) -> float:
@@ -157,18 +156,57 @@ def forward(model: NetworkModel, inputs: np.ndarray) -> float:
 
 
 def predict(model: NetworkModel, inputs: np.ndarray) -> np.ndarray:
-    """Vectorized forward pass over rows of ``inputs`` (original units)."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if x.shape[1] != model.n_inputs:
-        raise DimensionMismatch(
-            f"input rows have width {x.shape[1]}, model expects {model.n_inputs}"
-        )
-    if model.input_scaling is not None:
-        x = model.input_scaling.apply(x)
-    out = _forward_scaled(model, x)
-    if model.output_scaling is not None:
-        out = model.output_scaling.invert(out)
-    return out
+    """Vectorized forward pass over rows of ``inputs`` (original units); the
+    one-model case of ``predict_many``."""
+    return predict_many((model,), np.atleast_2d(np.asarray(inputs, dtype=np.float64)))[0]
+
+
+def predict_many(models, inputs: np.ndarray) -> np.ndarray:
+    """One forward pass over models that share one ``layer_sizes``: shape (models, rows).
+
+    ``inputs`` (original units) are either shared, as (rows, inputs), or one
+    slice per model, as (models, rows, inputs). Each step runs on the models'
+    arrays stacked along a leading axis: scalings elementwise, and each
+    layer's ``np.matmul`` the 2-D product one model alone gets (its weights
+    are C-ordered, see ``NetworkModel``), so every model's predictions are
+    bit-identical to ``predict`` on it, whatever else is in the stack. A
+    model without a scaling gets one that changes no bit (``_exact_map``).
+    Mixed layer sizes or an input width other than the models' raise
+    DimensionMismatch.
+    """
+    models = tuple(models)
+    if not models:
+        raise ValueError("predict_many needs at least one model")
+    sizes = models[0].layer_sizes
+    for model in models:
+        if model.layer_sizes != sizes:
+            raise DimensionMismatch(f"models have layer sizes {sizes} and {model.layer_sizes}; "
+                                    "one pass takes one")
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[-1] != sizes[0] or (x.ndim == 3 and len(x) != len(models)):
+        raise DimensionMismatch(f"inputs have shape {x.shape}, {len(models)} models expect "
+                                f"(rows, {sizes[0]}) or ({len(models)}, rows, {sizes[0]})")
+    stack = _view_stack if len(models) == 1 else np.array  # a copy, as np.stack, at less cost
+    ins = [m.input_scaling or _exact_map(sizes[0], -0.0) for m in models]
+    outs = [m.output_scaling or _exact_map(1, 0.0) for m in models]
+    h = x * stack([s.scale for s in ins])[:, None, :] + stack([s.offset for s in ins])[:, None, :]
+    for l in range(len(sizes) - 1):
+        h = np.matmul(_augment(h), stack([m.weights[l] for m in models]).transpose(0, 2, 1))
+        if l < len(sizes) - 2:
+            h = np.tanh(h)
+    return (h[..., 0] - stack([s.offset for s in outs])) / stack([s.scale for s in outs])
+
+
+def _view_stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """One array as a stack of one: a view, where ``np.array`` would copy."""
+    return arrays[0][None]
+
+
+def _exact_map(width: int, offset: float) -> AffineMap:
+    """Scale 1 and this signed zero offset: for inputs -0.0 (``x * 1.0 + -0.0``
+    is ``x``, where ``+ 0.0`` would turn -0.0 into +0.0), for an output +0.0
+    (``(y - 0.0) / 1.0`` is ``y``)."""
+    return AffineMap(np.ones(width), np.full(width, offset))
 
 
 # ---------------------------------------------------------------------------
@@ -844,24 +882,25 @@ def load_model(path: str | Path) -> NetworkModel:
     is absent or is not a model document (bad JSON, nesting too deep to decode,
     wrong format, missing keys).
 
-    The file is read on every call; its text is decoded once per distinct
-    text (see ``_decode_model``).
+    The file is read on every call, as bytes; they are decoded once per distinct
+    content (see ``_decode_model``).
     """
     try:
-        return _decode_model(Path(path).read_text(encoding="utf-8"))
+        return _decode_model(read_file(path))
     except FileNotFoundError as exc:
         raise MissingFile(f"no model file {path}") from exc
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise CorruptModel(f"{path} is not a {MODEL_FORMAT} document: {exc!r}") from exc
 
 
-# Distinct model texts kept decoded: a run's members and master number at most 65.
+# Distinct model files kept decoded: a run's members and master number at most 65.
 _MODEL_TEXTS = 256
 
 
 @lru_cache(maxsize=_MODEL_TEXTS)
-def _decode_model(text: str) -> NetworkModel:
-    """The model a document's text holds. Equal texts decode to equal models, and
-    a model is immutable (frozen, read-only arrays), so every caller of one text
-    shares one; a text that fails raises each time and is not kept."""
-    return model_from_dict(json.loads(text))
+def _decode_model(content: bytes) -> NetworkModel:
+    """The model a document's UTF-8 bytes hold (decoded as UTF-8 only: ``json.loads``
+    would take UTF-16 too). Equal bytes decode to equal models, and a model is
+    immutable (frozen, read-only arrays), so every caller of one content shares
+    one; content that fails raises each time and is not kept."""
+    return model_from_dict(json.loads(content.decode("utf-8")))

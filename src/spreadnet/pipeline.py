@@ -49,7 +49,7 @@ from .metrics import (
     equity_curves,
     positions_from_forecasts,
 )
-from .neural import TrainConfig, load_model, predict, save_model
+from .neural import TrainConfig, load_model, predict_many, save_model
 from .preprocess import (
     BaseSetSpec,
     BlockAverageConfig,
@@ -60,7 +60,8 @@ from .preprocess import (
     build_derived_columns,
     default_base_sets,
 )
-from .series import AlignedFrame, MonthlySeries, align, format_month, load_series, parse_month
+from .series import (AlignedFrame, MonthlySeries, align, format_month, load_series, parse_month,
+                     read_file)
 
 STAGES = ("ingest", "preprocess", "train", "select", "master", "report")
 VARIABLES = (pp.INDICATOR, pp.OUTPUT_VARIABLE, pp.GLOBAL_SPREAD, pp.TBILL)
@@ -815,8 +816,8 @@ def _walk(value, shape, path: Path, where: str, missing: list[str], partial=Fals
 def _read_json(path: Path, fault: type[Exception]):
     """The JSON value in ``path``; ``fault`` names a file that is not UTF-8 JSON,
     or nests too deep to decode."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
+    try:  # decoded as UTF-8 only: ``json.loads`` would take UTF-16 bytes too
+        return json.loads(read_file(path).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise fault(f"{path} is not valid JSON: {exc}") from exc
 
@@ -871,24 +872,29 @@ def predict_from_run(
     member and master models, builds only the derived columns the members
     read, rebuilds each member's input row for its lag, stacks the member
     forecasts, and runs the master. The frame comes from ``config``
-    (defaults to the run's config).
+    (defaults to the run's config). Each member's row must have its
+    model's width (else StaleModel names the member). The members are
+    predicted in one stacked pass per layer shape (``predict_many``), and
+    the normalized ones inverted in one ``denormalize_output`` call: the
+    same bits as one member at a time.
 
-    Every call reads every file it uses. What a call keeps for the next is
-    keyed by a file's content, never by its path or time: a model text is
-    decoded, and a data CSV text parsed, once per distinct text (a bounded
-    memo in ``neural.load_model`` and ``series.load_series``), so a file
-    rewritten with other bytes is parsed afresh on the next call.
+    Every call reads every file it uses, as bytes. What a call keeps for
+    the next is keyed by a file's content, never by its path or time: a
+    model file is decoded, and a data CSV parsed, once per distinct content
+    (a bounded memo in ``neural.load_model`` and ``series.load_series``),
+    so a file rewritten with other bytes is parsed afresh on the next call.
     """
     run_dir = Path(run_dir)
     path, record = _load_serve_record(run_dir)
     config = config or _record_config(record, path)
+    members = record["members"]
 
     frame = ingest(config)
     try:
         derived = build_derived_columns(
             frame, var_cfg=config.var_cfg, smooth_cfg=config.smoothing,
             ma_levels=config.ma_levels,
-            names={name for entry in record["members"] for name in entry["input_names"]},
+            names={name for entry in members for name in entry["input_names"]},
         )
     except SpreadnetError as exc:
         raise StaleModel(f"frame cannot supply the members' inputs: {exc}") from exc
@@ -896,24 +902,34 @@ def predict_from_run(
     last_month = int(frame.months[-1])
     target = last_month + 1
 
-    member_values: dict[str, float] = {}
-    for entry in record["members"]:
-        model = load_model(run_dir / entry["model_path"])
+    by_shape: dict[tuple, list[int]] = {}  # member positions by layer sizes, in rank order
+    models, rows = [], []
+    for k, entry in enumerate(members):
+        model = load_model(os.path.join(run_dir, entry["model_path"]))
         month_in = target - entry["lag"]
         try:
-            row = np.array(
-                [derived[name].value_at(month_in) for name in entry["input_names"]]
-            )
+            row = [derived[name].value_at(month_in) for name in entry["input_names"]]
         except KeyError as exc:
             raise StaleModel(
                 f"member {entry['name']} needs inputs at {format_month(month_in)}: {exc}"
             ) from exc
-        value = float(predict(model, row[None, :])[0])
-        if entry["output_recipe"] == pp.NORMALIZED_OUTPUT:
-            value = pp.denormalize_output(value, levels.values[-3:])
-        member_values[entry["name"]] = value
+        if len(row) != model.n_inputs:
+            raise StaleModel(f"member {entry['name']} lists {len(row)} inputs, "
+                             f"its model takes {model.n_inputs}")
+        models.append(model)
+        rows.append(row)
+        by_shape.setdefault(model.layer_sizes, []).append(k)
+    values = np.empty(len(members))
+    for ks in by_shape.values():
+        values[ks] = predict_many([models[k] for k in ks],
+                                  np.array([rows[k] for k in ks])[:, None, :])[:, 0]
+    normalized = [k for k, entry in enumerate(members)
+                  if entry["output_recipe"] == pp.NORMALIZED_OUTPUT]
+    if normalized:
+        values[normalized] = pp.denormalize_output(values[normalized], levels.values[-3:])
+    member_values = dict(zip([entry["name"] for entry in members], values.tolist()))
 
-    master_model = load_model(run_dir / record["master"]["model_path"])
+    master_model = load_model(os.path.join(run_dir, record["master"]["model_path"]))
     inputs = np.array([member_values[name] for name in member_values])
     last_actual = float(levels.values[-1])
     if master_model.n_inputs != len(inputs):

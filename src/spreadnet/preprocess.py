@@ -155,17 +155,22 @@ def indicator_var_series(levels: MonthlySeries, cfg: VarConfig) -> MonthlySeries
 
 
 def ema_smooth(values: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
-    """Compound moving average MA_t = beta * P_t + (1 - beta) * MA_{t-1}."""
+    """Compound moving average MA_t = beta * P_t + (1 - beta) * MA_{t-1}.
+
+    The recursion runs on Python floats: the same IEEE double operations, in
+    the same order, as on numpy scalars, at a fraction of the cost per step.
+    MA_0 starts from ``cfg.seed_value``, else from the first value.
+    """
     x = np.asarray(values, dtype=np.float64)
     if len(x) == 0:
         raise ValueError("cannot smooth an empty vector")
-    out = np.empty_like(x)
     prev = float(x[0]) if cfg.seed_value is None else float(cfg.seed_value)
     b = cfg.beta
-    for i, p in enumerate(x):
+    out = []
+    for p in x.tolist():
         prev = b * p + (1.0 - b) * prev
-        out[i] = prev
-    return out
+        out.append(prev)
+    return np.array(out)
 
 
 def double_smooth(values: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:

@@ -21,7 +21,7 @@ from .metrics import (
     modified_sharpe,
     positions_from_forecasts,
 )
-from .neural import NetworkModel, predict
+from .neural import NetworkModel, predict, predict_many
 from .preprocess import TrainingMatrix
 
 
@@ -72,17 +72,17 @@ def ism_scorer(models: list[NetworkModel], test_part: TrainingMatrix) -> list[fl
 
     One call scores the models given, in order: a matrix's restarts in
     one training block, in the worker that trained them. It skips the EP
-    test and hit rate that ``score_model`` adds for the winner. Each model
-    is predicted on its own (``predict``), the stack of predictions is
-    denormalized in one call, and the ISM is computed once per distinct
-    long/short position vector: without ``months``, ``equity_curves``
-    reads the predictions only through those positions, so restarts that
-    call every month alike share one exact score, in any split of the
-    models into calls.
+    test and hit rate that ``score_model`` adds for the winner. The models,
+    which share one ``layer_sizes``, are predicted in one stacked pass
+    (``predict_many``, bit-identical to ``predict`` on each), the stack of
+    predictions is denormalized in one call, and the ISM is computed once
+    per distinct long/short position vector: without ``months``,
+    ``equity_curves`` reads the predictions only through those positions,
+    so restarts that call every month alike share one exact score, in any
+    split of the models into calls.
     """
     actual = test_part.output_levels
-    levels = test_part.denormalize_predictions(
-        np.stack([predict(model, test_part.inputs) for model in models]))
+    levels = test_part.denormalize_predictions(predict_many(models, test_part.inputs))
     by_positions: dict[bytes, float] = {}
     scores = []
     for predicted in levels:

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import sys
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from spreadnet.neural import (
     model_to_dict,
     multi_restart_train,
     predict,
+    predict_many,
     restart_seeds,
     save_model,
     split,
@@ -124,6 +126,94 @@ class TestForward:
         assert batch.shape == (7,)
         for i in range(7):
             assert batch[i] == pytest.approx(forward(model, xs[i]), abs=1e-12)
+
+
+
+def reference_predict(model, inputs):
+    """One model's forward pass written out step by step, as ``predict`` ran before
+    models were stacked: the bits ``predict`` and ``predict_many`` must keep."""
+    h = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if model.input_scaling is not None:
+        h = h * model.input_scaling.scale + model.input_scaling.offset
+    for l, w in enumerate(model.weights):
+        h = np.concatenate([h, np.ones((len(h), 1))], axis=1) @ w.T
+        if l < len(model.weights) - 1:
+            h = np.tanh(h)
+    out = h[:, 0]
+    if model.output_scaling is not None:
+        out = (out - model.output_scaling.offset) / model.output_scaling.scale
+    return out
+
+
+class TestPredictMany:
+    """One stacked pass over models of one shape gives each model's ``predict`` bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(count=st.integers(1, 20), n_in=st.integers(1, 11), hidden=st.integers(1, 12),
+           rows=st.integers(1, 53), shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_predict_per_model(self, count, n_in, hidden, rows, shared, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            """Values over six decades, about one in six a signed zero."""
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+            zeros = rng.random(shape) < 0.15
+            x[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+            return x
+
+        def scaling(width):  # a model may lack either scaling
+            if rng.random() < 0.25:
+                return None
+            return AffineMap(rng.uniform(0.05, 8.0, width) * rng.choice([-1.0, 1.0], width),
+                             draw(width))
+
+        sizes = (n_in, hidden, 1)
+        shapes = [(o, i + 1) for i, o in zip(sizes[:-1], sizes[1:])]
+        models = [NetworkModel(sizes, tuple(map(draw, shapes)), scaling(n_in), scaling(1))
+                  for _ in range(count)]
+        x = draw((rows, n_in) if shared else (count, rows, n_in))
+        got = predict_many(models, x)
+        assert got.shape == (count, rows)
+        for b, model in enumerate(models):
+            want = reference_predict(model, x if shared else x[b])
+            assert got[b].tobytes() == want.tobytes()
+            assert predict(model, x if shared else x[b]).tobytes() == want.tobytes()
+
+    def test_deeper_models_per_model(self):
+        rng = np.random.default_rng(8)
+        sizes = (4, 3, 5, 1)
+        models = [NetworkModel(sizes, tuple(rng.normal(size=(o, i + 1))
+                                            for i, o in zip(sizes[:-1], sizes[1:])),
+                               AffineMap(rng.uniform(0.5, 2, 4), rng.normal(size=4)),
+                               AffineMap(np.array([0.3]), np.array([-0.2])))
+                  for _ in range(6)]
+        x = rng.normal(size=(6, 9, 4))
+        got = predict_many(models, x)
+        for b, model in enumerate(models):
+            assert got[b].tobytes() == reference_predict(model, x[b]).tobytes()
+
+    def test_mixed_layer_sizes_raise(self):
+        with pytest.raises(DimensionMismatch, match="layer sizes"):
+            predict_many([small_model(n_in=3), small_model(n_in=2)], np.ones((4, 3)))
+        with pytest.raises(DimensionMismatch, match="layer sizes"):
+            predict_many([small_model(hidden=3), small_model(hidden=4)], np.ones((4, 3)))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (2, 4, 2), (3, 4, 3), (3,), (1, 2, 4, 3)])
+    def test_wrong_input_shape_raises(self, shape):
+        with pytest.raises(DimensionMismatch, match="inputs have shape"):
+            predict_many([small_model(), small_model(seed=1)], np.ones(shape))
+
+    def test_no_models_raises(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            predict_many([], np.ones((2, 3)))
+
+    def test_scaling_width_must_match_the_layers(self):
+        with pytest.raises(ValueError, match="input scaling"):
+            NetworkModel((3, 1), (np.zeros((1, 4)),), input_scaling=AffineMap(np.ones(1),
+                                                                              np.zeros(1)))
+        with pytest.raises(ValueError, match="output scaling"):
+            NetworkModel((3, 1), (np.zeros((1, 4)),), output_scaling=AffineMap(np.ones(2),
+                                                                               np.zeros(2)))
 
 
 class TestSplit:
@@ -1057,6 +1147,6 @@ class TestTrainedScalingConsistency:
         model = train(matrix, TrainConfig(restarts=1, rng_seed=4))
         x = matrix.inputs[:5]
         manual_in = model.input_scaling.apply(x)
-        out = neural._forward_scaled(model, manual_in)
+        out = predict(replace(model, input_scaling=None, output_scaling=None), manual_in)
         manual = model.output_scaling.invert(out)
         assert np.array_equal(predict(model, x), manual)

@@ -889,6 +889,47 @@ class TestCli:
         run_pipeline(config, through="preprocess", run_dir=tmp_path / "run")
         assert cli_main(["report", "--run", str(tmp_path / "run")]) == 7
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["predict", "--run", "RUN", "--set", "training.restarts=-5"], "--set"),  # no --config
+        (["predict", "--run", "RUN", "-o", "OUT"], "-o"),
+        (["predict", "--run", "RUN", "--run-dir", "OUT"], "--run-dir"),
+        (["predict", "--run", "RUN", "-c", "CONFIG", "-o", "OUT"], "-o"),
+        (["report", "--run", "RUN", "--config", "CONFIG"], "--config"),
+        (["report", "--run", "RUN", "--set", "training.restarts=-5"], "--set"),
+        (["report", "--run", "RUN", "-o", "OUT"], "-o"),
+        (["report", "--run", "RUN", "--run-dir", "OUT"], "--run-dir"),
+    ])
+    def test_unread_flag_exit_code(self, small_run, tmp_path, capsys, argv, flag):
+        config_path, _, result = small_run
+        fill = {"RUN": str(result.run_dir), "CONFIG": str(config_path), "OUT": str(tmp_path / "out")}
+        assert cli_main([fill.get(a, a) for a in argv]) == EXIT_CODES["config"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stage 'config' failed" in captured.err and f"does not read {flag}" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_predict_reads_set_with_config(self, small_run, capsys):
+        config_path, _, result = small_run
+        assert cli_main(["predict", "--run", str(result.run_dir), "-c", str(config_path),
+                         "--set", "training.restarts=-5"]) == EXIT_CODES["config"]
+        assert "training.restarts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [[], ["predict"], ["nonsense"], ["report", "--bogus"],
+                                      ["validate"], ["train", "-c"]])
+    def test_usage_error_exits_as_config(self, argv, capsys):
+        # argparse's own code, 2, is the ingest stage's
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv)
+        assert info.value.code == EXIT_CODES["config"] == 1
+        assert "usage: spreadnet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["predict", "--help"], ["report", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv)
+        assert info.value.code == 0
+        assert "usage: spreadnet" in capsys.readouterr().out
+
     def test_predict_cli(self, small_run, capsys):
         _, _, result = small_run
         assert cli_main(["predict", "--run", str(result.run_dir)]) == 0
@@ -979,9 +1020,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "stage 'config' failed" in err and extra[1].split("=")[0] in err
 
-    @pytest.mark.parametrize("text, problem", [("{", "not valid JSON"),
-                                               pytest.param(NESTED, "not valid JSON", id="nested"),
-                                               ("[1, 2]", "not a JSON object")])
+    @pytest.mark.parametrize("text, problem", [
+        ("{", "not valid JSON"),
+        pytest.param(NESTED, "not valid JSON", id="nested"),
+        ("[1, 2]", "not a JSON object"),
+        pytest.param(b"\xff", "not valid JSON", id="non-utf8"),
+        # json.loads would take these bytes as an array
+        pytest.param("[1, 2]".encode("utf-16"), "not valid JSON", id="utf16"),
+    ])
     @pytest.mark.parametrize("command, name, code", [
         ("predict", SERVE_NAME, 8),
         ("predict", MANIFEST_NAME, 8),  # with serve.json removed, predict reads the manifest
@@ -994,7 +1040,7 @@ class TestCli:
         run = shutil.copytree(result.run_dir, tmp_path / "run")
         if (command, name) == ("predict", MANIFEST_NAME):
             (run / SERVE_NAME).unlink()
-        (run / name).write_text(text)
+        (run / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         assert cli_main([command, "--run", str(run)]) == code
         if code:
             err = capsys.readouterr().err
@@ -1089,6 +1135,11 @@ class TestCli:
         ("master", None),                 # no master.json at all
         pytest.param("member", NESTED, id="member-nested"),
         pytest.param("master", NESTED, id="master-nested"),
+        pytest.param("member", b"\xff", id="member-non-utf8"),
+        pytest.param("master", b"\xff", id="master-non-utf8"),
+        # the model's own document re-encoded: json.loads would read it
+        pytest.param("member", "utf-16", id="member-utf16"),
+        pytest.param("master", "utf-16", id="master-utf16"),
     ])
     def test_unreadable_model_file_exit_code(self, small_run, tmp_path, capsys, model, text):
         _, _, result = small_run
@@ -1102,11 +1153,31 @@ class TestCli:
             document = json.loads(path.read_text())
             del document["layer_sizes"]
             path.write_text(json.dumps(document))
+        elif text == "utf-16":
+            path.write_bytes(path.read_text().encode("utf-16"))
         else:
-            path.write_text(text)
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert cli_main(["predict", "--run", str(run)]) == 8
         err = capsys.readouterr().err
         assert "stage 'predict' failed" in err and str(path) in err
+
+    @pytest.mark.parametrize("edit", [lambda names: names + names[:1], lambda names: names[:-1],
+                                      lambda names: []], ids=["one-more", "one-fewer", "none"])
+    def test_member_inputs_other_than_its_models_exit_code(self, small_run, tmp_path, capsys,
+                                                           edit):
+        # a record whose member lists another number of inputs than its model takes
+        _, _, result = small_run
+        run = shutil.copytree(result.run_dir, tmp_path / "run")
+        record = json.loads((run / SERVE_NAME).read_text())
+        member = record["members"][2]
+        width = len(member["input_names"])
+        member["input_names"] = edit(member["input_names"])
+        (run / SERVE_NAME).write_text(json.dumps(record))
+        assert cli_main(["predict", "--run", str(run)]) == 8
+        err = capsys.readouterr().err
+        assert "stage 'predict' failed" in err
+        assert (f"member {member['name']} lists {len(member['input_names'])} inputs, "
+                f"its model takes {width}") in err
 
     @pytest.mark.parametrize("extra, named", [
         (["--set", "training.restart=200"], "training.restart"),
@@ -1133,12 +1204,26 @@ class TestCli:
         assert cli_main(["validate", "-c", str(tmp_path / "nope.json")]) == 1
         assert "stage 'config' failed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{not json", pytest.param(NESTED, id="nested")])
+    @pytest.mark.parametrize("text", ["{not json", pytest.param(NESTED, id="nested"),
+                                      pytest.param(b"\xff", id="non-utf8")])
     def test_malformed_config_json_exit_code(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert cli_main(["validate", "-c", str(bad)]) == 1
         assert "stage 'config' failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "predict"])
+    def test_utf16_config_exit_code(self, small_run, tmp_path, capsys, command):
+        # a valid config re-encoded as UTF-16 with its BOM: json.loads would read
+        # the bytes, but a config is UTF-8 text
+        config_path, _, result = small_run
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(config_path.read_text().encode("utf-16"))
+        assert bad.read_bytes()[:2] == b"\xff\xfe"
+        run = ["--run", str(result.run_dir)] if command == "predict" else []
+        assert cli_main([command, "-c", str(bad), *run]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'config' failed" in err and "not valid JSON" in err
 
     def test_diverged_training_exits_as_train_stage(self, tmp_path, capsys, monkeypatch):
         from spreadnet import neural

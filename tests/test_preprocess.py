@@ -89,7 +89,33 @@ class TestHistoricalVar:
         assert out.months[0] == s.months[65]
 
 
+def numpy_scalar_ema(values, cfg):
+    """The compound moving average as a loop over numpy scalars: the bits that
+    ``ema_smooth`` keeps."""
+    x = np.asarray(values, dtype=np.float64)
+    out = np.empty_like(x)
+    prev = float(x[0]) if cfg.seed_value is None else float(cfg.seed_value)
+    with np.errstate(all="ignore"):  # numpy scalars warn on overflow; the bits are the point
+        for i, p in enumerate(x):
+            prev = cfg.beta * p + (1.0 - cfg.beta) * prev
+            out[i] = prev
+    return out
+
+
 class TestEmaSmooth:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.floats(-1e3, 1e3), st.sampled_from([-0.0, 0.0])),
+                           min_size=1, max_size=120),
+           beta=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([0.1, 1.0])),
+           seed_value=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
+                                st.sampled_from([-0.0, 0.0])))
+    def test_equals_the_numpy_scalar_loop(self, values, beta, seed_value):
+        cfg = SmoothingConfig(beta=beta, seed_value=seed_value)
+        got = ema_smooth(np.array(values), cfg)
+        assert got.dtype == np.float64 and got.shape == (len(values),)
+        assert got.tobytes() == numpy_scalar_ema(values, cfg).tobytes()
+
     def test_beta_one_identity(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(30)

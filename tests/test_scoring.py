@@ -66,6 +66,8 @@ model_specs = st.lists(st.one_of(
                 ("constant", 2e3), ("random", 4, False), ("perfect",)])
 @example(seed=2, recipe=RAW_OUTPUT, n_inputs=1, hidden=2, rows=12,
          specs=[("constant", -1e3), ("random", 5, True), ("constant", -7.0), ("perfect",)])
+@example(seed=3, recipe=NORMALIZED_OUTPUT, n_inputs=4, hidden=None, rows=36,  # a set-10 block
+         specs=[("random", k, k % 2 == 0) for k in range(20)])
 @given(
     seed=st.integers(0, 2**16),
     recipe=st.sampled_from([RAW_OUTPUT, NORMALIZED_OUTPUT]),
@@ -103,7 +105,7 @@ def test_batched_equals_one_by_one(seed, recipe, n_inputs, hidden, rows, specs):
             ism_scorer(models, test_part)
         return
     scores = ism_scorer(models, test_part)
-    assert scores == want
+    assert np.array(scores).tobytes() == np.array(want).tobytes()  # bit for bit
     for model, score in zip(models, scores):
         if model is perfect:
             assert score is PERFECT_STRATEGY
