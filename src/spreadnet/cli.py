@@ -96,6 +96,7 @@ def _run_to(args, stage: str):
 
 
 def cmd_validate(args) -> int:
+    _refuse_unread(args, "validate", "-o", "--run-dir")  # it writes nothing
     config = _load_config(args)
     frame = ingest(config)
     print(f"ok: {len(frame)} aligned months "

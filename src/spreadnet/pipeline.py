@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import hashlib
 import json
 import numbers
@@ -60,8 +59,8 @@ from .preprocess import (
     build_derived_columns,
     default_base_sets,
 )
-from .series import (AlignedFrame, MonthlySeries, align, format_month, load_series, parse_month,
-                     read_file)
+from .series import (AlignedFrame, MonthlySeries, _no_month, align, format_month, load_series,
+                     parse_month, read_file)
 
 STAGES = ("ingest", "preprocess", "train", "select", "master", "report")
 VARIABLES = (pp.INDICATOR, pp.OUTPUT_VARIABLE, pp.GLOBAL_SPREAD, pp.TBILL)
@@ -94,20 +93,21 @@ class PipelineConfig:
 
     variables: DataVariables = field(default_factory=dict)
     date_column: str = "date"
-    var_cfg: VarConfig = field(default_factory=VarConfig)
-    smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
+    # a config dataclass is frozen, so one default instance serves every config
+    var_cfg: VarConfig = VarConfig()
+    smoothing: SmoothingConfig = SmoothingConfig()
     ma_levels: tuple[BlockAverageConfig, ...] = pp.DEFAULT_MA_LEVELS
     enabled_sets: tuple[int, ...] = tuple(range(1, 11))
     single_lag: int = 1
-    training: TrainConfig = field(default_factory=lambda: TrainConfig(restarts=50))
+    training: TrainConfig = TrainConfig(restarts=50)
     full_scale: bool = False
     top_k: int = 10
     output_dir: str = "runs"
     formats: tuple[str, ...] = ("csv", "txt")
 
     def __post_init__(self):
-        for name, hint in _hints(type(self)).items():
-            object.__setattr__(self, name, _checked(getattr(self, name), hint, _PLACES[name]))
+        for name, check in _FIELD_CHECKS.items():
+            object.__setattr__(self, name, check(getattr(self, name), _PLACES[name]))
         for name in ("top_k", "single_lag"):
             if getattr(self, name) < 1:
                 raise ValueError(
@@ -153,13 +153,13 @@ class PipelineConfig:
         for section, value in _config_object(data, "", _SECTIONS).items():
             keys = _SECTIONS[section]
             whole = keys.get(None)
-            if whole and not (isinstance(value, dict) and is_dataclass(_hints(cls)[whole])):
+            if whole and not (isinstance(value, dict) and whole in _SECTION_DEFAULTS):
                 kwargs[whole] = value  # ma_levels' list, or a section the checker rejects
                 continue
             value = dict(_config_object(value, section, value if whole else keys))
             kwargs.update((keys[key], value.pop(key)) for key in list(value) if key in keys)
             if whole:  # the config dataclass takes the other keys, over the field's default
-                kwargs[whole] = {**vars(cls.__dataclass_fields__[whole].default_factory()), **value}
+                kwargs[whole] = {**_SECTION_DEFAULTS[whole], **value}
         return cls(**kwargs)
 
     @classmethod
@@ -187,16 +187,26 @@ _SECTIONS = {
 _PLACES = {name: section if key is None else f"{section}.{key}"
            for section, keys in _SECTIONS.items() for key, name in keys.items()}
 _BASE_SET_IDS = frozenset(spec.id for spec in default_base_sets())
-
-# Resolved annotations of the config types; resolving one takes about 0.5 ms.
-_hints = functools.cache(typing.get_type_hints)
+# the sections that say how a forecast derives its members' inputs from the data
+_DERIVATION_SECTIONS = ("var", "smoothing", "ma_levels")
 
 _SCALARS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
             bool: (bool, "true or false"), str: (str, "a string")}
 
 
-def _checked(value, hint, where: str):
-    """``value`` as the annotation ``hint`` reads it; ValueError names ``where`` if it is not one.
+def _place(where) -> str:
+    """The dotted text of a place: a string, or (parent place, key or index) built
+    as a check descends, so a place is spelled out only in a fault's message."""
+    if where.__class__ is not tuple:
+        return where or ""
+    parent, key = where
+    return f"{_place(parent)}.{key}" if parent else str(key)
+
+
+def _checker(hint):
+    """The check of the annotation ``hint``, built once: ``check(value, where)`` returns
+    ``value`` as ``hint`` reads it, or raises ValueError naming the place ``where``
+    (see ``_place``).
 
     ``int`` takes Python and numpy integers (returned as int), ``float`` any
     real number, and neither a bool. ``X | None`` takes null, ``tuple[X, ...]``
@@ -206,27 +216,47 @@ def _checked(value, hint, where: str):
     """
     scalar = _SCALARS.get(hint)
     if scalar:
-        if type(value) is hint:
-            return value
-        if isinstance(value, scalar[0]) and (hint is bool or not isinstance(value, bool)):
-            return int(value) if hint is int else value
-        raise ValueError(f"config {where} must be {scalar[1]}, got {value!r}")
+        kinds, kind_name = scalar
+
+        def check(value, where):
+            if type(value) is hint:
+                return value
+            if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
+                return int(value) if hint is int else value
+            raise ValueError(f"config {_place(where)} must be {kind_name}, got {value!r}")
+        return check
     if isinstance(hint, types.UnionType):  # X | None
-        return None if value is None else _checked(value, hint.__args__[0], where)
+        inner = _checker(hint.__args__[0])
+        return lambda value, where: None if value is None else inner(value, where)
     if getattr(hint, "__origin__", None) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"config {where} must be a list, got {value!r}")
-        return tuple(_checked(v, hint.__args__[0], f"{where}.{i}") for i, v in enumerate(value))
-    hints = _hints(hint)
-    items = _config_object(vars(value) if type(value) is hint else value, where, hints)
-    checked = {k: _checked(v, hints[k], f"{where}.{k}") for k, v in items.items()}
-    missing = sorted(getattr(hint, "__required_keys__", set()) - checked.keys())
-    if missing:  # only a TypedDict requires keys
-        raise ValueError(f"config {where} lacks {missing}")
-    try:
-        return hint(**checked)
-    except ValueError as exc:  # a config dataclass's range error opens with the field name
-        raise ValueError(f"config {where}.{exc}") from exc
+        item = _checker(hint.__args__[0])
+
+        def check(value, where):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"config {_place(where)} must be a list, got {value!r}")
+            return tuple([item(v, (where, i)) for i, v in enumerate(value)])
+        return check
+    fields = {key: _checker(h) for key, h in typing.get_type_hints(hint).items()}
+    required = getattr(hint, "__required_keys__", frozenset())  # only a TypedDict requires keys
+
+    def check(value, where):
+        items = _config_object(vars(value) if type(value) is hint else value, where, fields)
+        checked = {key: fields[key](v, (where, key)) for key, v in items.items()}
+        if not required <= checked.keys():
+            raise ValueError(f"config {_place(where)} lacks {sorted(required - checked.keys())}")
+        try:
+            return hint(**checked)
+        except ValueError as exc:  # a config dataclass's range error opens with the field name
+            raise ValueError(f"config {_place(where)}.{exc}") from exc
+    return check
+
+
+_FIELD_CHECKS = {name: _checker(hint)
+                 for name, hint in typing.get_type_hints(PipelineConfig).items()}
+# each config dataclass section's keys and their defaults, over which from_dict lays a section
+_SECTION_DEFAULTS = {name: vars(f.default)
+                     for name, f in PipelineConfig.__dataclass_fields__.items()
+                     if is_dataclass(f.default)}
 
 
 def _to_json(value):
@@ -240,13 +270,13 @@ def _to_json(value):
     return value
 
 
-def _config_object(value, where: str, keys) -> dict:
+def _config_object(value, where, keys) -> dict:
     """``value``, checked to be an object whose keys are all in ``keys``."""
     if not isinstance(value, dict):
-        raise ValueError(f"config {where or 'document'} must be an object, got {value!r}")
+        raise ValueError(f"config {_place(where) or 'document'} must be an object, got {value!r}")
     for key in value:
         if key not in keys:
-            raise ValueError(f"unknown config key {where + '.' if where else ''}{key}")
+            raise ValueError(f"unknown config key {_place((where, key))}")
     return value
 
 
@@ -716,7 +746,7 @@ def load_run(run_dir: str | Path) -> dict:
     path = run_dir / MANIFEST_NAME
     if not path.exists():
         raise MissingFile(f"no {MANIFEST_NAME} in {run_dir}")
-    manifest = _read_record(path, _MANIFEST, partial=True)
+    manifest = _read_record(path, _MANIFEST_CHECK, partial=True)
     fits = {f"candidates.{i}": c for i, c in enumerate(manifest.get("candidates", ()))}
     if "master" in manifest:
         fits["master"] = manifest["master"]
@@ -734,7 +764,7 @@ def load_run(run_dir: str | Path) -> dict:
 _JSON_TYPES = {dict: ({dict}, "a JSON object"), list: ({list}, "a JSON array"),
                str: ({str}, "a string"), bool: ({bool}, "true or false"), int: ({int}, "an integer"),
                float: ({int, float}, "a number"), type(None): ({type(None)}, "null")}
-# The shape of each run record, key for key as its writer writes it (see ``_walk``).
+# The shape of each run record, key for key as its writer writes it (see ``_compile``).
 _RECIPE = typing.Literal[pp.RAW_OUTPUT, pp.NORMALIZED_OUTPUT]
 _SERVE_MEMBER = {"name": str, "lag": int, "input_names": list[str], "output_recipe": _RECIPE,
                  "model_path": str}
@@ -754,63 +784,89 @@ _MANIFEST = {"manifest_format": int, "created_at": str, "config": dict, "config_
 _SERIES_KEYS = ("test_months", "predicted_levels", "actual_levels")
 
 
-def _is(value, kind) -> bool:
-    """Whether the value ``json.loads`` gave is of ``kind``: a key of
-    ``_JSON_TYPES``, ``list[X]`` with X one of them, a ``Literal`` of the
-    strings allowed, or a union of these."""
+class _Misfit(Exception):
+    """A run-record value of a wrong JSON kind, at its place (see ``_place``)."""
+
+    def __init__(self, where, value, kind: str):
+        super().__init__(where, value, kind)
+        self.where, self.value, self.kind = where, value, kind
+
+
+def _kind(kind) -> tuple:
+    """(test, name) of a JSON kind: ``test(value)`` tells whether the value
+    ``json.loads`` gave is of ``kind`` (a key of ``_JSON_TYPES``, ``list[X]``
+    with X one of them, a ``Literal`` of the strings allowed, or a union of
+    these), and ``name`` is how ``kind`` reads in an error message."""
     if kind.__class__ is type:
-        return value.__class__ in _JSON_TYPES[kind][0]
+        classes, name = _JSON_TYPES[kind]
+        return (lambda value: value.__class__ in classes), name
     args = kind.__args__
     if kind.__class__ is types.GenericAlias:  # list[X]
-        return value.__class__ is list and set(map(type, value)) <= _JSON_TYPES[args[0]][0]
+        items, name = _JSON_TYPES[args[0]]
+        return ((lambda value: value.__class__ is list and set(map(type, value)) <= items),
+                f"a JSON array, each item {name}")
     if getattr(kind, "__origin__", None) is typing.Literal:
-        return value.__class__ is str and value in args
-    return any(_is(value, k) for k in args)
+        return ((lambda value: value.__class__ is str and value in args),
+                " or ".join(json.dumps(v) for v in args))
+    tests, names = zip(*map(_kind, args))
+    return (lambda value: any(test(value) for test in tests)), " or ".join(names)
 
 
-def _kind_name(kind) -> str:
-    """How ``kind`` (see ``_is``) reads in an error message."""
-    if kind.__class__ is type:
-        return _JSON_TYPES[kind][1]
-    args = kind.__args__
-    if kind.__class__ is types.GenericAlias:
-        return f"a JSON array, each item {_kind_name(args[0])}"
-    if getattr(kind, "__origin__", None) is typing.Literal:
-        return " or ".join(json.dumps(v) for v in args)
-    return " or ".join(_kind_name(k) for k in args)
-
-
-def _read_record(path: Path, shape: dict, partial: bool = False) -> dict:
-    """The run record in ``path`` once it has ``shape`` (see ``_walk``); IncompleteManifest
-    names the file and each key missing (a ``partial`` record may lack top-level keys)."""
-    record = _read_json(path, IncompleteManifest)
-    missing: list[str] = []
-    _walk(record, shape, path, "", missing, partial)
-    if missing:
-        raise IncompleteManifest(f"{path} lacks {', '.join(missing)}")
-    return record
-
-
-def _walk(value, shape, path: Path, where: str, missing: list[str], partial=False) -> None:
-    """Check ``value`` at the dotted place ``where`` against ``shape``: a dict is a JSON
-    object holding at least its keys (a key it lacks goes into ``missing`` unless
-    ``partial``), a one-item list an array of such items, anything else a JSON kind
-    (``_is``). A value of a wrong kind raises IncompleteManifest naming its place."""
-    kind = shape.__class__ if shape.__class__ in (dict, list) else shape
-    if not _is(value, kind):
-        at = f" at {where}" if where else ""
-        got = repr(value) if isinstance(value, str) else f"a {type(value).__name__}"
-        raise IncompleteManifest(f"{path} holds {got}{at}, not {_kind_name(kind)}")
+def _compile(shape):
+    """The check of a run-record ``shape``, built once: a dict is a JSON object holding
+    at least its keys, a one-item list an array of such items, anything else a JSON
+    kind (see ``_kind``). ``check(value, where, missing, partial=False)`` raises
+    ``_Misfit`` for a value of a wrong kind at the place ``where`` (see ``_place``),
+    and puts the place of each key an object lacks into ``missing`` (unless
+    ``partial``: a partial record may lack top-level keys)."""
     if shape.__class__ is dict:
-        for key, part in shape.items():
-            place = f"{where}.{key}" if where else key
-            if key in value:
-                _walk(value[key], part, path, place, missing)
-            elif not partial:
-                missing.append(place)
+        parts = [(key, _compile(part)) for key, part in shape.items()]
+
+        def check(value, where, missing, partial=False):
+            if value.__class__ is not dict:
+                raise _Misfit(where, value, _JSON_TYPES[dict][1])
+            for key, part in parts:
+                if key in value:
+                    part(value[key], (where, key), missing)
+                elif not partial:
+                    missing.append((where, key))
     elif shape.__class__ is list:
-        for i, item in enumerate(value):
-            _walk(item, shape[0], path, f"{where}.{i}", missing)
+        item = _compile(shape[0])
+
+        def check(value, where, missing, partial=False):
+            if value.__class__ is not list:
+                raise _Misfit(where, value, _JSON_TYPES[list][1])
+            for i, v in enumerate(value):
+                item(v, (where, i), missing)
+    else:
+        test, name = _kind(shape)
+
+        def check(value, where, missing, partial=False):
+            if not test(value):
+                raise _Misfit(where, value, name)
+    return check
+
+
+_SERVE_CHECK = _compile(_SERVE)
+_MANIFEST_CHECK = _compile(_MANIFEST)
+
+
+def _read_record(path: Path, check, partial: bool = False) -> dict:
+    """The run record in ``path`` once it passes ``check`` (``_SERVE_CHECK`` or
+    ``_MANIFEST_CHECK``). IncompleteManifest names the file and the place of the first
+    value of a wrong kind, else each key missing (a ``partial`` record may lack
+    top-level keys)."""
+    record = _read_json(path, IncompleteManifest)
+    missing: list = []
+    try:
+        check(record, None, missing, partial)
+    except _Misfit as fault:
+        value, at = fault.value, f" at {_place(fault.where)}" if fault.where else ""
+        got = repr(value) if isinstance(value, str) else f"a {type(value).__name__}"
+        raise IncompleteManifest(f"{path} holds {got}{at}, not {fault.kind}") from None
+    if missing:
+        raise IncompleteManifest(f"{path} lacks {', '.join(map(_place, missing))}")
+    return record
 
 
 def _read_json(path: Path, fault: type[Exception]):
@@ -843,7 +899,7 @@ def _load_serve_record(run_dir: Path) -> tuple[Path, dict]:
     without one the manifest (checked by ``load_run``) and the record projected from it."""
     path = run_dir / SERVE_NAME
     if path.exists():
-        return path, _read_record(path, _SERVE)
+        return path, _read_record(path, _SERVE_CHECK)
     path = run_dir / MANIFEST_NAME
     try:
         return path, serve_record(load_run(run_dir))
@@ -870,23 +926,38 @@ def predict_from_run(
     Reads the run's serve record (``serve.json``; for a run stored without
     one, the same record projected from the manifest), loads the stored
     member and master models, builds only the derived columns the members
-    read, rebuilds each member's input row for its lag, stacks the member
-    forecasts, and runs the master. The frame comes from ``config``
-    (defaults to the run's config). Each member's row must have its
-    model's width (else StaleModel names the member). The members are
-    predicted in one stacked pass per layer shape (``predict_many``), and
-    the normalized ones inverted in one ``denormalize_output`` call: the
-    same bits as one member at a time.
+    read, reads each member's input row for its lag by index on each
+    column's month axis, stacks the member forecasts, and runs the master.
+    The frame comes from ``config`` (defaults to the run's config), whose
+    data paths and unread sections may differ from the recorded config;
+    its ``var``, ``smoothing`` and ``ma_levels``, which say how the members'
+    inputs are derived, may not (else StaleModel names the section). Each
+    member's row must have its model's width (else StaleModel names the
+    member). The members are predicted in one stacked pass per layer shape
+    (``predict_many``), and the normalized ones inverted in one
+    ``denormalize_output`` call: the same bits as one member at a time.
 
-    Every call reads every file it uses, as bytes. What a call keeps for
-    the next is keyed by a file's content, never by its path or time: a
-    model file is decoded, and a data CSV parsed, once per distinct content
-    (a bounded memo in ``neural.load_model`` and ``series.load_series``),
-    so a file rewritten with other bytes is parsed afresh on the next call.
+    Every call reads every file it uses, as bytes, and checks each input
+    once, where it comes in: the record against its compiled shape, the
+    config against its compiled field checks, a CSV when it is parsed. A
+    series derived on a checked month axis checks only its values. What a
+    call keeps for the next is keyed by a file's content, never by its path
+    or time: a model file is decoded, and a data CSV parsed, once per
+    distinct content (a bounded memo in ``neural.load_model`` and
+    ``series.load_series``), so a file rewritten with other bytes is parsed
+    afresh on the next call.
     """
     run_dir = Path(run_dir)
     path, record = _load_serve_record(run_dir)
-    config = config or _record_config(record, path)
+    recorded = _record_config(record, path)
+    if config is None:
+        config = recorded
+    for section in _DERIVATION_SECTIONS:  # the members were trained on the recorded inputs
+        name = _SECTIONS[section][None]
+        if getattr(config, name) != getattr(recorded, name):
+            raise StaleModel(f"config {section} {json.dumps(_to_json(getattr(config, name)))} "
+                             f"differs from {json.dumps(_to_json(getattr(recorded, name)))}, "
+                             f"which {path} records")
     members = record["members"]
 
     frame = ingest(config)
@@ -902,13 +973,21 @@ def predict_from_run(
     last_month = int(frame.months[-1])
     target = last_month + 1
 
+    # each column's name, first month and values: an input is read by its index on that axis
+    axes = {key: (s.name, s.first_month, s.values) for key, s in derived.items()}
     by_shape: dict[tuple, list[int]] = {}  # member positions by layer sizes, in rank order
     models, rows = [], []
     for k, entry in enumerate(members):
         model = load_model(os.path.join(run_dir, entry["model_path"]))
         month_in = target - entry["lag"]
+        row = []
         try:
-            row = [derived[name].value_at(month_in) for name in entry["input_names"]]
+            for key in entry["input_names"]:
+                series_name, first, column = axes[key]
+                i = month_in - first
+                if not 0 <= i < len(column):
+                    raise _no_month(series_name, month_in)
+                row.append(column[i])
         except KeyError as exc:
             raise StaleModel(
                 f"member {entry['name']} needs inputs at {format_month(month_in)}: {exc}"

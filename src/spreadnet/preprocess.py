@@ -26,7 +26,8 @@ from .errors import (
     MissingColumn,
     ZeroTrailingMean,
 )
-from .series import AlignedFrame, MonthlySeries, align, format_month, log_returns, to_basis_points
+from .series import (AlignedFrame, MonthlySeries, _derived, align, format_month, log_returns,
+                     to_basis_points)
 
 # Canonical variable names expected in an input frame.
 INDICATOR = "igaem"
@@ -139,9 +140,7 @@ def historical_var(returns_bp: MonthlySeries, cfg: VarConfig) -> MonthlySeries:
     is a genuine ex-ante band for backtesting the month-t return.
     """
     band = rolling_var(returns_bp.values, cfg)
-    return MonthlySeries(
-        f"{returns_bp.name}_var", returns_bp.months[cfg.window :], band
-    )
+    return _derived(f"{returns_bp.name}_var", returns_bp.months[cfg.window :], band)
 
 
 def indicator_var_series(levels: MonthlySeries, cfg: VarConfig) -> MonthlySeries:
@@ -213,7 +212,7 @@ def block_average_column(s: MonthlySeries, cfg: BlockAverageConfig) -> MonthlySe
     # month t's window starts at index t - n - M/2, which is 0 for t = first
     windows = np.lib.stride_tricks.sliding_window_view(s.values, cfg.M + 1)
     vals = windows[: last - first + 1].mean(axis=-1)
-    return MonthlySeries(f"{s.name}_ba{cfg.M}_{cfg.n}", s.months[first : last + 1], vals)
+    return _derived(f"{s.name}_ba{cfg.M}_{cfg.n}", s.months[first : last + 1], vals)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +511,9 @@ def build_derived_columns(
     # column name -> build function, in the order the result lists them
     builds: dict[str, Callable[[], MonthlySeries]] = {
         "var": lambda: indicator_var_series(frame.series(INDICATOR), var_cfg),
-        "var_smooth": lambda: MonthlySeries(
+        "var_smooth": lambda: _derived(
             "var_smooth", get("var").months, ema_smooth(get("var").values, smooth_cfg)),
-        "var_double": lambda: MonthlySeries(
+        "var_double": lambda: _derived(
             "var_double", get("var").months, double_smooth(get("var").values, smooth_cfg)),
         "global": lambda: frame.series(GLOBAL_SPREAD),
         "tbill": lambda: frame.series(TBILL),
@@ -522,7 +521,7 @@ def build_derived_columns(
                f"var_ma{i}", block_average_column(get("var"), ba))
            for i, ba in enumerate(ma_levels, start=1)},
         "output_raw": lambda: frame.series(OUTPUT_VARIABLE),
-        "output_normalized": lambda: MonthlySeries(
+        "output_normalized": lambda: _derived(
             "output_normalized", get("output_raw").months[3:],
             normalize_output(get("output_raw").values)),
         # set 10 feeds the (lagged) transformed output back in as an input
@@ -539,7 +538,7 @@ def build_derived_columns(
 
 
 def _renamed(name: str, s: MonthlySeries) -> MonthlySeries:
-    return MonthlySeries(name, s.months, s.values)
+    return _derived(name, s.months, s.values)
 
 
 def assemble_base_sets(

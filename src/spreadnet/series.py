@@ -81,11 +81,7 @@ class MonthlySeries:
                 f"series {self.name!r}: gap between {format_month(months[i])} "
                 f"and {format_month(months[i + 1])}"
             )
-        if not np.isfinite(values).all():
-            i = int(np.argmin(np.isfinite(values)))
-            raise UnparseableValue(
-                f"series {self.name!r}: non-finite value at {format_month(months[i])}"
-            )
+        _check_finite(self.name, months, values)
         months.setflags(write=False)
         values.setflags(write=False)
 
@@ -107,8 +103,37 @@ class MonthlySeries:
         """Value at an exact month key; KeyError if absent."""
         idx = month - self.first_month
         if idx < 0 or idx >= len(self):
-            raise KeyError(f"series {self.name!r} has no month {format_month(month)}")
+            raise _no_month(self.name, month)
         return float(self.values[idx])
+
+
+def _no_month(name: str, month: int) -> KeyError:
+    """The KeyError of a read at ``month`` outside the axis of series ``name``."""
+    return KeyError(f"series {name!r} has no month {format_month(month)}")
+
+
+def _check_finite(name: str, months: np.ndarray, values: np.ndarray) -> None:
+    """UnparseableValue naming the first month of ``values`` that is not finite."""
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise UnparseableValue(f"series {name!r}: non-finite value at {format_month(months[i])}")
+
+
+def _derived(name: str, months: np.ndarray, values) -> MonthlySeries:
+    """The series ``MonthlySeries(name, months, values)`` builds, for a series derived
+    on an axis already checked: ``months`` is a slice of a series' or frame's int64
+    month axis, as long as ``values``. Only the values are checked (finite, with the
+    constructor's message); the axis, checked where it came in, is not checked again.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    _check_finite(name, months, values)
+    months.setflags(write=False)
+    values.setflags(write=False)
+    series = object.__new__(MonthlySeries)
+    object.__setattr__(series, "name", name)
+    object.__setattr__(series, "months", months)
+    object.__setattr__(series, "values", values)
+    return series
 
 
 @dataclass(frozen=True)
@@ -139,7 +164,7 @@ class AlignedFrame:
     def series(self, name: str) -> MonthlySeries:
         if name not in self.columns:
             raise MissingColumn(f"frame has no column {name!r}")
-        return MonthlySeries(name, self.months, self.columns[name])
+        return _derived(name, self.months, self.columns[name])
 
     def column_names(self) -> list[str]:
         return list(self.columns)
@@ -270,11 +295,16 @@ def align(series: list[MonthlySeries]) -> AlignedFrame:
             + ", ".join(f"{s.name}[{format_month(s.first_month)}..{format_month(s.last_month)}]" for s in series)
         )
     months = np.arange(start, stop + 1, dtype=np.int64)
+    months.setflags(write=False)
     columns = {}
     for s in series:
         lo = start - s.first_month
         columns[s.name] = s.values[lo : lo + len(months)]
-    return AlignedFrame(months, columns)
+    # consecutive months by construction, and slices of checked, read-only values
+    frame = object.__new__(AlignedFrame)
+    object.__setattr__(frame, "months", months)
+    object.__setattr__(frame, "columns", columns)
+    return frame
 
 
 def log_returns(s: MonthlySeries) -> MonthlySeries:
@@ -290,14 +320,14 @@ def log_returns(s: MonthlySeries) -> MonthlySeries:
             f"series {s.name!r}: non-positive level {s.values[i]} at {format_month(s.months[i])}"
         )
     vals = np.log(s.values[1:] / s.values[:-1])
-    return MonthlySeries(f"{s.name}_ret", s.months[1:], vals)
+    return _derived(f"{s.name}_ret", s.months[1:], vals)
 
 
 def to_basis_points(r: MonthlySeries) -> MonthlySeries:
     """Scale a return series to basis points (0.01 log return = 100 bp)."""
-    return MonthlySeries(f"{r.name}_bp", r.months, r.values * 10_000.0)
+    return _derived(f"{r.name}_bp", r.months, r.values * 10_000.0)
 
 
 def positive_component(s: MonthlySeries) -> MonthlySeries:
     """Flip the sign of fall magnitudes so losses read as positive numbers."""
-    return MonthlySeries(s.name, s.months, -s.values)
+    return _derived(s.name, s.months, -s.values)

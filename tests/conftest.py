@@ -45,9 +45,11 @@ def strict_run_records():
     def write_checked(target, document):
         write(target, document)
         json.loads(target.read_text(encoding="utf-8"), parse_constant=_no_constant)
-        shape = pipeline._SERVE if target.name == pipeline.SERVE_NAME else pipeline._MANIFEST
+        serve = target.name == pipeline.SERVE_NAME
+        shape = pipeline._SERVE if serve else pipeline._MANIFEST
+        check = pipeline._SERVE_CHECK if serve else pipeline._MANIFEST_CHECK
         # only a run stopped before its master may lack parts (a serve record has one)
-        pipeline._read_record(target, shape, partial="master" not in document)
+        pipeline._read_record(target, check, partial="master" not in document)
         undeclared = list(_undeclared(document, shape))
         assert not undeclared, f"{target} holds keys its shape does not declare: {undeclared}"
 

@@ -35,6 +35,7 @@ from spreadnet.errors import (
     NonPositiveValue,
     PipelineStageError,
     SpreadnetError,
+    StaleModel,
 )
 from spreadnet.metrics import equity_curves
 from spreadnet.neural import TrainConfig, load_model, predict
@@ -99,10 +100,16 @@ def set7_run(tmp_path_factory):
     return config, run_pipeline(config, through="master", run_dir=tmp / "run").run_dir
 
 
+def read_csv(path: Path, reader=csv.reader) -> list:
+    """Every row ``reader`` reads from the CSV file at ``path``, which is closed after."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        return list(reader(fh))
+
+
 def with_csv_edit(config, directory, edit):
     """``config`` reading a copy of its CSV that ``edit(rows)`` changed in place."""
     source = Path(config.variables["igaem"]["path"])
-    rows = list(csv.reader(source.open(newline="", encoding="utf-8")))
+    rows = read_csv(source)
     edit(rows)
     target = Path(directory) / "edited.csv"
     with target.open("w", newline="", encoding="utf-8") as fh:
@@ -490,9 +497,7 @@ class TestReports:
     def test_divergence_recomputable_from_manifest(self, small_run):
         _, _, result = small_run
         manifest = load_run(result.run_dir)
-        rows = list(csv.DictReader(
-            (result.run_dir / "reports" / "divergence.csv").open()
-        ))
+        rows = read_csv(result.run_dir / "reports" / "divergence.csv", csv.DictReader)
         members = [c for c in manifest["candidates"] if c["name"] in manifest["members"]]
         votes = []
         for e in members:
@@ -507,9 +512,7 @@ class TestReports:
         _, _, result = small_run
         manifest = load_run(result.run_dir)
         entry = manifest["master"]
-        rows = list(csv.DictReader(
-            (result.run_dir / "reports" / "curves_master.csv").open()
-        ))
+        rows = read_csv(result.run_dir / "reports" / "curves_master.csv", csv.DictReader)
         report = equity_curves(
             np.asarray(entry["predicted_levels"]), np.asarray(entry["actual_levels"])
         )
@@ -519,9 +522,7 @@ class TestReports:
     def test_lag_summary_covers_swept_sets_disjointly(self, small_run):
         _, _, result = small_run
         manifest = load_run(result.run_dir)
-        rows = list(csv.DictReader(
-            (result.run_dir / "reports" / "lag_summary.csv").open()
-        ))
+        rows = read_csv(result.run_dir / "reports" / "lag_summary.csv", csv.DictReader)
         total = sum(int(r["models"]) for r in rows)
         swept = [c for c in manifest["candidates"] if c["lag_swept"]]
         assert total == len(swept) == 30
@@ -640,8 +641,6 @@ class TestPredictFromRun:
         for entry in data["data"]["variables"].values():
             entry["path"] = str(short_csv)
         stale = PipelineConfig.from_dict(data)
-        from spreadnet.errors import StaleModel
-
         with pytest.raises(StaleModel):
             predict_from_run(result.run_dir, config=stale)
 
@@ -660,6 +659,74 @@ class TestPredictFromRun:
         assert calls == dict.fromkeys(calls, 0)
         build_derived_columns(ingest(config))  # the counters do see a full build
         assert all(calls.values())
+
+    def test_a_warm_forecast_builds_no_checked_series_or_frame(self, small_run, monkeypatch):
+        # outside input is checked where it comes in; a warm call reads no new input, and
+        # a series derived on a checked axis is not checked again
+        _, _, result = small_run
+        predict_from_run(result.run_dir)  # the cold call parses the CSV
+        runs = {}
+        for cls in (series.MonthlySeries, series.AlignedFrame):
+            def counted(self, _cls=cls, _check=cls.__post_init__):
+                runs[_cls.__name__] = runs.get(_cls.__name__, 0) + 1
+                _check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        predict_from_run(result.run_dir)
+        assert runs == {}
+        series.MonthlySeries("x", [0], [1.0])  # the counters do see the public constructors
+        series.AlignedFrame(np.arange(2), {"x": [1.0, 2.0]})
+        assert runs == {"MonthlySeries": 1, "AlignedFrame": 1}
+
+    def test_a_member_input_off_its_column_is_named(self, small_run, tmp_path):
+        # read by index on the column's axis, a month the column lacks fails as
+        # ``value_at`` fails: a lag-0 member would need the month being forecast
+        _, config, result = small_run
+        run = shutil.copytree(result.run_dir, tmp_path / "run")
+        record = json.loads((run / SERVE_NAME).read_text())
+        member = record["members"][0]
+        member["lag"] = 0
+        (run / SERVE_NAME).write_text(json.dumps(record))
+        derived = build_derived_columns(ingest(config), var_cfg=config.var_cfg,
+                                        smooth_cfg=config.smoothing, ma_levels=config.ma_levels)
+        target = parse_month(predict_from_run(result.run_dir).target_month)
+        with pytest.raises(KeyError) as missing:
+            derived[member["input_names"][0]].value_at(target)
+        with pytest.raises(StaleModel) as info:
+            predict_from_run(run)
+        assert str(info.value) == (f"member {member['name']} needs inputs at "
+                                   f"{format_month(target)}: {missing.value}")
+
+    @pytest.mark.parametrize("section, value", [
+        ("var", {"window": 30, "confidence": 0.95}),
+        ("smoothing", {"beta": 0.5, "seed_value": None}),
+        ("ma_levels", [{"M": 2, "n": 2}]),
+    ])
+    def test_other_derivation_settings_are_refused(self, small_run, tmp_path, capsys,
+                                                   section, value):
+        # the members were trained on inputs derived with the recorded settings
+        config_path, config, result = small_run
+        data = config.to_dict()
+        data[section] = value
+        record = re.escape(str(result.run_dir / SERVE_NAME))
+        with pytest.raises(StaleModel, match=rf"^config {section} .* which {record} records$"):
+            predict_from_run(result.run_dir, config=PipelineConfig.from_dict(data))
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["predict", "--run", str(result.run_dir), "-c", str(path)]) == 8
+        assert f"stage 'predict' failed: config {section} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unread_sections_too", [False, True])
+    def test_other_data_paths_and_unread_sections_are_served(self, small_run, tmp_path,
+                                                             unread_sections_too):
+        _, config, result = small_run
+        data = config.to_dict()
+        for entry in data["data"]["variables"].values():
+            entry["path"] = str(shutil.copy(entry["path"], tmp_path / "copy.csv"))
+        if unread_sections_too:
+            data["training"]["restarts"] = 99
+            data["selection"]["top_k"] = 2
+        other = PipelineConfig.from_dict(data)
+        assert predict_from_run(result.run_dir, config=other) == predict_from_run(result.run_dir)
 
     def test_unread_column_cannot_fail_a_forecast(self, set7_run, tmp_path):
         # A non-positive indicator level breaks the VaR chain, which no set-7
@@ -752,7 +819,7 @@ class TestDecodeMemo:
         edited = with_csv_edit(config, tmp_path, lambda rows: None)
         before = predict_from_run(run, config=edited)
         path = Path(edited.variables[OUTPUT_VARIABLE]["path"])
-        rows = list(csv.reader(path.open(newline="", encoding="utf-8")))
+        rows = read_csv(path)
         rows[-1][1:] = [repr(float(v) * 1.25) for v in rows[-1][1:]]  # the last month
         with path.open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
@@ -898,6 +965,8 @@ class TestCli:
         (["report", "--run", "RUN", "--set", "training.restarts=-5"], "--set"),
         (["report", "--run", "RUN", "-o", "OUT"], "-o"),
         (["report", "--run", "RUN", "--run-dir", "OUT"], "--run-dir"),
+        (["validate", "-c", "CONFIG", "-o", "OUT"], "-o"),
+        (["validate", "-c", "CONFIG", "--run-dir", "OUT"], "--run-dir"),
     ])
     def test_unread_flag_exit_code(self, small_run, tmp_path, capsys, argv, flag):
         config_path, _, result = small_run
@@ -1295,8 +1364,11 @@ class TestCli:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config.to_dict()))
         named = make(run, config_path)
-        argv = ([command, "--run", str(run)] if command in ("report", "predict")
-                else [command, "-c", str(config_path), "--run-dir", str(run)])
+        if command in ("report", "predict"):
+            argv = [command, "--run", str(run)]
+        else:  # validate writes nothing, so it takes no run directory
+            argv = [command, "-c", str(config_path),
+                    *(["--run-dir", str(run)] if command != "validate" else [])]
         assert cli_main(argv) == code
         stage = next(name for name, c in EXIT_CODES.items() if c == code)
         err = capsys.readouterr().err

@@ -20,6 +20,7 @@ from spreadnet.errors import (
 from spreadnet.series import (
     MonthlySeries,
     _check_month_axis,
+    _derived,
     align,
     format_month,
     load_series,
@@ -379,3 +380,36 @@ class TestInvariants:
         s = MonthlySeries("x", months("2001-01", 2), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             s.values[0] = 9.0
+
+
+class TestDerivedSeries:
+    """``_derived`` builds, on an axis already checked, the series the public
+    constructor builds, and checks the values as it does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.integers(parse_month("1900-01"), parse_month("2100-01")),
+           cut=st.integers(0, 5),
+           values=st.lists(st.floats(width=64), min_size=1, max_size=30))
+    def test_same_series_as_the_constructor(self, start, cut, values):
+        # the axis is a slice of a checked one, as a derived series' axis always is
+        axis = MonthlySeries("axis", np.arange(start, start + cut + len(values)),
+                             np.zeros(cut + len(values))).months
+        built = []
+        for make in (MonthlySeries, _derived):
+            try:
+                built.append(make("x", axis[cut:], np.array(values)))
+            except UnparseableValue as exc:
+                built.append(str(exc))
+        public, derived = built
+        if isinstance(public, str):  # a non-finite value, named alike
+            assert derived == public
+            assert not all(math.isfinite(v) for v in values)
+            return
+        assert derived.name == public.name
+        assert derived.months.dtype == public.months.dtype == np.int64
+        assert np.array_equal(derived.months, public.months)
+        assert derived.values.dtype == public.values.dtype == np.float64
+        assert derived.values.tobytes() == public.values.tobytes()
+        for a, b in ((derived.months, public.months), (derived.values, public.values)):
+            assert not a.flags.writeable and not b.flags.writeable
+
