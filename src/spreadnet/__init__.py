@@ -55,7 +55,6 @@ from .metrics import (
 from .neural import (
     NetworkModel,
     TrainConfig,
-    forward,
     gradient_check,
     load_model,
     multi_matrix_train,

@@ -23,12 +23,12 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import PipelineStageError, SpreadnetError
+from .errors import MissingFile, PipelineStageError, SpreadnetError
 from .pipeline import (
     MANIFEST_NAME,
     PipelineConfig,
     _member_entries,
-    _read_json,
+    _read_config,
     _score_text,
     _stage,
     emit_reports,
@@ -80,13 +80,13 @@ def _apply_overrides(data: dict, overrides: list[str]) -> dict:
 def _load_config(args) -> PipelineConfig:
     """Read, override and parse the config; any fault in it exits as "config"."""
     try:
-        data = _read_json(Path(args.config), ValueError)
+        data = _read_config(Path(args.config))
         if args.set:
             data = _apply_overrides(data, args.set)
         if args.output_dir:
             data.setdefault("output", {})["directory"] = args.output_dir
         return PipelineConfig.from_dict(data)
-    except (OSError, ValueError, TypeError) as exc:
+    except (MissingFile, OSError, ValueError, TypeError) as exc:
         raise PipelineStageError("config", exc) from exc
 
 

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DateMismatch, NoCandidates
+from .errors import DateMismatch, DimensionMismatch, NoCandidates
 from .neural import (
     NetworkModel,
     Search,
     TrainConfig,
-    forward,
     multi_matrix_train,
     multi_restart_train,
+    predict,
     split,
 )
 from .preprocess import MASTER_SET_ID, TrainingMatrix
@@ -158,7 +158,10 @@ def master_forecast(
     actual, not from the member votes; the vote split is reported alongside.
     """
     inputs = np.asarray(member_forecasts, dtype=np.float64)
-    value = forward(master_model, inputs)  # raises DimensionMismatch on a wrong width
+    if inputs.shape != (master_model.n_inputs,):  # one row: a (k, n) stack is no forecast
+        raise DimensionMismatch(
+            f"input has shape {inputs.shape}, model expects ({master_model.n_inputs},)")
+    value = float(predict(master_model, inputs)[0])
     direction = 1 if value >= last_actual else -1
     up = float(np.mean(inputs >= last_actual) * 100.0)
     return Forecast(value=value, direction=direction, up_vote_percent=up)

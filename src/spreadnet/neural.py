@@ -106,7 +106,7 @@ class NetworkModel:
 
     ``weights[l]`` has shape (fan_out, fan_in + 1); the last column is the
     bias. Hidden layers apply tanh and the output layer is linear. The
-    target scaling is inverted on the way out, so ``forward`` speaks
+    target scaling is inverted on the way out, so ``predict`` speaks
     original units.
     """
 
@@ -143,16 +143,6 @@ class NetworkModel:
     @property
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
-
-
-def forward(model: NetworkModel, inputs: np.ndarray) -> float:
-    """Evaluate one input row; scaling in, network, target scaling out."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.shape != (model.n_inputs,):
-        raise DimensionMismatch(
-            f"input has shape {x.shape}, model expects ({model.n_inputs},)"
-        )
-    return float(predict(model, x[None, :])[0])
 
 
 def predict(model: NetworkModel, inputs: np.ndarray) -> np.ndarray:

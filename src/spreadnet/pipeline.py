@@ -59,8 +59,8 @@ from .preprocess import (
     build_derived_columns,
     default_base_sets,
 )
-from .series import (AlignedFrame, MonthlySeries, _no_month, align, format_month, load_series,
-                     parse_month, read_file)
+from .series import (NO_FILE, AlignedFrame, MonthlySeries, _no_month, align, format_month,
+                     load_series, parse_month, read_file)
 
 STAGES = ("ingest", "preprocess", "train", "select", "master", "report")
 VARIABLES = (pp.INDICATOR, pp.OUTPUT_VARIABLE, pp.GLOBAL_SPREAD, pp.TBILL)
@@ -75,6 +75,122 @@ MASTER_MODEL_PATH = "models/master.json"
 REPORT_FORMATS = ("csv", "txt")
 # The paper's regime: TrainConfig defaults to it, PipelineConfig to desk scale.
 FULL_SCALE_RESTARTS = TrainConfig.restarts
+
+
+# Each plain kind of a declared type: its name in a message, and the class of values it takes.
+_KINDS = {dict: ("a JSON object", dict), list: ("a JSON array", list), str: ("a string", str),
+          bool: ("true or false", bool), int: ("an integer", numbers.Integral),
+          float: ("a number", numbers.Real), type(None): ("null", type(None))}
+
+
+class _Misfit(Exception):
+    """A value not of its kind, ``args`` (place, value, kind's name); worded by its reader."""
+
+
+def _place(where) -> str:
+    """The dotted text of a place: a string, or (parent place, key or index) built
+    as a check descends, so a place is spelled out only in a fault's message."""
+    if where.__class__ is not tuple:
+        return where or ""
+    parent, key = where
+    return f"{_place(parent)}.{key}" if parent else str(key)
+
+
+def _compile(hint):
+    """The check of the declared type ``hint``, built once: ``check(value, where,
+    missing)`` returns ``value`` as ``hint`` reads it, raises ``_Misfit`` for a value
+    of a wrong kind at the place ``where`` (see ``_place``), and puts the place of
+    each key an object lacks into ``missing``. A dict is a record's object (at least
+    its keys, read as is); a TypedDict or a config dataclass a config object (no other
+    key, built anew); ``[shape]`` and ``tuple[X, ...]`` an array checked item by item
+    (read as a tuple); ``list[X]`` an array checked whole; ``X | Y`` null if it may be,
+    else the first that takes the value; a ``Literal`` one of its strings; a plain kind
+    a value of its class (no bool but for ``bool``; an ``int`` read as an int).
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint.__class__ is dict:
+        parts = [(key, _compile(part)) for key, part in hint.items()]
+
+        def check(value, where, missing):
+            if value.__class__ is not dict:
+                raise _Misfit(where, value, _KINDS[dict][0])
+            for key, part in parts:
+                if key in value:
+                    part(value[key], (where, key), missing)
+                else:
+                    missing.append((where, key))
+            return value
+    elif hint.__class__ is list or origin is tuple:
+        item = _compile(hint[0] if hint.__class__ is list else args[0])
+
+        def check(value, where, missing):
+            if not isinstance(value, (list, tuple)):
+                raise _Misfit(where, value, _KINDS[list][0])
+            return tuple([item(v, (where, i), missing) for i, v in enumerate(value)])
+    elif origin is list:  # one pass over the items' classes, in C
+        name, kind = _KINDS[args[0]]
+        name = f"{_KINDS[list][0]}, each item {name}"
+        classes = {c for c in _KINDS if c is args[0] or (c is not bool and issubclass(c, kind))}
+
+        def check(value, where, missing):
+            if value.__class__ is not list or not set(map(type, value)) <= classes:
+                raise _Misfit(where, value, name)
+            return value
+    elif origin is typing.Literal:
+        name = " or ".join(map(json.dumps, args))
+
+        def check(value, where, missing):
+            if value.__class__ is not str or value not in args:
+                raise _Misfit(where, value, name)
+            return value
+    elif origin in (typing.Union, types.UnionType):
+        arms = [_compile(arg) for arg in args]
+        optional = type(None) in args
+
+        def check(value, where, missing):
+            if value is None and optional:  # taken before any arm can raise
+                return value
+            kinds = []
+            for arm in arms:
+                try:
+                    return arm(value, where, missing)
+                except _Misfit as fault:
+                    kinds.append(fault.args[2])
+            raise _Misfit(where, value, " or ".join(kinds))
+    elif hint in _KINDS:
+        name, kind = _KINDS[hint]
+
+        def check(value, where, missing):
+            if value.__class__ is hint:
+                return value
+            if value.__class__ is bool or not isinstance(value, kind):
+                raise _Misfit(where, value, name)
+            return int(value) if hint is int else value
+    else:  # a TypedDict or a config dataclass
+        fields = {key: _compile(part) for key, part in typing.get_type_hints(hint).items()}
+        required = [key for key in fields if key in getattr(hint, "__required_keys__", ())]
+
+        def check(value, where, missing):
+            items = _config_object(vars(value) if value.__class__ is hint else value, where, fields)
+            for key in required:
+                if key not in items:
+                    missing.append((where, key))
+            checked = {key: fields[key](v, (where, key), missing) for key, v in items.items()}
+            try:
+                return hint(**checked)
+            except ValueError as exc:  # a config dataclass's range error opens with the field name
+                raise ValueError(f"config {_place(where)}.{exc}") from exc
+    return check
+
+
+def _config_object(value, where, keys) -> dict:
+    """``value``, checked to be an object whose keys are all in ``keys``."""
+    if not isinstance(value, dict):
+        raise _Misfit(where, value, _KINDS[dict][0])
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"unknown config key {_place((where, key))}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +222,14 @@ class PipelineConfig:
     formats: tuple[str, ...] = ("csv", "txt")
 
     def __post_init__(self):
-        for name, check in _FIELD_CHECKS.items():
-            object.__setattr__(self, name, check(getattr(self, name), _PLACES[name]))
+        missing: list = []
+        try:
+            for name, check in _FIELD_CHECKS.items():
+                object.__setattr__(self, name, check(getattr(self, name), _PLACES[name], missing))
+        except _Misfit as fault:
+            raise _config_fault(fault) from None
+        if missing:
+            raise ValueError(f"config lacks {', '.join(map(_place, missing))}")
         for name in ("top_k", "single_lag"):
             if getattr(self, name) < 1:
                 raise ValueError(
@@ -150,25 +272,25 @@ class PipelineConfig:
         dotted key.
         """
         kwargs = {}
-        for section, value in _config_object(data, "", _SECTIONS).items():
-            keys = _SECTIONS[section]
-            whole = keys.get(None)
-            if whole and not (isinstance(value, dict) and whole in _SECTION_DEFAULTS):
-                kwargs[whole] = value  # ma_levels' list, or a section the checker rejects
-                continue
-            value = dict(_config_object(value, section, value if whole else keys))
-            kwargs.update((keys[key], value.pop(key)) for key in list(value) if key in keys)
-            if whole:  # the config dataclass takes the other keys, over the field's default
-                kwargs[whole] = {**_SECTION_DEFAULTS[whole], **value}
+        try:
+            for section, value in _config_object(data, None, _SECTIONS).items():
+                keys = _SECTIONS[section]
+                whole = keys.get(None)
+                if whole and not (isinstance(value, dict) and whole in _SECTION_DEFAULTS):
+                    kwargs[whole] = value  # ma_levels' list, or a section its check rejects
+                    continue
+                value = dict(_config_object(value, section, value if whole else keys))
+                kwargs.update((keys[key], value.pop(key)) for key in list(value) if key in keys)
+                if whole:  # the config dataclass takes the other keys, over the field's default
+                    kwargs[whole] = {**_SECTION_DEFAULTS[whole], **value}
+        except _Misfit as fault:
+            raise _config_fault(fault) from None
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        """Parse a JSON config file; ValueError names a file that is not UTF-8 JSON."""
-        path = Path(path)
-        if not path.exists():
-            raise MissingFile(f"config file not found: {path}")
-        return cls.from_dict(_read_json(path, ValueError))
+        """Parse a JSON config file (see ``_read_config``)."""
+        return cls.from_dict(_read_config(path))
 
 
 # JSON section -> {key: PipelineConfig field}. The key None marks the field
@@ -190,73 +312,26 @@ _BASE_SET_IDS = frozenset(spec.id for spec in default_base_sets())
 # the sections that say how a forecast derives its members' inputs from the data
 _DERIVATION_SECTIONS = ("var", "smoothing", "ma_levels")
 
-_SCALARS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
-            bool: (bool, "true or false"), str: (str, "a string")}
-
-
-def _place(where) -> str:
-    """The dotted text of a place: a string, or (parent place, key or index) built
-    as a check descends, so a place is spelled out only in a fault's message."""
-    if where.__class__ is not tuple:
-        return where or ""
-    parent, key = where
-    return f"{_place(parent)}.{key}" if parent else str(key)
-
-
-def _checker(hint):
-    """The check of the annotation ``hint``, built once: ``check(value, where)`` returns
-    ``value`` as ``hint`` reads it, or raises ValueError naming the place ``where``
-    (see ``_place``).
-
-    ``int`` takes Python and numpy integers (returned as int), ``float`` any
-    real number, and neither a bool. ``X | None`` takes null, ``tuple[X, ...]``
-    a list, a TypedDict an object with all its keys, and a config dataclass
-    an object of its fields or an instance, built anew from its checked
-    fields.
-    """
-    scalar = _SCALARS.get(hint)
-    if scalar:
-        kinds, kind_name = scalar
-
-        def check(value, where):
-            if type(value) is hint:
-                return value
-            if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
-                return int(value) if hint is int else value
-            raise ValueError(f"config {_place(where)} must be {kind_name}, got {value!r}")
-        return check
-    if isinstance(hint, types.UnionType):  # X | None
-        inner = _checker(hint.__args__[0])
-        return lambda value, where: None if value is None else inner(value, where)
-    if getattr(hint, "__origin__", None) is tuple:
-        item = _checker(hint.__args__[0])
-
-        def check(value, where):
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"config {_place(where)} must be a list, got {value!r}")
-            return tuple([item(v, (where, i)) for i, v in enumerate(value)])
-        return check
-    fields = {key: _checker(h) for key, h in typing.get_type_hints(hint).items()}
-    required = getattr(hint, "__required_keys__", frozenset())  # only a TypedDict requires keys
-
-    def check(value, where):
-        items = _config_object(vars(value) if type(value) is hint else value, where, fields)
-        checked = {key: fields[key](v, (where, key)) for key, v in items.items()}
-        if not required <= checked.keys():
-            raise ValueError(f"config {_place(where)} lacks {sorted(required - checked.keys())}")
-        try:
-            return hint(**checked)
-        except ValueError as exc:  # a config dataclass's range error opens with the field name
-            raise ValueError(f"config {_place(where)}.{exc}") from exc
-    return check
-
-
-_FIELD_CHECKS = {name: _checker(hint)
+_FIELD_CHECKS = {name: _compile(hint)
                  for name, hint in typing.get_type_hints(PipelineConfig).items()}
 # each config dataclass section's keys and their defaults, over which from_dict lays a section
 _SECTION_DEFAULTS = {name: vars(f.default)
                      for name, f in PipelineConfig.__dataclass_fields__.items()
                      if is_dataclass(f.default)}
+
+
+def _read_config(path: str | Path):
+    """The JSON document in the config file at ``path``; MissingFile if there is none."""
+    try:
+        return _read_json(path, ValueError)
+    except NO_FILE:
+        raise MissingFile(f"config file not found: {path}") from None
+
+
+def _config_fault(fault: _Misfit) -> ValueError:
+    """A config value of a wrong kind, in the config's words."""
+    where, value, kind = fault.args
+    return ValueError(f"config {_place(where) or 'document'} must be {kind}, got {value!r}")
 
 
 def _to_json(value):
@@ -267,16 +342,6 @@ def _to_json(value):
         return [_to_json(v) for v in value]
     if isinstance(value, dict):
         return {k: _to_json(v) for k, v in value.items()}
-    return value
-
-
-def _config_object(value, where, keys) -> dict:
-    """``value``, checked to be an object whose keys are all in ``keys``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"config {_place(where) or 'document'} must be an object, got {value!r}")
-    for key in value:
-        if key not in keys:
-            raise ValueError(f"unknown config key {_place((where, key))}")
     return value
 
 
@@ -744,9 +809,10 @@ def load_run(run_dir: str | Path) -> dict:
     lacks some top-level parts); IncompleteManifest names the place."""
     run_dir = Path(run_dir)
     path = run_dir / MANIFEST_NAME
-    if not path.exists():
-        raise MissingFile(f"no {MANIFEST_NAME} in {run_dir}")
-    manifest = _read_record(path, _MANIFEST_CHECK, partial=True)
+    try:
+        manifest = _read_record(path, _MANIFEST_CHECK, partial=True)
+    except NO_FILE:
+        raise MissingFile(f"no {MANIFEST_NAME} in {run_dir}") from None
     fits = {f"candidates.{i}": c for i, c in enumerate(manifest.get("candidates", ()))}
     if "master" in manifest:
         fits["master"] = manifest["master"]
@@ -759,11 +825,6 @@ def load_run(run_dir: str | Path) -> dict:
     return manifest
 
 
-# The JSON kinds of run-record values: each plain kind's name and the classes
-# ``json.loads`` gives its values (a bool is no integer, an integer a number).
-_JSON_TYPES = {dict: ({dict}, "a JSON object"), list: ({list}, "a JSON array"),
-               str: ({str}, "a string"), bool: ({bool}, "true or false"), int: ({int}, "an integer"),
-               float: ({int, float}, "a number"), type(None): ({type(None)}, "null")}
 # The shape of each run record, key for key as its writer writes it (see ``_compile``).
 _RECIPE = typing.Literal[pp.RAW_OUTPUT, pp.NORMALIZED_OUTPUT]
 _SERVE_MEMBER = {"name": str, "lag": int, "input_names": list[str], "output_recipe": _RECIPE,
@@ -784,69 +845,6 @@ _MANIFEST = {"manifest_format": int, "created_at": str, "config": dict, "config_
 _SERIES_KEYS = ("test_months", "predicted_levels", "actual_levels")
 
 
-class _Misfit(Exception):
-    """A run-record value of a wrong JSON kind, at its place (see ``_place``)."""
-
-    def __init__(self, where, value, kind: str):
-        super().__init__(where, value, kind)
-        self.where, self.value, self.kind = where, value, kind
-
-
-def _kind(kind) -> tuple:
-    """(test, name) of a JSON kind: ``test(value)`` tells whether the value
-    ``json.loads`` gave is of ``kind`` (a key of ``_JSON_TYPES``, ``list[X]``
-    with X one of them, a ``Literal`` of the strings allowed, or a union of
-    these), and ``name`` is how ``kind`` reads in an error message."""
-    if kind.__class__ is type:
-        classes, name = _JSON_TYPES[kind]
-        return (lambda value: value.__class__ in classes), name
-    args = kind.__args__
-    if kind.__class__ is types.GenericAlias:  # list[X]
-        items, name = _JSON_TYPES[args[0]]
-        return ((lambda value: value.__class__ is list and set(map(type, value)) <= items),
-                f"a JSON array, each item {name}")
-    if getattr(kind, "__origin__", None) is typing.Literal:
-        return ((lambda value: value.__class__ is str and value in args),
-                " or ".join(json.dumps(v) for v in args))
-    tests, names = zip(*map(_kind, args))
-    return (lambda value: any(test(value) for test in tests)), " or ".join(names)
-
-
-def _compile(shape):
-    """The check of a run-record ``shape``, built once: a dict is a JSON object holding
-    at least its keys, a one-item list an array of such items, anything else a JSON
-    kind (see ``_kind``). ``check(value, where, missing, partial=False)`` raises
-    ``_Misfit`` for a value of a wrong kind at the place ``where`` (see ``_place``),
-    and puts the place of each key an object lacks into ``missing`` (unless
-    ``partial``: a partial record may lack top-level keys)."""
-    if shape.__class__ is dict:
-        parts = [(key, _compile(part)) for key, part in shape.items()]
-
-        def check(value, where, missing, partial=False):
-            if value.__class__ is not dict:
-                raise _Misfit(where, value, _JSON_TYPES[dict][1])
-            for key, part in parts:
-                if key in value:
-                    part(value[key], (where, key), missing)
-                elif not partial:
-                    missing.append((where, key))
-    elif shape.__class__ is list:
-        item = _compile(shape[0])
-
-        def check(value, where, missing, partial=False):
-            if value.__class__ is not list:
-                raise _Misfit(where, value, _JSON_TYPES[list][1])
-            for i, v in enumerate(value):
-                item(v, (where, i), missing)
-    else:
-        test, name = _kind(shape)
-
-        def check(value, where, missing, partial=False):
-            if not test(value):
-                raise _Misfit(where, value, name)
-    return check
-
-
 _SERVE_CHECK = _compile(_SERVE)
 _MANIFEST_CHECK = _compile(_MANIFEST)
 
@@ -859,11 +857,14 @@ def _read_record(path: Path, check, partial: bool = False) -> dict:
     record = _read_json(path, IncompleteManifest)
     missing: list = []
     try:
-        check(record, None, missing, partial)
+        check(record, None, missing)
     except _Misfit as fault:
-        value, at = fault.value, f" at {_place(fault.where)}" if fault.where else ""
+        where, value, kind = fault.args
+        at = f" at {_place(where)}" if where else ""
         got = repr(value) if isinstance(value, str) else f"a {type(value).__name__}"
-        raise IncompleteManifest(f"{path} holds {got}{at}, not {fault.kind}") from None
+        raise IncompleteManifest(f"{path} holds {got}{at}, not {kind}") from None
+    if partial:
+        missing = [place for place in missing if place[0] is not None]
     if missing:
         raise IncompleteManifest(f"{path} lacks {', '.join(map(_place, missing))}")
     return record
@@ -898,7 +899,7 @@ def _load_serve_record(run_dir: Path) -> tuple[Path, dict]:
     """The file a forecast is served from and its record: ``serve.json``, or for a run
     without one the manifest (checked by ``load_run``) and the record projected from it."""
     path = run_dir / SERVE_NAME
-    if path.exists():
+    with contextlib.suppress(*NO_FILE):
         return path, _read_record(path, _SERVE_CHECK)
     path = run_dir / MANIFEST_NAME
     try:
@@ -937,15 +938,13 @@ def predict_from_run(
     (``predict_many``), and the normalized ones inverted in one
     ``denormalize_output`` call: the same bits as one member at a time.
 
-    Every call reads every file it uses, as bytes, and checks each input
-    once, where it comes in: the record against its compiled shape, the
-    config against its compiled field checks, a CSV when it is parsed. A
-    series derived on a checked month axis checks only its values. What a
-    call keeps for the next is keyed by a file's content, never by its path
-    or time: a model file is decoded, and a data CSV parsed, once per
-    distinct content (a bounded memo in ``neural.load_model`` and
-    ``series.load_series``), so a file rewritten with other bytes is parsed
-    afresh on the next call.
+    Every call reads every file it uses, as bytes and with no stat first,
+    and checks each input once, where it comes in: the record and the config
+    against their declared types (``_compile``), a CSV when it is parsed. A
+    series derived on a checked month axis checks only its values. A model
+    file is decoded, and a data CSV parsed, once per distinct content (a
+    bounded memo in ``neural.load_model`` and ``series.load_series``), never
+    per path or time, so a file rewritten with other bytes is parsed afresh.
     """
     run_dir = Path(run_dir)
     path, record = _load_serve_record(run_dir)

@@ -188,16 +188,21 @@ def load_series(
     (text, column map, date column) (see ``_parse_csv``).
     """
     path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"input file not found: {path}")
     try:
         text = read_file(path).decode("utf-8")
+    except NO_FILE:
+        raise MissingFile(f"input file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise UnparseableValue(f"{path} is not UTF-8 text: {exc}") from None
     try:
         return list(_parse_csv(text, tuple(column_map.items()), date_column))
     except (MissingColumn, UnparseableValue, DuplicateDate, GapInDates) as exc:
         raise type(exc)(f"{path}{exc}") from None
+
+
+# What opening a path for reading raises where no file is: a missing path, or one
+# under a regular file. A reader catches these rather than asking first.
+NO_FILE = (FileNotFoundError, NotADirectoryError)
 
 
 def read_file(path: str | Path) -> bytes:

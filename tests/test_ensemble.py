@@ -220,8 +220,10 @@ class TestPredictNext:
         assert result.value == pytest.approx(forecasts.mean(), abs=1e-12)
 
     def test_wrong_width(self):
-        with pytest.raises(DimensionMismatch):
-            master_forecast(self.consensus_master(), np.ones(9), last_actual=100.0)
+        # one member forecast per input: a stack of rows is refused, never read as its first
+        for forecasts in (np.ones(9), np.ones((2, 10)), np.ones((1, 10))):
+            with pytest.raises(DimensionMismatch):
+                master_forecast(self.consensus_master(), forecasts, last_actual=100.0)
 
     def test_direction_from_master_not_votes(self):
         # every member forecasts exactly the last actual (votes 100% up by the

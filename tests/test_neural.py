@@ -27,7 +27,6 @@ from spreadnet.neural import (
     AffineMap,
     NetworkModel,
     TrainConfig,
-    forward,
     gradient_check,
     load_model,
     model_from_dict,
@@ -95,14 +94,14 @@ class TestForward:
             output_scaling=AffineMap(np.array([0.5]), np.array([1.0])),
         )
         # network emits 0 in scaled space; inverted: (0 - 1) / 0.5 = -2
-        assert forward(model, np.array([3.0, -4.0])) == -2.0
+        assert predict(model, np.array([3.0, -4.0]))[0] == -2.0
 
     def test_single_linear_layer_dot_product(self):
         model = NetworkModel(
             layer_sizes=(2, 1),
             weights=(np.array([[2.0, 3.0, 0.0]]),),
         )
-        assert forward(model, np.array([1.0, 1.0])) == 5.0
+        assert predict(model, np.array([1.0, 1.0]))[0] == 5.0
 
     def test_matches_hand_rolled_oracle(self):
         model = small_model(seed=1, scalings=True)
@@ -113,11 +112,11 @@ class TestForward:
             h = np.tanh(model.weights[0] @ np.append(z, 1.0))
             out = float((model.weights[1] @ np.append(h, 1.0))[0])
             out = (out - model.output_scaling.offset[0]) / model.output_scaling.scale[0]
-            assert forward(model, x) == pytest.approx(out, abs=1e-12)
+            assert predict(model, x)[0] == pytest.approx(out, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            forward(small_model(), np.ones(4))
+            predict(small_model(), np.ones(4))
 
     def test_predict_batches(self):
         model = small_model(seed=3)
@@ -125,7 +124,7 @@ class TestForward:
         batch = predict(model, xs)
         assert batch.shape == (7,)
         for i in range(7):
-            assert batch[i] == pytest.approx(forward(model, xs[i]), abs=1e-12)
+            assert batch[i] == pytest.approx(predict(model, xs[i])[0], abs=1e-12)
 
 
 

@@ -32,6 +32,7 @@ from spreadnet.errors import (
     CorruptModel,
     DivergedTraining,
     IncompleteManifest,
+    MissingFile,
     NonPositiveValue,
     PipelineStageError,
     SpreadnetError,
@@ -224,8 +225,8 @@ def json_classes(part) -> set:
     """The classes of the JSON values that a run-record shape entry accepts."""
     if part.__class__ in (dict, list):  # an object, or an array of objects
         return {part.__class__}
-    if part.__class__ is type:
-        return pipeline._JSON_TYPES[part][0]
+    if part.__class__ is type:  # a JSON integer is a number too
+        return {int, float} if part is float else {part}
     origin = typing.get_origin(part)
     if origin is list:
         return {list}
@@ -1168,6 +1169,8 @@ class TestCli:
          f"{MANIFEST_NAME} holds a list at frame, not a JSON object"),
         ("report", MANIFEST_NAME, lambda r: r["master"].update(ism="inf") or r, 7,
          f"{MANIFEST_NAME} holds 'inf' at master.ism, not a number or " '"perfect"'),
+        ("report", MANIFEST_NAME, lambda r: r["master"].update(norm_ep="x") or r, 7,
+         f"{MANIFEST_NAME} holds 'x' at master.norm_ep, not a number or null"),
         ("report", MANIFEST_NAME, lambda r: r["candidates"].insert(1, 5) or r, 7,
          f"{MANIFEST_NAME} holds a int at candidates.1, not a JSON object"),
         # series that reports pair up month by month: one length, at least one month
@@ -1270,8 +1273,28 @@ class TestCli:
         assert "config document" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
-        assert cli_main(["validate", "-c", str(tmp_path / "nope.json")]) == 1
-        assert "stage 'config' failed" in capsys.readouterr().err
+        (tmp_path / "a-file").write_text("{}")
+        for path in (tmp_path / "nope.json", tmp_path / "a-file" / "config.json"):
+            assert cli_main(["validate", "-c", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert "stage 'config' failed" in err and f"config file not found: {path}\n" in err
+
+    @pytest.mark.parametrize("where", ["nope.json", "a-file/config.json"])
+    def test_config_file_not_found(self, tmp_path, where):
+        (tmp_path / "a-file").write_text("{}")
+        path = tmp_path / where
+        with pytest.raises(MissingFile, match=re.escape(f"config file not found: {path}")):
+            PipelineConfig.from_file(path)
+
+    @pytest.mark.parametrize("command, code", [("predict", 8), ("report", 7)])
+    @pytest.mark.parametrize("run_is", ["absent", "a-file"])
+    def test_run_path_without_a_run_exit_code(self, tmp_path, capsys, command, code, run_is):
+        run = tmp_path / "run"
+        if run_is == "a-file":
+            run.write_text("{}")
+        assert cli_main([command, "--run", str(run)]) == code
+        err = capsys.readouterr().err
+        assert f"stage '{command}' failed" in err and f"no {MANIFEST_NAME} in {run}\n" in err
 
     @pytest.mark.parametrize("text", ["{not json", pytest.param(NESTED, id="nested"),
                                       pytest.param(b"\xff", id="non-utf8")])

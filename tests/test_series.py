@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,11 @@ class TestLoadSeries:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             load_series(tmp_path / "absent.csv", {"level": "level"})
+
+    def test_path_under_a_file(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["2001-01,1.0"]) / "d.csv"
+        with pytest.raises(MissingFile, match=re.escape(f"input file not found: {path}")):
+            load_series(path, {"level": "level"})
 
     def test_crlf_lines_read_as_lf_lines(self, tmp_path):
         lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
