@@ -15,7 +15,6 @@ from .series import (
     load_series,
     log_returns,
     parse_month,
-    positive_component,
     to_basis_points,
 )
 from .preprocess import (

@@ -75,15 +75,11 @@ class EquityReport:
     ism: float | None = None
 
 
-def equity_curves(
-    predicted: np.ndarray,
-    actual: np.ndarray,
-    months: np.ndarray | None = None,
-) -> EquityReport:
-    """Build eq/pe curves and the failure ledger from level forecasts.
+def _moves(predicted: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, log returns) of level forecasts: the moves every score reads.
 
-    ``months`` (optional) dates the failure entries; otherwise failures are
-    labelled by their index t. Curves have length n-1.
+    LengthMismatch for unequal shapes or fewer than 2 observations, then
+    NonPositiveValue for a level that is not positive.
     """
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
@@ -95,17 +91,20 @@ def equity_curves(
         raise LengthMismatch(f"need at least 2 observations, got {len(actual)}")
     if np.any(actual <= 0):
         raise NonPositiveValue("actual levels must be positive to take log returns")
+    return positions_from_forecasts(predicted, actual), np.log(actual[1:] / actual[:-1])
 
-    returns = np.log(actual[1:] / actual[:-1])
-    pos = positions_from_forecasts(predicted, actual)
+
+def equity_curves(predicted: np.ndarray, actual: np.ndarray) -> EquityReport:
+    """Build eq/pe curves and the failure ledger from level forecasts.
+
+    Failures are labelled by their index t. Curves have length n-1.
+    """
+    pos, returns = _moves(predicted, actual)
     eq = np.cumsum(pos * returns * 100.0)
     pe = np.cumsum(np.abs(returns) * 100.0)
 
     wrong = pos * returns < 0
-    labels = months[1:] if months is not None else np.arange(1, len(actual))
-    failures = [
-        (int(labels[i]), float(abs(returns[i]))) for i in np.nonzero(wrong)[0]
-    ]
+    failures = [(int(i) + 1, float(abs(returns[i]))) for i in np.nonzero(wrong)[0]]
     ave = float(np.mean([m for _, m in failures])) if failures else 0.0
     return EquityReport(eq=eq, pe=pe, failures=failures, ave_negative_vol=ave)
 
@@ -297,12 +296,7 @@ def _erfc(a: float) -> float:
 
 def excess_predictability(predicted: np.ndarray, actual: np.ndarray) -> EPResult:
     """EP test for level forecasts against realized levels."""
-    actual = np.asarray(actual, dtype=np.float64)
-    if np.any(actual <= 0):
-        raise NonPositiveValue("actual levels must be positive to take log returns")
-    pos = positions_from_forecasts(predicted, actual)
-    returns = np.log(actual[1:] / actual[:-1])
-    return excess_predictability_from_positions(pos, returns)
+    return excess_predictability_from_positions(*_moves(predicted, actual))
 
 
 def directional_accuracy(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -310,11 +304,7 @@ def directional_accuracy(predicted: np.ndarray, actual: np.ndarray) -> float:
 
     A zero realized move counts as a hit (the position loses nothing).
     """
-    actual = np.asarray(actual, dtype=np.float64)
-    if len(actual) < 2:
-        raise DegenerateInput("need at least 2 observations to compare directions")
-    pos = positions_from_forecasts(predicted, actual)
-    returns = np.log(actual[1:] / actual[:-1])
+    pos, returns = _moves(predicted, actual)
     return float(np.mean(pos * returns >= 0))
 
 

@@ -102,7 +102,7 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Layer sizes, weight matrices (bias folded in), and fitted scalings.
+    """Layer sizes, weight matrices (bias folded in), and both fitted scalings.
 
     ``weights[l]`` has shape (fan_out, fan_in + 1); the last column is the
     bias. Hidden layers apply tanh and the output layer is linear. The
@@ -112,8 +112,8 @@ class NetworkModel:
 
     layer_sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
-    input_scaling: AffineMap | None = None
-    output_scaling: AffineMap | None = None
+    input_scaling: AffineMap
+    output_scaling: AffineMap
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2 or any(s <= 0 for s in self.layer_sizes):
@@ -136,7 +136,7 @@ class NetworkModel:
         object.__setattr__(self, "weights", tuple(frozen))
         for scaling, width, name in ((self.input_scaling, self.layer_sizes[0], "input"),
                                      (self.output_scaling, 1, "output")):
-            if scaling is not None and scaling.scale.shape != (width,):
+            if scaling.scale.shape != (width,):
                 raise ValueError(f"{name} scaling maps {scaling.scale.shape} columns, "
                                  f"expected ({width},)")
 
@@ -159,8 +159,7 @@ def predict_many(models, inputs: np.ndarray) -> np.ndarray:
     arrays stacked along a leading axis: scalings elementwise, and each
     layer's ``np.matmul`` the 2-D product one model alone gets (its weights
     are C-ordered, see ``NetworkModel``), so every model's predictions are
-    bit-identical to ``predict`` on it, whatever else is in the stack. A
-    model without a scaling gets one that changes no bit (``_exact_map``).
+    bit-identical to ``predict`` on it, whatever else is in the stack.
     Mixed layer sizes or an input width other than the models' raise
     DimensionMismatch.
     """
@@ -177,8 +176,8 @@ def predict_many(models, inputs: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"inputs have shape {x.shape}, {len(models)} models expect "
                                 f"(rows, {sizes[0]}) or ({len(models)}, rows, {sizes[0]})")
     stack = _view_stack if len(models) == 1 else np.array  # a copy, as np.stack, at less cost
-    ins = [m.input_scaling or _exact_map(sizes[0], -0.0) for m in models]
-    outs = [m.output_scaling or _exact_map(1, 0.0) for m in models]
+    ins = [m.input_scaling for m in models]
+    outs = [m.output_scaling for m in models]
     h = x * stack([s.scale for s in ins])[:, None, :] + stack([s.offset for s in ins])[:, None, :]
     for l in range(len(sizes) - 1):
         h = np.matmul(_augment(h), stack([m.weights[l] for m in models]).transpose(0, 2, 1))
@@ -190,13 +189,6 @@ def predict_many(models, inputs: np.ndarray) -> np.ndarray:
 def _view_stack(arrays: list[np.ndarray]) -> np.ndarray:
     """One array as a stack of one: a view, where ``np.array`` would copy."""
     return arrays[0][None]
-
-
-def _exact_map(width: int, offset: float) -> AffineMap:
-    """Scale 1 and this signed zero offset: for inputs -0.0 (``x * 1.0 + -0.0``
-    is ``x``, where ``+ 0.0`` would turn -0.0 into +0.0), for an output +0.0
-    (``(y - 0.0) / 1.0`` is ``y``)."""
-    return AffineMap(np.ones(width), np.full(width, offset))
 
 
 # ---------------------------------------------------------------------------
@@ -789,16 +781,8 @@ def gradient_check(model: NetworkModel, sample: tuple[np.ndarray, float],
         raise ValueError(f"epsilon must be in [1e-7, 1e-3], got {epsilon}")
     x, y = sample
     x = np.asarray(x, dtype=np.float64)[None, :]
-    x_scaled = model.input_scaling.apply(x) if model.input_scaling else x
-    y_arr = np.asarray([y], dtype=np.float64)
-    y_scaled = (
-        model.output_scaling.apply(y_arr[:, None])[:, 0]
-        if model.output_scaling
-        else y_arr
-    )
-
-    aug = _augment(x_scaled)[None]
-    y_scaled = y_scaled[None]
+    aug = _augment(model.input_scaling.apply(x))[None]
+    y_scaled = model.output_scaling.apply([[y]])[None, :, 0]
     ws = _Workspace(model.layer_sizes, 1, 1)
     row = _pack(ws, [model.weights])
 
@@ -851,15 +835,11 @@ def model_from_dict(data: dict) -> NetworkModel:
     )
 
 
-def _scaling_to_dict(scaling: AffineMap | None) -> dict | None:
-    if scaling is None:
-        return None
+def _scaling_to_dict(scaling: AffineMap) -> dict:
     return {"scale": scaling.scale.tolist(), "offset": scaling.offset.tolist()}
 
 
-def _scaling_from_dict(data: dict | None) -> AffineMap | None:
-    if data is None:
-        return None
+def _scaling_from_dict(data: dict) -> AffineMap:
     return AffineMap(np.asarray(data["scale"]), np.asarray(data["offset"]))
 
 
@@ -870,7 +850,7 @@ def save_model(model: NetworkModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> NetworkModel:
     """The model stored at ``path``; MissingFile or CorruptModel names a file that
     is absent or is not a model document (bad JSON, nesting too deep to decode,
-    wrong format, missing keys).
+    wrong format, missing keys, a null scaling).
 
     The file is read on every call, as bytes; they are decoded once per distinct
     content (see ``_decode_model``).

@@ -425,17 +425,6 @@ def train_all(config: PipelineConfig, matrices: list[TrainingMatrix]) -> list[Ca
                                      for m in matrices])
 
 
-@_stage("select")
-def select(config: PipelineConfig, candidates: list[Candidate]) -> list[Candidate]:
-    return select_best(candidates, k=config.top_k)
-
-
-@_stage("master")
-def master_stage(config: PipelineConfig, members: list[Candidate]) -> Candidate:
-    matrix = build_master_matrix(members)
-    return train_master(matrix, config.train_cfg.with_seed(_matrix_seed(config, matrix)))
-
-
 def run_pipeline(
     config: PipelineConfig,
     through: str = "report",
@@ -470,11 +459,14 @@ def run_pipeline(
             _write_models(run_dir, result.candidates)
         result.stages.append("train")
     if last >= 3:
-        result.members = select(config, result.candidates)
+        with _stage("select"):
+            result.members = select_best(result.candidates, k=config.top_k)
         result.stages.append("select")
     if last >= 4:
         with _stage("master"):
-            result.master = master_stage(config, result.members)
+            matrix = build_master_matrix(result.members)
+            cfg = config.train_cfg.with_seed(_matrix_seed(config, matrix))
+            result.master = train_master(matrix, cfg)
             save_model(result.master.model, run_dir / MASTER_MODEL_PATH)
         result.stages.append("master")
 

@@ -355,8 +355,8 @@ class TrainingMatrix:
         if levels.shape != (prior + rows,):
             raise ValueError(f"{self.output_recipe} recipe needs {prior} + {rows} levels, "
                              f"got shape {levels.shape}")
-        if rows > 89:
-            raise ValueError(f"matrix exceeds the 89-row cap: {rows}")
+        if rows > MAX_MATRIX_ROWS:
+            raise ValueError(f"matrix exceeds the {MAX_MATRIX_ROWS}-row cap: {rows}")
         if rows >= 2 and np.any(np.diff(months) != 1):
             raise ValueError("output months must be consecutive")
         for arr in (inputs, output, months, levels):

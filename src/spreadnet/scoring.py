@@ -42,7 +42,7 @@ class ModelScore:
 def score_levels(predicted_levels: np.ndarray, actual_levels: np.ndarray,
                  months: np.ndarray) -> ModelScore:
     """Score level forecasts against actual levels over dated months."""
-    report = equity_curves(predicted_levels, actual_levels, months=months)
+    report = equity_curves(predicted_levels, actual_levels)
     ism = modified_sharpe(report)
     try:
         ep = excess_predictability(predicted_levels, actual_levels)
@@ -76,10 +76,9 @@ def ism_scorer(models: list[NetworkModel], test_part: TrainingMatrix) -> list[fl
     which share one ``layer_sizes``, are predicted in one stacked pass
     (``predict_many``, bit-identical to ``predict`` on each), the stack of
     predictions is denormalized in one call, and the ISM is computed once
-    per distinct long/short position vector: without ``months``,
-    ``equity_curves`` reads the predictions only through those positions,
-    so restarts that call every month alike share one exact score, in any
-    split of the models into calls.
+    per distinct long/short position vector: ``equity_curves`` reads the
+    predictions only through those positions, so restarts that call every
+    month alike share one exact score, in any split of the models into calls.
     """
     actual = test_part.output_levels
     levels = test_part.denormalize_predictions(predict_many(models, test_part.inputs))

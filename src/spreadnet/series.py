@@ -96,9 +96,6 @@ class MonthlySeries:
     def last_month(self) -> int:
         return int(self.months[-1])
 
-    def month_labels(self) -> list[str]:
-        return [format_month(k) for k in self.months]
-
     def value_at(self, month: int) -> float:
         """Value at an exact month key; KeyError if absent."""
         idx = month - self.first_month
@@ -331,8 +328,3 @@ def log_returns(s: MonthlySeries) -> MonthlySeries:
 def to_basis_points(r: MonthlySeries) -> MonthlySeries:
     """Scale a return series to basis points (0.01 log return = 100 bp)."""
     return _derived(f"{r.name}_bp", r.months, r.values * 10_000.0)
-
-
-def positive_component(s: MonthlySeries) -> MonthlySeries:
-    """Flip the sign of fall magnitudes so losses read as positive numbers."""
-    return _derived(s.name, s.months, -s.values)

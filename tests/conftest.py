@@ -12,6 +12,7 @@ import pytest
 
 from spreadnet import neural, pipeline, series
 from spreadnet.demo import synthetic_series
+from spreadnet.neural import AffineMap
 from spreadnet.preprocess import TrainingMatrix
 from spreadnet.series import align, parse_month
 
@@ -107,6 +108,12 @@ def cold_decode_memos():
 def demo_frame():
     """Aligned four-variable demo frame (190 months, seeded)."""
     return align(list(synthetic_series().values()))
+
+
+def unit_scaling(width: int) -> AffineMap:
+    """Scale 1, offset 0: the scaling of a hand-built model meant to see its
+    inputs and emit its output as they are."""
+    return AffineMap(np.ones(width), np.zeros(width))
 
 
 def make_matrix(

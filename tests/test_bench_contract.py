@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import unit_scaling
 from spreadnet.ensemble import Candidate
 from spreadnet.metrics import PERFECT_STRATEGY
 from spreadnet.neural import NetworkModel
@@ -53,7 +54,8 @@ def perfect_candidate():
     rows = 12
     test_part = TrainingMatrix(base_set_id=1, lag=1, input_names=("x",), inputs=np.zeros((rows, 1)),
                                output=1.05 ** np.arange(rows), months_out=np.arange(rows))
-    long_always = NetworkModel((1, 1, 1), (np.zeros((1, 2)), np.array([[0.0, 1e3]])))
+    long_always = NetworkModel((1, 1, 1), (np.zeros((1, 2)), np.array([[0.0, 1e3]])),
+                               unit_scaling(1), unit_scaling(1))
     return Candidate(1, 1, 0, long_always, score_model(long_always, test_part))
 
 

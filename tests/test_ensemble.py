@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import unit_scaling
 from spreadnet.ensemble import (
     Candidate,
     build_master_matrix,
@@ -27,6 +28,8 @@ def dummy_model(n_inputs=2):
     return NetworkModel(
         layer_sizes=(n_inputs, 1),
         weights=(np.zeros((1, n_inputs + 1)),),
+        input_scaling=unit_scaling(n_inputs),
+        output_scaling=unit_scaling(1),
     )
 
 
@@ -212,7 +215,8 @@ class TestPredictNext:
         # equal-weight linear stack: output is exactly the member mean
         weights = np.zeros((1, k + 1))
         weights[0, :k] = 1.0 / k
-        return NetworkModel(layer_sizes=(k, 1), weights=(weights,))
+        return NetworkModel(layer_sizes=(k, 1), weights=(weights,),
+                            input_scaling=unit_scaling(k), output_scaling=unit_scaling(1))
 
     def test_consensus_output(self):
         forecasts = np.linspace(90.0, 110.0, 10)
@@ -231,7 +235,8 @@ class TestPredictNext:
         k = 10
         weights = np.zeros((1, k + 1))
         weights[0, :k] = 0.9 / k
-        model = NetworkModel(layer_sizes=(k, 1), weights=(weights,))
+        model = NetworkModel(layer_sizes=(k, 1), weights=(weights,),
+                             input_scaling=unit_scaling(k), output_scaling=unit_scaling(1))
         forecasts = np.full(k, 100.0)
         result = master_forecast(model, forecasts, last_actual=100.0)
         assert result.up_vote_percent == 100.0

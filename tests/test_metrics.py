@@ -15,6 +15,8 @@ from spreadnet.errors import (
     DegenerateStrategy,
     EmptyEnsemble,
     LengthMismatch,
+    NonPositiveValue,
+    SpreadnetError,
     ZeroPerfectSlope,
 )
 from spreadnet.metrics import (
@@ -117,6 +119,24 @@ class TestEquityCurves:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             equity_curves(np.ones(3), np.ones(4))
+
+
+class TestMoveRule:
+    """The curves, the EP test and the hit rate read one set of moves and refuse
+    the same inputs with the same error."""
+
+    @pytest.mark.parametrize("score", [equity_curves, excess_predictability,
+                                       directional_accuracy])
+    @pytest.mark.parametrize("predicted, actual, fault", [
+        ([1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 2.0, 3.0], NonPositiveValue),
+        ([1.0, 1.0, 1.0], [-1.0, -2.0, -3.0], NonPositiveValue),
+        ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0], LengthMismatch),
+        ([1.0], [1.0], LengthMismatch),
+    ], ids=["zero-level", "negative-levels", "unequal-lengths", "one-observation"])
+    def test_each_score_refuses_alike(self, score, predicted, actual, fault):
+        with pytest.raises(SpreadnetError) as caught:
+            score(np.array(predicted), np.array(actual))
+        assert type(caught.value) is fault
 
 
 class TestWeightedSlope:

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import re
 import sys
 import zlib
 from dataclasses import replace
@@ -12,10 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import make_matrix
+from conftest import make_matrix, unit_scaling
 from spreadnet.errors import (
     AllDiverged,
     ConstantOutput,
+    CorruptModel,
     DegenerateInput,
     DimensionMismatch,
     DivergedTraining,
@@ -47,7 +49,7 @@ def small_model(seed=0, n_in=3, hidden=3, scalings=False):
         rng.uniform(-0.5, 0.5, size=(hidden, n_in + 1)),
         rng.uniform(-0.5, 0.5, size=(1, hidden + 1)),
     )
-    in_map = out_map = None
+    in_map, out_map = unit_scaling(n_in), unit_scaling(1)
     if scalings:
         in_map = AffineMap(rng.uniform(0.5, 2.0, size=n_in), rng.uniform(-1, 1, size=n_in))
         out_map = AffineMap(np.array([0.02]), np.array([-1.0]))
@@ -91,6 +93,7 @@ class TestForward:
         model = NetworkModel(
             layer_sizes=(2, 3, 1),
             weights=(np.zeros((3, 3)), np.zeros((1, 4))),
+            input_scaling=unit_scaling(2),
             output_scaling=AffineMap(np.array([0.5]), np.array([1.0])),
         )
         # network emits 0 in scaled space; inverted: (0 - 1) / 0.5 = -2
@@ -100,6 +103,8 @@ class TestForward:
         model = NetworkModel(
             layer_sizes=(2, 1),
             weights=(np.array([[2.0, 3.0, 0.0]]),),
+            input_scaling=unit_scaling(2),
+            output_scaling=unit_scaling(1),
         )
         assert predict(model, np.array([1.0, 1.0]))[0] == 5.0
 
@@ -132,16 +137,12 @@ def reference_predict(model, inputs):
     """One model's forward pass written out step by step, as ``predict`` ran before
     models were stacked: the bits ``predict`` and ``predict_many`` must keep."""
     h = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if model.input_scaling is not None:
-        h = h * model.input_scaling.scale + model.input_scaling.offset
+    h = h * model.input_scaling.scale + model.input_scaling.offset
     for l, w in enumerate(model.weights):
         h = np.concatenate([h, np.ones((len(h), 1))], axis=1) @ w.T
         if l < len(model.weights) - 1:
             h = np.tanh(h)
-    out = h[:, 0]
-    if model.output_scaling is not None:
-        out = (out - model.output_scaling.offset) / model.output_scaling.scale
-    return out
+    return (h[:, 0] - model.output_scaling.offset) / model.output_scaling.scale
 
 
 class TestPredictMany:
@@ -160,9 +161,7 @@ class TestPredictMany:
             x[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
             return x
 
-        def scaling(width):  # a model may lack either scaling
-            if rng.random() < 0.25:
-                return None
+        def scaling(width):
             return AffineMap(rng.uniform(0.05, 8.0, width) * rng.choice([-1.0, 1.0], width),
                              draw(width))
 
@@ -208,11 +207,9 @@ class TestPredictMany:
 
     def test_scaling_width_must_match_the_layers(self):
         with pytest.raises(ValueError, match="input scaling"):
-            NetworkModel((3, 1), (np.zeros((1, 4)),), input_scaling=AffineMap(np.ones(1),
-                                                                              np.zeros(1)))
+            NetworkModel((3, 1), (np.zeros((1, 4)),), unit_scaling(1), unit_scaling(1))
         with pytest.raises(ValueError, match="output scaling"):
-            NetworkModel((3, 1), (np.zeros((1, 4)),), output_scaling=AffineMap(np.ones(2),
-                                                                               np.zeros(2)))
+            NetworkModel((3, 1), (np.zeros((1, 4)),), unit_scaling(3), unit_scaling(2))
 
 
 class TestSplit:
@@ -1045,13 +1042,16 @@ class TestGradientCheck:
         model = NetworkModel(
             layer_sizes=(2, 2, 1),
             weights=(np.zeros((2, 3)), np.zeros((1, 3))),
+            input_scaling=unit_scaling(2),
+            output_scaling=unit_scaling(1),
         )
         assert gradient_check(model, (np.zeros(2), 0.0)) == 0.0
 
     def test_linear_network_near_machine_precision(self):
         # a single (linear) output layer: the loss is quadratic in the weights
         rng = np.random.default_rng(31)
-        model = NetworkModel(layer_sizes=(3, 1), weights=(rng.uniform(-0.3, 0.3, (1, 4)),))
+        model = NetworkModel(layer_sizes=(3, 1), weights=(rng.uniform(-0.3, 0.3, (1, 4)),),
+                             input_scaling=unit_scaling(3), output_scaling=unit_scaling(1))
         x = rng.uniform(-1, 1, size=3)
         assert gradient_check(model, (x, 0.7), epsilon=1e-4) < 1e-7
 
@@ -1081,23 +1081,19 @@ class TestSerialization:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
-           scaled=st.tuples(st.booleans(), st.booleans()))
-    def test_roundtrip_bit_exact_property(self, tmp_path, data, sizes, scaled):
+    @given(data=st.data(), sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    def test_roundtrip_bit_exact_property(self, tmp_path, data, sizes):
         # both round trips (file and dict) return every weight and scaling bit for bit:
         # -0.0, subnormals and floats near the largest included
         layer_sizes = (*sizes, 1)
         weights = tuple(data.draw(hnp.arrays(np.float64, (fan_out, fan_in + 1), elements=edgy))
                         for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
 
-        def scaling(width, on):
-            if not on:
-                return None
+        def scaling(width):
             return AffineMap(data.draw(hnp.arrays(np.float64, width, elements=edgy.filter(bool))),
                              data.draw(hnp.arrays(np.float64, width, elements=edgy)))
 
-        model = NetworkModel(layer_sizes, weights, scaling(layer_sizes[0], scaled[0]),
-                             scaling(1, scaled[1]))
+        model = NetworkModel(layer_sizes, weights, scaling(layer_sizes[0]), scaling(1))
         path = tmp_path / "model.json"
         save_model(model, path)
         for loaded in (load_model(path), model_from_dict(model_to_dict(model))):
@@ -1105,10 +1101,18 @@ class TestSerialization:
             assert [w.tobytes() for w in loaded.weights] == [w.tobytes() for w in weights]
             for got, want in ((loaded.input_scaling, model.input_scaling),
                               (loaded.output_scaling, model.output_scaling)):
-                assert (got is None) == (want is None)
-                if want is not None:
-                    assert got.scale.tobytes() == want.scale.tobytes()
-                    assert got.offset.tobytes() == want.offset.tobytes()
+                assert got.scale.tobytes() == want.scale.tobytes()
+                assert got.offset.tobytes() == want.offset.tobytes()
+
+    @pytest.mark.parametrize("key", ["input_scaling", "output_scaling"])
+    def test_null_scaling_is_corrupt(self, tmp_path, key):
+        # every model carries both scalings; a file without one names itself
+        data = model_to_dict(small_model())
+        data[key] = None
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(CorruptModel, match=re.escape(str(path))):
+            load_model(path)
 
     def test_version_gate(self):
         data = model_to_dict(small_model())
@@ -1146,6 +1150,7 @@ class TestTrainedScalingConsistency:
         model = train(matrix, TrainConfig(restarts=1, rng_seed=4))
         x = matrix.inputs[:5]
         manual_in = model.input_scaling.apply(x)
-        out = predict(replace(model, input_scaling=None, output_scaling=None), manual_in)
+        out = predict(replace(model, input_scaling=unit_scaling(3), output_scaling=unit_scaling(1)),
+                      manual_in)
         manual = model.output_scaling.invert(out)
         assert np.array_equal(predict(model, x), manual)

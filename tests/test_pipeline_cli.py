@@ -1233,6 +1233,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "stage 'predict' failed" in err and str(path) in err
 
+    @pytest.mark.parametrize("key", ["input_scaling", "output_scaling"])
+    def test_member_model_without_a_scaling_exit_code(self, small_run, tmp_path, capsys, key):
+        # every model carries both scalings: a member file with a null one is refused
+        _, _, result = small_run
+        run = shutil.copytree(result.run_dir, tmp_path / "run")
+        path = run / json.loads((run / SERVE_NAME).read_text())["members"][0]["model_path"]
+        document = json.loads(path.read_text())
+        document[key] = None
+        path.write_text(json.dumps(document))
+        assert cli_main(["predict", "--run", str(run)]) == 8
+        err = capsys.readouterr().err
+        assert "stage 'predict' failed" in err and str(path) in err
+
     @pytest.mark.parametrize("edit", [lambda names: names + names[:1], lambda names: names[:-1],
                                       lambda names: []], ids=["one-more", "one-fewer", "none"])
     def test_member_inputs_other_than_its_models_exit_code(self, small_run, tmp_path, capsys,

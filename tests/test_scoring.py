@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import unit_scaling
 from spreadnet.errors import SpreadnetError
 from spreadnet.metrics import PERFECT_STRATEGY, equity_curves, modified_sharpe
 from spreadnet.neural import AffineMap, NetworkModel, predict
@@ -18,13 +19,15 @@ def random_model(rng, n_inputs, hidden, scaled):
     sizes = (n_inputs, hidden, 1)
     weights = [rng.uniform(-1.0, 1.0, size=(sizes[l + 1], sizes[l] + 1)) for l in range(2)]
     out_map = AffineMap(np.array([rng.uniform(0.5, 4.0)]), np.array([rng.uniform(-1, 1)]))
-    return NetworkModel(sizes, tuple(weights), output_scaling=out_map if scaled else None)
+    return NetworkModel(sizes, tuple(weights), unit_scaling(n_inputs),
+                        out_map if scaled else unit_scaling(1))
 
 
 def constant_model(n_inputs, hidden, value):
     """Predicts ``value`` on every row: its positions hold whatever its value's size."""
     return NetworkModel((n_inputs, hidden, 1), (np.zeros((hidden, n_inputs + 1)),
-                                                np.array([[0.0] * hidden + [value]])))
+                                                np.array([[0.0] * hidden + [value]])),
+                        unit_scaling(n_inputs), unit_scaling(1))
 
 
 def perfect_levels(recipe, predicted, first):
@@ -122,7 +125,8 @@ def test_positions_one_call_apart():
     for k in range(1, rows):
         hidden = np.zeros((1, rows + 1))
         hidden[0, k] = 1.0
-        models.append(NetworkModel((rows, 1, 1), (hidden, np.array([[-1e4, 1e3]]))))
+        models.append(NetworkModel((rows, 1, 1), (hidden, np.array([[-1e4, 1e3]])),
+                                   unit_scaling(rows), unit_scaling(1)))
     models.append(models[0])
     scores = ism_scorer(models, test_part)
     assert len(set(scores[:-1])) == rows

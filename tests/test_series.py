@@ -27,7 +27,6 @@ from spreadnet.series import (
     load_series,
     log_returns,
     parse_month,
-    positive_component,
     to_basis_points,
 )
 
@@ -62,7 +61,7 @@ class TestLoadSeries:
         path = write_csv(tmp_path / "d.csv", ["2001-01,1.0", "2001-02,2.0", "2001-03,3.5"])
         (series,) = load_series(path, {"level": "level"})
         assert len(series) == 3
-        assert series.month_labels() == ["2001-01", "2001-02", "2001-03"]
+        assert [format_month(m) for m in series.months] == ["2001-01", "2001-02", "2001-03"]
         assert series.values.tolist() == [1.0, 2.0, 3.5]
 
     def test_gap_in_dates(self, tmp_path):
@@ -111,7 +110,7 @@ class TestLoadSeries:
         (later,) = load_series(path, {"s": "a"}, date_column="when")
         assert a.values.tolist() == [1.0, 3.0] and b.values.tolist() == [2.0, 4.0]
         assert (a.name, t.name) == ("s", "t") and t.values.tolist() == [1.0, 3.0]
-        assert later.month_labels() == ["2001-05", "2001-06"]
+        assert [format_month(m) for m in later.months] == ["2001-05", "2001-06"]
 
     @pytest.mark.parametrize("text, fault, message", [
         ("date,v\n2000-01,abc\n", UnparseableValue,
@@ -159,7 +158,7 @@ class TestLoadSeries:
         path.write_text("v,date,v\n\n9,2000-01,1.5,extra\n\n8,2000-02, 2 \n",
                         encoding="utf-8")
         (series,) = load_series(path, {"v": "v"})
-        assert series.month_labels() == ["2000-01", "2000-02"]
+        assert [format_month(m) for m in series.months] == ["2000-01", "2000-02"]
         assert series.values.tolist() == [1.5, 2.0]
         path.write_text("v,date,v\n9,2000-01,1.5\n\n8,2000-02\n", encoding="utf-8")
         with pytest.raises(UnparseableValue, match="row 2: column 'v' value '' is not a number"):
@@ -346,13 +345,6 @@ class TestBasisPoints:
         s = MonthlySeries("r", months("2001-01", 25), x)
         scaled = MonthlySeries("r", months("2001-01", 25), 3.7 * x)
         assert np.allclose(to_basis_points(scaled).values, 3.7 * to_basis_points(s).values)
-
-
-class TestPositiveComponent:
-    @pytest.mark.parametrize("value,expected", [(-130.0, 130.0), (0.0, 0.0), (-48.23, 48.23)])
-    def test_sign_flip(self, value, expected):
-        s = MonthlySeries("x", months("2001-01", 1), np.array([value]))
-        assert positive_component(s).values.tolist() == [expected]
 
 
 class TestInvariants:
