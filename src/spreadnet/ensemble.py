@@ -159,8 +159,8 @@ def master_forecast(
     """
     inputs = np.asarray(member_forecasts, dtype=np.float64)
     if inputs.shape != (master_model.n_inputs,):  # one row: a (k, n) stack is no forecast
-        raise DimensionMismatch(
-            f"input has shape {inputs.shape}, model expects ({master_model.n_inputs},)")
+        raise DimensionMismatch(f"master expects {master_model.n_inputs} member forecasts, "
+                                f"got shape {inputs.shape}")
     value = float(predict(master_model, inputs)[0])
     direction = 1 if value >= last_actual else -1
     up = float(np.mean(inputs >= last_actual) * 100.0)

@@ -4,8 +4,8 @@ excess-predictability test, error/outlier counts, and the OLS baseline.
 Conventions used throughout:
 
 * return_t = ln(actual_t / actual_{t-1}); the curves accumulate
-  return * 100 (percent units), while failure magnitudes and the average
-  negative volatility stay in raw log-return units.
+  return * 100 (percent units), while the average negative volatility (the
+  mean |return| of the wrong calls) stays in raw log-return units.
 * A level forecast becomes a position via sign(forecast_t - actual_{t-1}),
   with ties (sign 0) mapped to long.
 * The perfect-equity curve accumulates |return|; the equity curve accrues
@@ -15,7 +15,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,14 +62,15 @@ def positions_from_forecasts(predicted: np.ndarray, actual: np.ndarray) -> np.nd
 
 @dataclass
 class EquityReport:
-    """Equity/perfect-equity curves plus the failure ledger for one model.
+    """Equity/perfect-equity curves, the count of wrong calls and their mean
+    |log return| for one model.
 
     ``q_ratio`` and ``ism`` stay None until ``modified_sharpe`` fills them.
     """
 
     eq: np.ndarray
     pe: np.ndarray
-    failures: list[tuple[int, float]] = field(default_factory=list)
+    failures: int = 0
     ave_negative_vol: float = 0.0
     q_ratio: float | None = None
     ism: float | None = None
@@ -95,18 +96,16 @@ def _moves(predicted: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def equity_curves(predicted: np.ndarray, actual: np.ndarray) -> EquityReport:
-    """Build eq/pe curves and the failure ledger from level forecasts.
-
-    Failures are labelled by their index t. Curves have length n-1.
+    """Build eq/pe curves from level forecasts, with the count of wrong calls
+    and their average |log return|. Curves have length n-1.
     """
     pos, returns = _moves(predicted, actual)
     eq = np.cumsum(pos * returns * 100.0)
     pe = np.cumsum(np.abs(returns) * 100.0)
 
-    wrong = pos * returns < 0
-    failures = [(int(i) + 1, float(abs(returns[i]))) for i in np.nonzero(wrong)[0]]
-    ave = float(np.mean([m for _, m in failures])) if failures else 0.0
-    return EquityReport(eq=eq, pe=pe, failures=failures, ave_negative_vol=ave)
+    misses = np.abs(returns[pos * returns < 0])
+    ave = float(misses.mean()) if len(misses) else 0.0
+    return EquityReport(eq=eq, pe=pe, failures=len(misses), ave_negative_vol=ave)
 
 
 def weighted_slope(curve: np.ndarray) -> float:

@@ -59,8 +59,8 @@ from .preprocess import (
     build_derived_columns,
     default_base_sets,
 )
-from .series import (NO_FILE, AlignedFrame, MonthlySeries, _no_month, align, format_month,
-                     load_series, parse_month, read_file)
+from .series import (NO_FILE, AlignedFrame, MonthlySeries, align, format_month, load_series,
+                     parse_month, read_file)
 
 STAGES = ("ingest", "preprocess", "train", "select", "master", "report")
 VARIABLES = (pp.INDICATOR, pp.OUTPUT_VARIABLE, pp.GLOBAL_SPREAD, pp.TBILL)
@@ -72,7 +72,6 @@ MANIFEST_FORMAT = 1
 MANIFEST_NAME = "manifest.json"
 SERVE_NAME = "serve.json"
 MASTER_MODEL_PATH = "models/master.json"
-REPORT_FORMATS = ("csv", "txt")
 # The paper's regime: TrainConfig defaults to it, PipelineConfig to desk scale.
 FULL_SCALE_RESTARTS = TrainConfig.restarts
 
@@ -219,7 +218,7 @@ class PipelineConfig:
     full_scale: bool = False
     top_k: int = 10
     output_dir: str = "runs"
-    formats: tuple[str, ...] = ("csv", "txt")
+    formats: tuple[typing.Literal["csv", "txt"], ...] = ("csv", "txt")
 
     def __post_init__(self):
         missing: list = []
@@ -237,10 +236,6 @@ class PipelineConfig:
         for i, set_id in enumerate(self.enabled_sets):
             if set_id not in _BASE_SET_IDS:
                 raise ValueError(f"config base_sets.enabled.{i} names no base set: {set_id}")
-        for i, fmt in enumerate(self.formats):
-            if fmt not in REPORT_FORMATS:
-                raise ValueError(f"config output.formats.{i} is an unknown format {fmt!r}; "
-                                 f"choose from {list(REPORT_FORMATS)}")
 
     @property
     def train_cfg(self) -> TrainConfig:
@@ -539,7 +534,7 @@ def _fit_to_json(config: PipelineConfig, fit: Candidate, model_path: str) -> dic
         "ism": "perfect" if score.ism == PERFECT_STRATEGY else float(score.ism),
         "q_ratio": float(score.report.q_ratio),
         "ave_negative_vol": float(score.report.ave_negative_vol),
-        "failures": len(score.report.failures),
+        "failures": score.report.failures,
         "norm_ep": None if score.norm_ep is None else float(score.norm_ep),
         "ep_statistic": None if score.ep is None else float(score.ep.statistic),
         "hit_rate": float(score.hit_rate),
@@ -919,16 +914,18 @@ def predict_from_run(
     Reads the run's serve record (``serve.json``; for a run stored without
     one, the same record projected from the manifest), loads the stored
     member and master models, builds only the derived columns the members
-    read, reads each member's input row for its lag by index on each
-    column's month axis, stacks the member forecasts, and runs the master.
+    read, reads each member's input row for its lag (``value_at`` of each
+    column), stacks the member forecasts, and runs the master.
     The frame comes from ``config`` (defaults to the run's config), whose
     data paths and unread sections may differ from the recorded config;
     its ``var``, ``smoothing`` and ``ma_levels``, which say how the members'
     inputs are derived, may not (else StaleModel names the section). Each
     member's row must have its model's width (else StaleModel names the
-    member). The members are predicted in one stacked pass per layer shape
-    (``predict_many``), and the normalized ones inverted in one
-    ``denormalize_output`` call: the same bits as one member at a time.
+    member), and the master's the members' count (else ``master_forecast``'s
+    DimensionMismatch names it). The members are predicted in one stacked
+    pass per layer shape (``predict_many``), and the normalized ones
+    inverted in one ``denormalize_output`` call: the same bits as one member
+    at a time.
 
     Every call reads every file it uses, as bytes and with no stat first,
     and checks each input once, where it comes in: the record and the config
@@ -964,21 +961,13 @@ def predict_from_run(
     last_month = int(frame.months[-1])
     target = last_month + 1
 
-    # each column's name, first month and values: an input is read by its index on that axis
-    axes = {key: (s.name, s.first_month, s.values) for key, s in derived.items()}
     by_shape: dict[tuple, list[int]] = {}  # member positions by layer sizes, in rank order
     models, rows = [], []
     for k, entry in enumerate(members):
         model = load_model(os.path.join(run_dir, entry["model_path"]))
         month_in = target - entry["lag"]
-        row = []
         try:
-            for key in entry["input_names"]:
-                series_name, first, column = axes[key]
-                i = month_in - first
-                if not 0 <= i < len(column):
-                    raise _no_month(series_name, month_in)
-                row.append(column[i])
+            row = [derived[key].value_at(month_in) for key in entry["input_names"]]
         except KeyError as exc:
             raise StaleModel(
                 f"member {entry['name']} needs inputs at {format_month(month_in)}: {exc}"
@@ -1002,10 +991,6 @@ def predict_from_run(
     master_model = load_model(os.path.join(run_dir, record["master"]["model_path"]))
     inputs = np.array([member_values[name] for name in member_values])
     last_actual = float(levels.values[-1])
-    if master_model.n_inputs != len(inputs):
-        raise StaleModel(
-            f"master expects {master_model.n_inputs} member inputs, got {len(inputs)}"
-        )
     forecast = master_forecast(master_model, inputs, last_actual)
     return PredictionReport(format_month(target), forecast, member_values, last_actual)
 

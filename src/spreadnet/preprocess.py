@@ -26,8 +26,9 @@ from .errors import (
     MissingColumn,
     ZeroTrailingMean,
 )
-from .series import (AlignedFrame, MonthlySeries, _derived, align, format_month, log_returns,
-                     to_basis_points)
+from .metrics import count_outliers, mean_abs_error
+from .series import (AlignedFrame, MonthlySeries, _check_months, _derived, align, format_month,
+                     log_returns, to_basis_points)
 
 # Canonical variable names expected in an input frame.
 INDICATOR = "igaem"
@@ -357,8 +358,7 @@ class TrainingMatrix:
                              f"got shape {levels.shape}")
         if rows > MAX_MATRIX_ROWS:
             raise ValueError(f"matrix exceeds the {MAX_MATRIX_ROWS}-row cap: {rows}")
-        if rows >= 2 and np.any(np.diff(months) != 1):
-            raise ValueError("output months must be consecutive")
+        _check_months(months, self.name)
         for arr in (inputs, output, months, levels):
             arr.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)
@@ -624,6 +624,6 @@ def grid_search_var_params(
         band_raw = rolling_var(values, VarConfig(window=w, confidence=confidence))
         for j, b in enumerate(betas):
             band = ema_smooth(band_raw, SmoothingConfig(beta=b))[-eval_len:]
-            eam[i, j] = float(np.mean(np.abs(band - falls)))
-            outliers[i, j] = int(np.sum(falls > band))
+            eam[i, j] = mean_abs_error(band, falls)
+            outliers[i, j] = count_outliers(falls, band)
     return VarGridResult(tuple(windows), tuple(betas), eam, outliers, eval_len)

@@ -6,6 +6,9 @@ gap-free iff its keys are consecutive integers. All values are float64.
 
 CSV contract: header row required, one date column in YYYY-MM format plus
 one or more numeric value columns, decimal point as separator, UTF-8.
+
+One rule checks every month axis, a file's, a series', a frame's and a training
+matrix's (``_check_months``): the first step that is not +1 month names the fault.
 """
 
 from __future__ import annotations
@@ -69,18 +72,7 @@ class MonthlySeries:
             )
         if len(months) == 0:
             raise ValueError(f"series {self.name!r}: empty series")
-        diffs = np.diff(months)
-        if not (diffs == 1).all():
-            if (diffs == 0).any():
-                at = int(months[np.argmin(diffs != 0)])
-                raise DuplicateDate(f"series {self.name!r}: duplicate month {format_month(at)}")
-            if (diffs < 0).any():
-                raise ValueError(f"series {self.name!r}: months not increasing")
-            i = int(np.argmax(diffs > 1))
-            raise GapInDates(
-                f"series {self.name!r}: gap between {format_month(months[i])} "
-                f"and {format_month(months[i + 1])}"
-            )
+        _check_months(months, f"series {self.name!r}")
         _check_finite(self.name, months, values)
         months.setflags(write=False)
         values.setflags(write=False)
@@ -100,13 +92,29 @@ class MonthlySeries:
         """Value at an exact month key; KeyError if absent."""
         idx = month - self.first_month
         if idx < 0 or idx >= len(self):
-            raise _no_month(self.name, month)
+            raise KeyError(f"series {self.name!r} has no month {format_month(month)}")
         return float(self.values[idx])
 
 
-def _no_month(name: str, month: int) -> KeyError:
-    """The KeyError of a read at ``month`` outside the axis of series ``name``."""
-    return KeyError(f"series {name!r} has no month {format_month(month)}")
+def _check_months(months: np.ndarray, place) -> None:
+    """Raise unless the int64 month keys ``months`` are consecutive: the one check of
+    a month axis. The first step that is not +1 month names the fault, after
+    ``place``: DuplicateDate for a repeat, GapInDates for a fall or a gap. ``place``
+    is a string, or a function of the position of the step's later month (a file
+    names its row).
+    """
+    steps = np.diff(months)
+    bad = np.flatnonzero(steps != 1)
+    if not len(bad):
+        return
+    i = int(bad[0])
+    where = place(i + 1) if callable(place) else place
+    a, b = format_month(months[i]), format_month(months[i + 1])
+    if steps[i] == 0:
+        raise DuplicateDate(f"{where}: month {b} repeats")
+    if steps[i] < 0:
+        raise GapInDates(f"{where}: month {b} precedes {a}")
+    raise GapInDates(f"{where}: gap between {a} and {b}")
 
 
 def _check_finite(name: str, months: np.ndarray, values: np.ndarray) -> None:
@@ -117,10 +125,10 @@ def _check_finite(name: str, months: np.ndarray, values: np.ndarray) -> None:
 
 
 def _derived(name: str, months: np.ndarray, values) -> MonthlySeries:
-    """The series ``MonthlySeries(name, months, values)`` builds, for a series derived
-    on an axis already checked: ``months`` is a slice of a series' or frame's int64
-    month axis, as long as ``values``. Only the values are checked (finite, with the
-    constructor's message); the axis, checked where it came in, is not checked again.
+    """The series ``MonthlySeries(name, months, values)`` builds, on an axis already
+    checked: ``months`` is an int64 month axis ``_check_months`` passed (a file's, or
+    a slice of a series' or frame's), as long as ``values``. Only the values are
+    checked (finite, with the constructor's message); the axis is not checked again.
     """
     values = np.asarray(values, dtype=np.float64)
     _check_finite(name, months, values)
@@ -151,8 +159,7 @@ class AlignedFrame:
             arr.setflags(write=False)
             cols[name] = arr
         object.__setattr__(self, "columns", cols)
-        if len(months) and np.any(np.diff(months) != 1):
-            raise GapInDates("frame months are not consecutive")
+        _check_months(months, "frame")
         months.setflags(write=False)
 
     def __len__(self) -> int:
@@ -263,23 +270,8 @@ def _parse_csv(text: str, columns: tuple[tuple[str, str], ...],
     if not months:
         raise UnparseableValue(": no data rows")
     month_arr = np.asarray(months, dtype=np.int64)
-    _check_month_axis(month_arr, "")
-    return tuple(
-        MonthlySeries(name, month_arr, np.asarray(out))
-        for (name, _), (_, _, out) in zip(columns, wanted)
-    )
-
-
-def _check_month_axis(months: np.ndarray, origin: str) -> None:
-    """Row-addressed duplicate/gap checks for a freshly loaded date column."""
-    diffs = np.diff(months)
-    for i in np.nonzero(diffs != 1)[0]:
-        a, b = format_month(months[i]), format_month(months[i + 1])
-        if diffs[i] == 0:
-            raise DuplicateDate(f"{origin} row {i + 2}: month {b} repeats row {i + 1}")
-        if diffs[i] < 0:
-            raise GapInDates(f"{origin} row {i + 2}: month {b} precedes {a}")
-        raise GapInDates(f"{origin} row {i + 2}: gap between {a} and {b}")
+    _check_months(month_arr, lambda i: f" row {i + 1}")
+    return tuple(_derived(name, month_arr, out) for (name, _), (_, _, out) in zip(columns, wanted))
 
 
 def align(series: list[MonthlySeries]) -> AlignedFrame:

@@ -9,12 +9,19 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spreadnet import neural, pipeline, series
 from spreadnet.demo import synthetic_series
 from spreadnet.neural import AffineMap
 from spreadnet.preprocess import TrainingMatrix
 from spreadnet.series import align, parse_month
+
+
+# No per-example deadline: an example's time depends on the machine, not on the
+# property; each test keeps the max_examples it sets.
+settings.register_profile("spreadnet", deadline=None)
+settings.load_profile("spreadnet")
 
 
 def _no_constant(name):

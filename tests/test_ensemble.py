@@ -102,7 +102,7 @@ class TestSelectBest:
         with pytest.raises(NoCandidates):
             select_best([], k=10)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(specs=st.lists(st.tuples(
         st.integers(1, 10), st.integers(1, 4),
         st.one_of(st.just(PERFECT_STRATEGY), st.sampled_from([0.0, 2.5]),

@@ -148,7 +148,7 @@ def reference_predict(model, inputs):
 class TestPredictMany:
     """One stacked pass over models of one shape gives each model's ``predict`` bits."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(count=st.integers(1, 20), n_in=st.integers(1, 11), hidden=st.integers(1, 12),
            rows=st.integers(1, 53), shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_equals_predict_per_model(self, count, n_in, hidden, rows, shared, seed):
@@ -333,7 +333,7 @@ class TestMultiRestart:
         assert search.seed == search.seeds[0] == restart_seeds(0, 1)[0]
         assert same_bits(search.scores, [1.0])
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(table=st.lists(SCORES, min_size=1, max_size=8), restarts=st.integers(1, 8),
            poison=st.lists(st.integers(0, 7), max_size=3))
     def test_ranks_by_score_then_seed(self, table, restarts, poison):
@@ -506,7 +506,7 @@ def assert_same_weights(weights, want_weights):
 class TestStackedKernel:
     """Restart s gives the same bits trained alone, in any batch, and by the oracle."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         data_seed=st.integers(0, 2**16),
         n_rows=st.integers(20, 45),
@@ -589,7 +589,7 @@ class TestStackedKernel:
             assert_same_weights(weights, oracle_train(prep, cfg, seed)[0])
         assert_same_weights(search.model.weights, oracle_train(prep, cfg, search.seed)[0])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         data_seed=st.integers(0, 2**16),
         n_rows=st.integers(12, 45),
@@ -684,7 +684,7 @@ def float_arrays(draw):
     return draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(x=float_arrays())
 def test_augment_equals_concatenate(x):
     got = neural._augment(x)
@@ -705,7 +705,7 @@ def first_error_and_rankings(run):
 class TestMultiMatrix:
     """Matrices trained together rank exactly as each trained alone."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         specs=st.lists(st.tuples(st.sampled_from([24, 31]), st.integers(1, 3),
                                  st.sampled_from([None, 2])),
@@ -757,7 +757,7 @@ class TestMultiMatrix:
             best = train(split(matrix, cfg)[0], cfg, seed=got.seed)
             assert_same_weights(got.model.weights, best.weights)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         specs=st.lists(st.tuples(st.sampled_from([24, 31]), st.integers(1, 2)),
                        min_size=1, max_size=4),
@@ -953,7 +953,7 @@ class TestWorkerPool:
             assert same_bits(g.scores, w.scores)
             assert_same_weights(g.model.weights, w.model.weights)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(lengths=st.lists(st.integers(1, 600), min_size=1, max_size=6),
            workers=st.integers(1, 64), block=st.integers(1, 300))
     def test_plan_covers_each_pair_once_in_bounded_even_blocks(self, lengths, workers, block):
@@ -1079,7 +1079,7 @@ class TestSerialization:
         xs = np.random.default_rng(41).uniform(-1, 1, size=(5, 3))
         assert np.array_equal(predict(model, xs), predict(loaded, xs))
 
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=60,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3))
     def test_roundtrip_bit_exact_property(self, tmp_path, data, sizes):

@@ -425,7 +425,7 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match=re.escape(named)):
             replace(config, **change)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(config=st.builds(
         PipelineConfig,
         variables=st.fixed_dictionaries(
@@ -457,7 +457,7 @@ class TestConfigRoundTrip:
         assert PipelineConfig.from_dict(json.loads(text)) == config
         assert json.loads(text) == config.to_dict()
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(key=st.sampled_from(KNOWN_KEYS), value=JSON_VALUES)
     def test_any_value_at_a_known_key_parses_or_is_named(self, key, value):
         data = copy.deepcopy(README_CONFIG)
@@ -529,7 +529,7 @@ class TestReports:
         assert total == len(swept) == 30
         assert [int(r["lag"]) for r in rows] == sorted({c["lag"] for c in swept})
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(data=st.data())
     def test_reports_of_a_reloaded_manifest_equal_the_written_ones(self, small_run, data):
         # the manifest to the reports: written, read back, and reported byte for byte alike
@@ -563,7 +563,7 @@ class TestReports:
         (row,) = pipeline._group_means(self.group([-1.7e308, -1.7e308, 0.0]), "base_set")
         assert row["mean_ism"] == pytest.approx(-1.7e308 / 3 * 2, rel=1e-15)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(isms=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
                          max_size=12))
     def test_group_mean_of_finite_isms_is_finite_and_within_them(self, isms):
@@ -1264,6 +1264,19 @@ class TestCli:
         assert (f"member {member['name']} lists {len(member['input_names'])} inputs, "
                 f"its model takes {width}") in err
 
+    def test_record_one_member_short_exit_code(self, small_run, tmp_path, capsys):
+        # the master stacks one forecast per member it was trained on
+        _, _, result = small_run
+        run = shutil.copytree(result.run_dir, tmp_path / "run")
+        record = json.loads((run / SERVE_NAME).read_text())
+        width = len(record["members"])
+        del record["members"][1]
+        (run / SERVE_NAME).write_text(json.dumps(record))
+        assert cli_main(["predict", "--run", str(run)]) == 8
+        err = capsys.readouterr().err
+        assert "stage 'predict' failed" in err
+        assert f"master expects {width} member forecasts, got shape ({width - 1},)" in err
+
     @pytest.mark.parametrize("extra, named", [
         (["--set", "training.restart=200"], "training.restart"),
         (["--set", "trainig.restarts=2"], "trainig"),
@@ -1418,7 +1431,7 @@ class TestCli:
 
     @pytest.mark.parametrize("name, place, part", RECORD_PLACES,
                              ids=[f"{n}:{'.'.join(map(str, p))}" for n, p, _ in RECORD_PLACES])
-    @settings(max_examples=4, deadline=None,
+    @settings(max_examples=4,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_every_place_of_a_run_record_is_checked(self, record_run, capsys, data,

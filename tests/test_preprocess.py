@@ -103,7 +103,7 @@ def numpy_scalar_ema(values, cfg):
 
 
 class TestEmaSmooth:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                                      st.floats(-1e3, 1e3), st.sampled_from([-0.0, 0.0])),
                            min_size=1, max_size=120),
@@ -193,7 +193,7 @@ class TestBlockAverage:
         assert col.months[-1] == s.months[-1]
         assert col.values[0] == np.mean(np.arange(20.0)[0:3])
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         values=st.lists(
             st.tuples(st.floats(1e-3, 1e6), st.booleans()).map(lambda v: -v[0] if v[1] else v[0]),
@@ -373,7 +373,7 @@ class TestDenormalizePredictions:
             levels=levels,
         )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         seed=st.integers(0, 2**16),
         rows=st.integers(1, 89),
@@ -395,7 +395,7 @@ class TestDenormalizePredictions:
         ])
         assert np.array_equal(matrix.denormalize_predictions(predicted), rowwise)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         seed=st.integers(0, 2**16),
         rows=st.integers(1, 60),
@@ -489,7 +489,7 @@ class TestDerivedColumnsByName:
     def test_full_build_lists_every_column(self, demo_frame):
         assert tuple(build_derived_columns(demo_frame)) == DERIVED_NAMES
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(names=st.sets(st.sampled_from(DERIVED_NAMES)))
     def test_named_columns_equal_full_build(self, demo_frame, names):
         full = build_derived_columns(demo_frame)

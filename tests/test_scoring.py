@@ -63,7 +63,7 @@ model_specs = st.lists(st.one_of(
 ), min_size=1, max_size=12)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @example(seed=1, recipe=NORMALIZED_OUTPUT, n_inputs=4, hidden=None, rows=21,  # the demo's shape
          specs=[("random", 3, False), ("perfect",), ("constant", 1e3), ("repeat", 0),
                 ("constant", 2e3), ("random", 4, False), ("perfect",)])

@@ -18,9 +18,11 @@ from spreadnet.errors import (
     NonPositiveValue,
     UnparseableValue,
 )
+from spreadnet.preprocess import TrainingMatrix
 from spreadnet.series import (
+    AlignedFrame,
     MonthlySeries,
-    _check_month_axis,
+    _check_months,
     _derived,
     align,
     format_month,
@@ -115,7 +117,7 @@ class TestLoadSeries:
     @pytest.mark.parametrize("text, fault, message", [
         ("date,v\n2000-01,abc\n", UnparseableValue,
          " row 1: column 'v' value 'abc' is not a number"),
-        ("date,v\n2000-01,1\n2000-01,2\n", DuplicateDate, " row 2: month 2000-01 repeats row 1"),
+        ("date,v\n2000-01,1\n2000-01,2\n", DuplicateDate, " row 2: month 2000-01 repeats"),
         ("date,w\n2000-01,1\n", MissingColumn, ": column 'v' (for series 'v') not in header"),
         ("date,v\n", UnparseableValue, ": no data rows"),
     ], ids=["not-a-number", "repeated-month", "missing-column", "no-rows"])
@@ -200,7 +202,7 @@ def dictreader_load(path, column_map, date_column="date"):
     if not month_keys:
         raise UnparseableValue(f"{path}: no data rows")
     month_arr = np.asarray(month_keys, dtype=np.int64)
-    _check_month_axis(month_arr, str(path))
+    _check_months(month_arr, lambda i: f"{path} row {i + 1}")
     return [MonthlySeries(name, month_arr, np.asarray(values[name])) for name in column_map]
 
 
@@ -249,7 +251,7 @@ def load_outcome(loader, path, column_map):
 
 
 class TestLoadSeriesOracle:
-    @settings(max_examples=400, deadline=None,
+    @settings(max_examples=400,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=csv_files())
     def test_matches_dictreader(self, tmp_path, case):
@@ -357,18 +359,39 @@ class TestInvariants:
             MonthlySeries("x", np.array([5, 5]), np.array([1.0, 2.0]))
 
     def test_decreasing_rejected(self):
-        with pytest.raises(ValueError, match="months not increasing"):
-            MonthlySeries("x", np.array([5, 4]), np.array([1.0, 2.0]))
+        # the months are checked before the values
+        with pytest.raises(GapInDates, match=re.escape("series 'x': month 2000-01 precedes 2000-02")):
+            MonthlySeries("x", months("2000-02", 1) + [0, -1], np.array([1.0, np.nan]))
 
-    def test_first_fault_in_check_order(self):
-        # a duplicate anywhere is named before a decrease, a decrease before a gap
-        with pytest.raises(DuplicateDate, match="2000-04"):
-            MonthlySeries("x", np.array([1, 3, 2, 3, 3]) + parse_month("2000-01"), np.ones(5))
-        with pytest.raises(ValueError, match="not increasing"):
-            MonthlySeries("x", np.array([0, 2, 1]), np.ones(3))
-        with pytest.raises(GapInDates, match="2000-02 and 2000-04"):
-            MonthlySeries("x", np.array([0, 1, 3]) + parse_month("2000-01"),
-                          np.array([1.0, 2.0, np.nan]))
+    # each step that is not +1 month: the fault it raises and the words naming it
+    BAD_STEPS = {0: (DuplicateDate, "month {b} repeats"), -1: (GapInDates, "month {b} precedes {a}"),
+                 2: (GapInDates, "gap between {a} and {b}")}
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(steps=st.lists(st.sampled_from([-1, 0, 1, 2]), max_size=7))
+    def test_one_month_rule(self, tmp_path, steps):
+        # a file, a series, a frame and a matrix accept the same axes, and refuse
+        # the others with the same fault, named by the first step that is not +1
+        keys = parse_month("1999-11") + np.cumsum([0, *steps])
+        labels = [format_month(k) for k in keys]
+        path = tmp_path / "d.csv"
+        path.write_text("date,v\n" + "".join(f"{label},1\n" for label in labels))
+        n = len(keys)
+        bad = next((i for i, step in enumerate(steps) if step != 1), None)
+        builders = {  # the place each names a fault at
+            f"{path} row {(bad or 0) + 2}": lambda: load_series(path, {"v": "v"}),
+            "series 'v'": lambda: MonthlySeries("v", keys, np.ones(n)),
+            "frame": lambda: AlignedFrame(keys, {"v": np.ones(n)}),
+            "set01_lag01": lambda: TrainingMatrix(1, 1, ("v",), np.ones((n, 1)), np.ones(n), keys),
+        }
+        for place, build in builders.items():
+            if bad is None:
+                build()
+                continue
+            fault, words = self.BAD_STEPS[steps[bad]]
+            with pytest.raises(fault) as info:
+                build()
+            assert str(info.value) == f"{place}: " + words.format(a=labels[bad], b=labels[bad + 1])
 
     def test_non_finite_rejected(self):
         with pytest.raises(UnparseableValue):
@@ -384,7 +407,7 @@ class TestDerivedSeries:
     """``_derived`` builds, on an axis already checked, the series the public
     constructor builds, and checks the values as it does."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(start=st.integers(parse_month("1900-01"), parse_month("2100-01")),
            cut=st.integers(0, 5),
            values=st.lists(st.floats(width=64), min_size=1, max_size=30))
