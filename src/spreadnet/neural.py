@@ -36,7 +36,7 @@ from .errors import (
     TooFewRows,
 )
 from .preprocess import TrainingMatrix
-from .series import read_file
+from .series import NO_FILE, read_file
 
 MODEL_FORMAT = "spreadnet-model"
 MODEL_FORMAT_VERSION = 1
@@ -849,15 +849,15 @@ def save_model(model: NetworkModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> NetworkModel:
     """The model stored at ``path``; MissingFile or CorruptModel names a file that
-    is absent or is not a model document (bad JSON, nesting too deep to decode,
-    wrong format, missing keys, a null scaling).
+    is absent (its path may run through a file) or is not a model document (bad
+    JSON, nesting too deep to decode, wrong format, missing keys, a null scaling).
 
     The file is read on every call, as bytes; they are decoded once per distinct
     content (see ``_decode_model``).
     """
     try:
         return _decode_model(read_file(path))
-    except FileNotFoundError as exc:
+    except NO_FILE as exc:
         raise MissingFile(f"no model file {path}") from exc
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise CorruptModel(f"{path} is not a {MODEL_FORMAT} document: {exc!r}") from exc

@@ -2,10 +2,11 @@
 
 The underlying monthly series (indicator, spread, global spread, T-bill
 rates for 1997-2005) were never published and the original trainer was
-proprietary, so these numbers are documentation, not test oracles: no
-test asserts them against a computation. They pin down the methodology's
-published operating point (window, confidence, beta) and the headline
-scores the selection pipeline produced there.
+proprietary, so the study's results (backtests, OLS baseline, ensemble
+scores) are documentation, not test oracles: no test asserts them against
+a computation. The published operating point (window, confidence, beta and
+the training regime) is checked: a test asserts that it equals the config
+defaults.
 """
 
 # Rolling-VaR operating point chosen by the original grid search.

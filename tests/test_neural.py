@@ -21,6 +21,7 @@ from spreadnet.errors import (
     DegenerateInput,
     DimensionMismatch,
     DivergedTraining,
+    MissingFile,
     TooFewRows,
 )
 from spreadnet import neural
@@ -1112,6 +1113,14 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(CorruptModel, match=re.escape(str(path))):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["absent.json", "model.json/x.json"])
+    def test_missing_model_names_itself(self, tmp_path, name):
+        # a path under a file is as missing as an absent one, not a raw OSError
+        save_model(small_model(), tmp_path / "model.json")
+        path = tmp_path / name
+        with pytest.raises(MissingFile, match=re.escape(f"no model file {path}")):
             load_model(path)
 
     def test_version_gate(self):

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spreadnet
-from spreadnet import neural, pipeline, preprocess, series
+from spreadnet import neural, pipeline, preprocess, reference, series
 from spreadnet.cli import EXIT_CODES
 from spreadnet.cli import main as cli_main
 from spreadnet.demo import write_demo_csv, write_demo_workspace
@@ -213,6 +213,10 @@ FILE_FAULTS = {
     "data_path_a_directory": ("validate", 2, lambda run, cfg: reading(
         cfg, replaced(run.parent / "data", True))),
     "data_not_utf8": ("validate", 2, lambda run, cfg: not_utf8(cfg, run.parent)),
+    # the ingest inside a forecast keeps its own stage and exit code
+    "data_missing_on_predict": ("predict", 2, lambda run, cfg: served(run, lambda r: [
+        e.update(path=str(run.parent / "gone.csv"))
+        for e in r["config"]["data"]["variables"].values()], run.parent / "gone.csv")),
     "reports_is_a_file": ("report", 7, lambda run, cfg: replaced(run / "reports", False)),
     "models_is_a_file": ("train", 4, lambda run, cfg: replaced(run / "models", False)),
     "manifest_is_a_directory_when_written": (
@@ -1493,7 +1497,38 @@ class TestCli:
                                            "output column is constant; nothing to fit\n")
 
 
+class TestReference:
+    def test_operating_point_is_the_defaults(self):
+        # the paper's operating point, restated in spreadnet.reference, is what a
+        # config gets by default (and at full scale, the paper's restarts)
+        var, training = preprocess.VarConfig(), TrainConfig()
+        defaults = {
+            "VAR_WINDOW": var.window, "VAR_CONFIDENCE": var.confidence,
+            "SMOOTHING_BETA": preprocess.SmoothingConfig().beta,
+            "TRAIN_CYCLES": training.cycles, "TRAIN_STOP_ERROR": training.stop_error,
+            "TRAIN_LEARNING_RATE": training.learning_rate, "TRAIN_RESTARTS": training.restarts,
+            "TRAIN_SPLIT": training.split, "TEST_FRACTION_CAP": neural.MAX_TEST_FRACTION,
+        }
+        assert defaults == {name: getattr(reference, name) for name in defaults}
+        assert pipeline.FULL_SCALE_RESTARTS == reference.TRAIN_RESTARTS
+
+
 class TestImportFloor:
+    @pytest.mark.parametrize("module, loads", [
+        ("series", ["errors", "series"]),
+        ("metrics", ["errors", "metrics"]),
+        ("neural", ["errors", "metrics", "neural", "preprocess", "series"]),
+    ])
+    def test_a_module_loads_only_its_imports(self, module, loads):
+        # the package root imports nothing, so a module loads only what it imports
+        # (neural, say, none of scoring, ensemble or pipeline); this pytest process
+        # has loaded every module, so a fresh interpreter runs the check
+        assert fresh_python(f"""
+            import sys
+            import spreadnet.{module}
+            print(sorted(name for name in sys.modules if name.startswith("spreadnet")))
+        """) == str(["spreadnet", *(f"spreadnet.{name}" for name in loads)])
+
     def test_no_scipy_in_a_fresh_process(self, tmp_path):
         # scipy.stats alone costs about 70 MB and 0.9 s of every command's start-up,
         # scipy.special about 24 MB and 0.17 s. This pytest process imports both
