@@ -53,7 +53,7 @@ print(f"\nblock average (M={cfg.M}, n={cfg.n}) at the last month: "
 # ---------------------------------------------------------------------------
 # 3. Output normalization and its inverse
 # ---------------------------------------------------------------------------
-levels = frame.columns["embi_venezuela"]
+levels = frame["embi_venezuela"].values
 mod = normalize_output(levels)
 print("\nnormalized-difference output (first three):", np.round(mod[:3], 5))
 rebuilt = np.array([denormalize_output(mod[i], levels[i : i + 3]) for i in range(3)])

@@ -99,11 +99,11 @@ def cmd_validate(args) -> int:
     _refuse_unread(args, "validate", "-o", "--run-dir")  # it writes nothing
     config = _load_config(args)
     frame = ingest(config)
-    print(f"ok: {len(frame)} aligned months "
-          f"{format_month(frame.months[0])}..{format_month(frame.months[-1])}")
-    for name in frame.column_names():
-        col = frame.columns[name]
-        print(f"  {name:16s} min={col.min():.4f} max={col.max():.4f}")
+    months = next(iter(frame.values())).months  # the aligned series share one
+    print(f"ok: {len(months)} aligned months "
+          f"{format_month(months[0])}..{format_month(months[-1])}")
+    for name, s in frame.items():
+        print(f"  {name:16s} min={s.values.min():.4f} max={s.values.max():.4f}")
     return 0
 
 

@@ -175,20 +175,16 @@ def predict_many(models, inputs: np.ndarray) -> np.ndarray:
     if x.ndim not in (2, 3) or x.shape[-1] != sizes[0] or (x.ndim == 3 and len(x) != len(models)):
         raise DimensionMismatch(f"inputs have shape {x.shape}, {len(models)} models expect "
                                 f"(rows, {sizes[0]}) or ({len(models)}, rows, {sizes[0]})")
-    stack = _view_stack if len(models) == 1 else np.array  # a copy, as np.stack, at less cost
+    # np.array stacks the models' arrays: a copy, as np.stack, at less cost
     ins = [m.input_scaling for m in models]
     outs = [m.output_scaling for m in models]
-    h = x * stack([s.scale for s in ins])[:, None, :] + stack([s.offset for s in ins])[:, None, :]
+    h = (x * np.array([s.scale for s in ins])[:, None, :]
+         + np.array([s.offset for s in ins])[:, None, :])
     for l in range(len(sizes) - 1):
-        h = np.matmul(_augment(h), stack([m.weights[l] for m in models]).transpose(0, 2, 1))
+        h = np.matmul(_augment(h), np.array([m.weights[l] for m in models]).transpose(0, 2, 1))
         if l < len(sizes) - 2:
             h = np.tanh(h)
-    return (h[..., 0] - stack([s.offset for s in outs])) / stack([s.scale for s in outs])
-
-
-def _view_stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """One array as a stack of one: a view, where ``np.array`` would copy."""
-    return arrays[0][None]
+    return (h[..., 0] - np.array([s.offset for s in outs])) / np.array([s.scale for s in outs])
 
 
 # ---------------------------------------------------------------------------

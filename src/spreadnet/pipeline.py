@@ -59,8 +59,8 @@ from .preprocess import (
     build_derived_columns,
     default_base_sets,
 )
-from .series import (NO_FILE, AlignedFrame, MonthlySeries, align, format_month, load_series,
-                     parse_month, read_file)
+from .series import (NO_FILE, MonthlySeries, align, format_month, load_series, parse_month,
+                     read_file)
 
 STAGES = ("ingest", "preprocess", "train", "select", "master", "report")
 VARIABLES = (pp.INDICATOR, pp.OUTPUT_VARIABLE, pp.GLOBAL_SPREAD, pp.TBILL)
@@ -71,7 +71,6 @@ DataVariables = typing.TypedDict("DataVariables", {v: DataEntry for v in VARIABL
 MANIFEST_FORMAT = 1
 MANIFEST_NAME = "manifest.json"
 SERVE_NAME = "serve.json"
-MASTER_MODEL_PATH = "models/master.json"
 # The paper's regime: TrainConfig defaults to it, PipelineConfig to desk scale.
 FULL_SCALE_RESTARTS = TrainConfig.restarts
 
@@ -212,7 +211,7 @@ class PipelineConfig:
     var_cfg: VarConfig = VarConfig()
     smoothing: SmoothingConfig = SmoothingConfig()
     ma_levels: tuple[BlockAverageConfig, ...] = pp.DEFAULT_MA_LEVELS
-    enabled_sets: tuple[int, ...] = tuple(range(1, 11))
+    enabled_sets: tuple[int, ...] = tuple(spec.id for spec in default_base_sets())
     single_lag: int = 1
     training: TrainConfig = TrainConfig(restarts=50)
     full_scale: bool = False
@@ -367,7 +366,7 @@ class RunResult:
     config: PipelineConfig
     run_dir: Path
     stages: list[str] = field(default_factory=list)
-    frame: AlignedFrame | None = None
+    frame: dict[str, MonthlySeries] | None = None  # the aligned input series by name
     matrices: list[TrainingMatrix] = field(default_factory=list)
     candidates: list[Candidate] = field(default_factory=list)
     members: list[Candidate] = field(default_factory=list)
@@ -389,7 +388,7 @@ def _stage(name):
 
 
 @_stage("ingest")
-def ingest(config: PipelineConfig) -> AlignedFrame:
+def ingest(config: PipelineConfig) -> dict[str, MonthlySeries]:
     """Load every configured variable and align to the common month range."""
     by_path: dict[str, dict[str, str]] = {}
     for var, entry in config.variables.items():
@@ -402,7 +401,7 @@ def ingest(config: PipelineConfig) -> AlignedFrame:
 
 
 @_stage("preprocess")
-def assemble(config: PipelineConfig, frame: AlignedFrame) -> list[TrainingMatrix]:
+def assemble(config: PipelineConfig, frame: dict[str, MonthlySeries]) -> list[TrainingMatrix]:
     return assemble_base_sets(
         frame,
         var_cfg=config.var_cfg,
@@ -462,7 +461,7 @@ def run_pipeline(
             matrix = build_master_matrix(result.members)
             cfg = config.train_cfg.with_seed(_matrix_seed(config, matrix))
             result.master = train_master(matrix, cfg)
-            save_model(result.master.model, run_dir / MASTER_MODEL_PATH)
+            _write_models(run_dir, [result.master])
         result.stages.append("master")
 
     result.manifest = build_manifest(result)
@@ -487,11 +486,15 @@ def _new_run_dir(config: PipelineConfig) -> Path:
     return run_dir
 
 
+def _model_path(fit: Candidate) -> str:
+    """Where a run keeps the model of a candidate, or of the master (named "master")."""
+    return f"models/{fit.name}.json"
+
+
 def _write_models(run_dir: Path, candidates: list[Candidate]) -> None:
-    models = run_dir / "models"
-    models.mkdir(parents=True, exist_ok=True)
+    (run_dir / "models").mkdir(parents=True, exist_ok=True)
     for cand in candidates:
-        save_model(cand.model, models / f"{cand.name}.json")
+        save_model(cand.model, run_dir / _model_path(cand))
 
 
 def _write_manifest(run_dir: Path, manifest: dict) -> None:
@@ -522,7 +525,7 @@ def _write_json(target: Path, document: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fit_to_json(config: PipelineConfig, fit: Candidate, model_path: str) -> dict:
+def _fit_to_json(config: PipelineConfig, fit: Candidate) -> dict:
     """The manifest fields that candidate and master entries share. JSON has no
     infinity: a PERFECT_STRATEGY ISM is written as "perfect"."""
     score = fit.score
@@ -530,7 +533,7 @@ def _fit_to_json(config: PipelineConfig, fit: Candidate, model_path: str) -> dic
         "matrix_seed": _matrix_seed(config, fit),
         "winning_seed": fit.seed,
         "restarts": config.train_cfg.restarts,
-        "model_path": model_path,
+        "model_path": _model_path(fit),
         "ism": "perfect" if score.ism == PERFECT_STRATEGY else float(score.ism),
         "q_ratio": float(score.report.q_ratio),
         "ave_negative_vol": float(score.report.ave_negative_vol),
@@ -556,10 +559,11 @@ def build_manifest(result: RunResult) -> dict:
         "restart_seed_rule": "SeedSequence(matrix_seed).generate_state(restarts)",
     }
     if result.frame is not None:
+        aligned = result.frame[pp.OUTPUT_VARIABLE]  # the aligned series share one month axis
         manifest["frame"] = {
-            "start": format_month(result.frame.months[0]),
-            "end": format_month(result.frame.months[-1]),
-            "rows": len(result.frame),
+            "start": format_month(aligned.first_month),
+            "end": format_month(aligned.last_month),
+            "rows": len(aligned),
         }
     if result.matrices:
         manifest["matrices"] = [
@@ -583,7 +587,7 @@ def build_manifest(result: RunResult) -> dict:
                 "lag_swept": swept.get(c.base_set_id, False),
                 "input_names": list(by_key[(c.base_set_id, c.lag)].input_names),
                 "output_recipe": by_key[(c.base_set_id, c.lag)].output_recipe,
-                **_fit_to_json(config, c, f"models/{c.name}.json"),
+                **_fit_to_json(config, c),
             }
             for c in result.candidates
         ]
@@ -592,7 +596,7 @@ def build_manifest(result: RunResult) -> dict:
     if result.master is not None:
         manifest["master"] = {
             "member_count": len(result.members),
-            **_fit_to_json(config, result.master, MASTER_MODEL_PATH),
+            **_fit_to_json(config, result.master),
         }
     return manifest
 
@@ -958,8 +962,7 @@ def predict_from_run(
     except SpreadnetError as exc:
         raise StaleModel(f"frame cannot supply the members' inputs: {exc}") from exc
     levels = derived["output_raw"]
-    last_month = int(frame.months[-1])
-    target = last_month + 1
+    target = levels.last_month + 1
 
     by_shape: dict[tuple, list[int]] = {}  # member positions by layer sizes, in rank order
     models, rows = [], []

@@ -5,8 +5,8 @@ rolling loss-quantile band, optionally smoothed, and combined with the
 global-spread and T-bill columns into ten declarative base sets. Each base
 set yields one training matrix per lag, capped at the 89 most recent rows.
 
-Canonical frame column names consumed here: ``igaem``, ``embi_venezuela``,
-``embi_global``, ``tbill``.
+Canonical names of the aligned series consumed here: ``igaem``,
+``embi_venezuela``, ``embi_global``, ``tbill``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .errors import (
     ZeroTrailingMean,
 )
 from .metrics import count_outliers, mean_abs_error
-from .series import (AlignedFrame, MonthlySeries, _check_months, _derived, align, format_month,
-                     log_returns, to_basis_points)
+from .series import (MonthlySeries, _check_months, _derived, format_month, log_returns,
+                     to_basis_points)
 
-# Canonical variable names expected in an input frame.
+# Canonical variable names expected among the aligned series.
 INDICATOR = "igaem"
 OUTPUT_VARIABLE = "embi_venezuela"
 GLOBAL_SPREAD = "embi_global"
@@ -260,8 +260,6 @@ def denormalize_output(mod_value: float | np.ndarray, history: np.ndarray) -> fl
 RAW_OUTPUT = "raw"
 NORMALIZED_OUTPUT = "normalized"
 
-OUTPUT_COLUMN = "output"
-
 LAG_SWEEP = tuple(range(1, 11))
 
 
@@ -426,53 +424,56 @@ MAX_MATRIX_ROWS = 89
 
 
 def build_lagged_matrix(
-    frame: AlignedFrame,
+    derived: dict[str, MonthlySeries],
     spec: BaseSetSpec,
     lag: int,
-    levels: MonthlySeries,
 ) -> TrainingMatrix:
     """Pair input rows dated m with the output dated m + lag.
 
-    ``frame`` must already hold every ``spec.input_columns`` entry and the
-    recipe output column; ``levels`` is the raw target-level series used
-    for scoring and for inverse-normalization history, and must cover the
+    ``derived`` must hold every ``spec.input_columns`` entry, the recipe's
+    ``output_<recipe>`` column and ``output_raw``, the raw target levels used
+    for scoring and for inverse-normalization history. The rows span the
+    months that all of the set's columns (its inputs and its output) cover,
+    less the lag, and keep the most recent 89; ``output_raw`` must cover the
     rows' months (and, for the normalized recipe, the three before them).
-    Keeps the most recent 89 rows.
     """
-    for name in spec.input_columns:
-        if name not in frame.columns:
-            raise MissingColumn(f"base set {spec.id}: frame lacks input column {name!r}")
-    if OUTPUT_COLUMN not in frame.columns:
-        raise MissingColumn(f"base set {spec.id}: frame lacks the output column")
+    names = (*spec.input_columns, f"output_{spec.output_recipe}")
+    for name in (*names, "output_raw"):
+        if name not in derived:
+            raise MissingColumn(f"base set {spec.id}: no column {name!r}")
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
-    rows = len(frame) - lag
+    covered = [derived[name] for name in names]  # the set's columns: inputs, then output
+    first = max(s.first_month for s in covered)
+    last = min(s.last_month for s in covered)
+    *columns, out = covered
+    rows = last - first + 1 - lag
     if rows < MIN_MATRIX_ROWS:
         raise InsufficientRows(
             f"base set {spec.id} lag {lag}: {rows} rows remain, need {MIN_MATRIX_ROWS}"
         )
     keep = min(rows, MAX_MATRIX_ROWS)
-    start = rows - keep  # drop the oldest rows beyond the cap
+    start = last + 1 - keep  # the first output month: drop the oldest rows beyond the cap
 
-    inputs = np.column_stack(
-        [frame.columns[name][: len(frame) - lag][start:] for name in spec.input_columns]
-    )
-    output = frame.columns[OUTPUT_COLUMN][lag:][start:]
-    months_out = frame.months[lag:][start:]
+    def span(s: MonthlySeries, month: int) -> np.ndarray:
+        """``keep`` values of ``s`` from ``month`` on."""
+        return s.values[month - s.first_month :][:keep]
 
-    lo = int(months_out[0]) - _PRIOR_MONTHS[spec.output_recipe] - levels.first_month
-    hi = int(months_out[-1]) + 1 - levels.first_month
+    months_out = out.months[start - out.first_month :][:keep]
+    levels = derived["output_raw"]
+    lo = start - _PRIOR_MONTHS[spec.output_recipe] - levels.first_month
+    hi = last + 1 - levels.first_month
     if lo < 0 or hi > len(levels):
         raise InsufficientHistory(
             f"base set {spec.id} lag {lag}: levels {levels.name!r} do not cover "
-            f"{format_month(levels.first_month + lo)}..{format_month(months_out[-1])}"
+            f"{format_month(levels.first_month + lo)}..{format_month(last)}"
         )
     return TrainingMatrix(
         base_set_id=spec.id,
         lag=lag,
         input_names=spec.input_columns,
-        inputs=inputs,
-        output=output,
+        inputs=np.column_stack([span(s, start - lag) for s in columns]),
+        output=span(out, start),
         months_out=months_out,
         output_recipe=spec.output_recipe,
         levels=levels.values[lo:hi],
@@ -480,7 +481,7 @@ def build_lagged_matrix(
 
 
 def build_derived_columns(
-    frame: AlignedFrame,
+    frame: dict[str, MonthlySeries],
     var_cfg: VarConfig | None = None,
     smooth_cfg: SmoothingConfig | None = None,
     ma_levels: tuple[BlockAverageConfig, ...] = DEFAULT_MA_LEVELS,
@@ -488,16 +489,17 @@ def build_derived_columns(
 ) -> dict[str, MonthlySeries]:
     """Compute the transforms the base sets draw on, as dated series.
 
+    ``frame`` holds the aligned input series by name (``series.align``).
     ``names`` lists the columns wanted (None: every column). Only those,
     ``output_raw`` and the columns they read are built, each once, so a
     column nobody names can never fail the call. The VaR chain consumes the
-    first window+1 months of the frame, so the VaR-derived columns start
-    later than the frame itself.
+    first window+1 months of the aligned series, so the VaR-derived columns
+    start later than the series themselves.
     """
     var_cfg = var_cfg or VarConfig()
     smooth_cfg = smooth_cfg or SmoothingConfig()
     for name in (INDICATOR, OUTPUT_VARIABLE, GLOBAL_SPREAD, TBILL):
-        if name not in frame.columns:
+        if name not in frame:
             raise MissingColumn(f"frame lacks required column {name!r}")
 
     built: dict[str, MonthlySeries] = {}
@@ -510,17 +512,17 @@ def build_derived_columns(
 
     # column name -> build function, in the order the result lists them
     builds: dict[str, Callable[[], MonthlySeries]] = {
-        "var": lambda: indicator_var_series(frame.series(INDICATOR), var_cfg),
+        "var": lambda: indicator_var_series(frame[INDICATOR], var_cfg),
         "var_smooth": lambda: _derived(
             "var_smooth", get("var").months, ema_smooth(get("var").values, smooth_cfg)),
         "var_double": lambda: _derived(
             "var_double", get("var").months, double_smooth(get("var").values, smooth_cfg)),
-        "global": lambda: frame.series(GLOBAL_SPREAD),
-        "tbill": lambda: frame.series(TBILL),
+        "global": lambda: frame[GLOBAL_SPREAD],
+        "tbill": lambda: frame[TBILL],
         **{f"var_ma{i}": lambda i=i, ba=ba: _renamed(
                f"var_ma{i}", block_average_column(get("var"), ba))
            for i, ba in enumerate(ma_levels, start=1)},
-        "output_raw": lambda: frame.series(OUTPUT_VARIABLE),
+        "output_raw": lambda: frame[OUTPUT_VARIABLE],
         "output_normalized": lambda: _derived(
             "output_normalized", get("output_raw").months[3:],
             normalize_output(get("output_raw").values)),
@@ -542,14 +544,15 @@ def _renamed(name: str, s: MonthlySeries) -> MonthlySeries:
 
 
 def assemble_base_sets(
-    frame: AlignedFrame,
+    frame: dict[str, MonthlySeries],
     var_cfg: VarConfig | None = None,
     smooth_cfg: SmoothingConfig | None = None,
     ma_levels: tuple[BlockAverageConfig, ...] = DEFAULT_MA_LEVELS,
     specs: tuple[BaseSetSpec, ...] | None = None,
     enabled: set[int] | None = None,
 ) -> list[TrainingMatrix]:
-    """Build every training matrix for the (enabled) base sets.
+    """Build every training matrix for the (enabled) base sets from the
+    aligned input series ``frame``.
 
     With all ten stock sets enabled this yields 64 matrices: six lag-swept
     sets x 10 lags plus four single-lag sets.
@@ -559,18 +562,7 @@ def assemble_base_sets(
     names = {name for spec in specs
              for name in (*spec.input_columns, f"output_{spec.output_recipe}")}
     derived = build_derived_columns(frame, var_cfg, smooth_cfg, ma_levels, names=names)
-    levels = derived["output_raw"]
-
-    matrices: list[TrainingMatrix] = []
-    for spec in specs:
-        set_frame = align([
-            *(_renamed(name, derived[name]) for name in spec.input_columns),
-            _renamed(OUTPUT_COLUMN, derived[f"output_{spec.output_recipe}"]),
-        ])
-        for lag in spec.lags:
-            matrices.append(build_lagged_matrix(set_frame, spec, lag, levels))
-    return matrices
-
+    return [build_lagged_matrix(derived, spec, lag) for spec in specs for lag in spec.lags]
 
 # ---------------------------------------------------------------------------
 # VaR parameter grid search

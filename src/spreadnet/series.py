@@ -7,8 +7,8 @@ gap-free iff its keys are consecutive integers. All values are float64.
 CSV contract: header row required, one date column in YYYY-MM format plus
 one or more numeric value columns, decimal point as separator, UTF-8.
 
-One rule checks every month axis, a file's, a series', a frame's and a training
-matrix's (``_check_months``): the first step that is not +1 month names the fault.
+One rule checks every month axis, a file's, a series' and a training matrix's
+(``_check_months``): the first step that is not +1 month names the fault.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +127,8 @@ def _check_finite(name: str, months: np.ndarray, values: np.ndarray) -> None:
 def _derived(name: str, months: np.ndarray, values) -> MonthlySeries:
     """The series ``MonthlySeries(name, months, values)`` builds, on an axis already
     checked: ``months`` is an int64 month axis ``_check_months`` passed (a file's, or
-    a slice of a series' or frame's), as long as ``values``. Only the values are
-    checked (finite, with the constructor's message); the axis is not checked again.
+    a slice of a series') or one ``align`` built, as long as ``values``. Only the values
+    are checked (finite, with the constructor's message); the axis is not checked again.
     """
     values = np.asarray(values, dtype=np.float64)
     _check_finite(name, months, values)
@@ -139,39 +139,6 @@ def _derived(name: str, months: np.ndarray, values) -> MonthlySeries:
     object.__setattr__(series, "months", months)
     object.__setattr__(series, "values", values)
     return series
-
-
-@dataclass(frozen=True)
-class AlignedFrame:
-    """Several columns sharing one gap-free month axis."""
-
-    months: np.ndarray
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        months = np.asarray(self.months, dtype=np.int64)
-        object.__setattr__(self, "months", months)
-        cols = {}
-        for name, col in self.columns.items():
-            arr = np.asarray(col, dtype=np.float64)
-            if arr.shape != months.shape:
-                raise ValueError(f"column {name!r} length {len(arr)} != months {len(months)}")
-            arr.setflags(write=False)
-            cols[name] = arr
-        object.__setattr__(self, "columns", cols)
-        _check_months(months, "frame")
-        months.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.months)
-
-    def series(self, name: str) -> MonthlySeries:
-        if name not in self.columns:
-            raise MissingColumn(f"frame has no column {name!r}")
-        return _derived(name, self.months, self.columns[name])
-
-    def column_names(self) -> list[str]:
-        return list(self.columns)
 
 
 def load_series(
@@ -274,8 +241,9 @@ def _parse_csv(text: str, columns: tuple[tuple[str, str], ...],
     return tuple(_derived(name, month_arr, out) for (name, _), (_, _, out) in zip(columns, wanted))
 
 
-def align(series: list[MonthlySeries]) -> AlignedFrame:
-    """Truncate all series to the intersection of their month ranges.
+def align(series: list[MonthlySeries]) -> dict[str, MonthlySeries]:
+    """Truncate all series to the intersection of their month ranges: each
+    series by name, all on one shared ``months`` array.
 
     Idempotent: aligning an already aligned set is the identity.
     """
@@ -288,17 +256,9 @@ def align(series: list[MonthlySeries]) -> AlignedFrame:
             "series month ranges do not overlap: "
             + ", ".join(f"{s.name}[{format_month(s.first_month)}..{format_month(s.last_month)}]" for s in series)
         )
-    months = np.arange(start, stop + 1, dtype=np.int64)
-    months.setflags(write=False)
-    columns = {}
-    for s in series:
-        lo = start - s.first_month
-        columns[s.name] = s.values[lo : lo + len(months)]
-    # consecutive months by construction, and slices of checked, read-only values
-    frame = object.__new__(AlignedFrame)
-    object.__setattr__(frame, "months", months)
-    object.__setattr__(frame, "columns", columns)
-    return frame
+    months = np.arange(start, stop + 1, dtype=np.int64)  # consecutive by construction
+    return {s.name: _derived(s.name, months, s.values[start - s.first_month :][: len(months)])
+            for s in series}
 
 
 def log_returns(s: MonthlySeries) -> MonthlySeries:

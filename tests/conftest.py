@@ -1,4 +1,4 @@
-"""Shared fixtures: demo data frame and small synthetic training matrices."""
+"""Shared fixtures: aligned demo series and small synthetic training matrices."""
 
 from __future__ import annotations
 
@@ -113,7 +113,7 @@ def cold_decode_memos():
 
 @pytest.fixture(scope="session")
 def demo_frame():
-    """Aligned four-variable demo frame (190 months, seeded)."""
+    """The four demo series aligned, by name, on one axis (190 months, seeded)."""
     return align(list(synthetic_series().values()))
 
 

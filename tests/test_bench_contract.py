@@ -68,6 +68,7 @@ def test_perfect_score_is_the_constant():
 def test_perfect_score_is_written_perfect():
     config = PipelineConfig.from_dict({"data": {"variables": {
         name: {"path": "data.csv", "column": name} for name in VARIABLES}}})
-    entry = _fit_to_json(config, perfect_candidate(), "models/set01_lag01.json")
+    entry = _fit_to_json(config, perfect_candidate())
+    assert entry["model_path"] == "models/set01_lag01.json"
     assert entry["ism"] == "perfect"
     json.loads(json.dumps(entry), parse_constant=lambda name: pytest.fail(f"{name} in JSON"))

@@ -628,7 +628,7 @@ class TestPredictFromRun:
         frame = ingest(config)
         derived = build_derived_columns(frame, var_cfg=config.var_cfg,
                                         smooth_cfg=config.smoothing, ma_levels=config.ma_levels)
-        a, b, c = frame.columns[OUTPUT_VARIABLE][-3:]
+        a, b, c = frame[OUTPUT_VARIABLE].values[-3:]
         target = parse_month(report.target_month)
         entries = {e["name"]: e for e in manifest["candidates"]}
         assert len(report.member_forecasts) == 10
@@ -665,22 +665,21 @@ class TestPredictFromRun:
         build_derived_columns(ingest(config))  # the counters do see a full build
         assert all(calls.values())
 
-    def test_a_warm_forecast_builds_no_checked_series_or_frame(self, small_run, monkeypatch):
+    def test_a_warm_forecast_builds_no_checked_series(self, small_run, monkeypatch):
         # outside input is checked where it comes in; a warm call reads no new input, and
         # a series derived on a checked axis is not checked again
         _, _, result = small_run
         predict_from_run(result.run_dir)  # the cold call parses the CSV
         runs = {}
-        for cls in (series.MonthlySeries, series.AlignedFrame):
-            def counted(self, _cls=cls, _check=cls.__post_init__):
-                runs[_cls.__name__] = runs.get(_cls.__name__, 0) + 1
-                _check(self)
-            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        def counted(self, _check=series.MonthlySeries.__post_init__):
+            runs["MonthlySeries"] = runs.get("MonthlySeries", 0) + 1
+            _check(self)
+        monkeypatch.setattr(series.MonthlySeries, "__post_init__", counted)
         predict_from_run(result.run_dir)
         assert runs == {}
-        series.MonthlySeries("x", [0], [1.0])  # the counters do see the public constructors
-        series.AlignedFrame(np.arange(2), {"x": [1.0, 2.0]})
-        assert runs == {"MonthlySeries": 1, "AlignedFrame": 1}
+        series.MonthlySeries("x", [0], [1.0])  # the counter does see the public constructor
+        assert runs == {"MonthlySeries": 1}
 
     def test_a_member_input_off_its_column_is_named(self, small_run, tmp_path):
         # read by index on the column's axis, a month the column lacks fails as

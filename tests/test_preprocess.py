@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spreadnet import preprocess
@@ -17,7 +17,6 @@ from spreadnet.errors import (
 from spreadnet.preprocess import (
     BaseSetSpec,
     BlockAverageConfig,
-    OUTPUT_COLUMN,
     SmoothingConfig,
     TrainingMatrix,
     VarConfig,
@@ -35,7 +34,7 @@ from spreadnet.preprocess import (
     normalize_output,
     rolling_var,
 )
-from spreadnet.series import AlignedFrame, MonthlySeries, parse_month
+from spreadnet.series import MonthlySeries, parse_month
 
 
 def brute_force_var(window_values, rank):
@@ -254,68 +253,65 @@ class TestNormalizeOutput:
 
 
 def little_frame(n=130, seed=9):
+    """Inputs ``a`` and ``b`` and the raw output ``output_raw``, all over the same n months."""
     rng = np.random.default_rng(seed)
     m = months("2000-01", n)
     cols = {
         "a": rng.uniform(1, 2, size=n),
         "b": rng.uniform(1, 2, size=n),
-        OUTPUT_COLUMN: 100.0 * np.exp(np.cumsum(rng.uniform(-0.1, 0.1, size=n))),
+        "output_raw": 100.0 * np.exp(np.cumsum(rng.uniform(-0.1, 0.1, size=n))),
     }
-    return AlignedFrame(m, cols)
+    return {name: MonthlySeries(name, m, values) for name, values in cols.items()}
+
+
+def normalized_frame(n=50):
+    """``little_frame`` plus the normalized output, which starts three months later."""
+    frame = little_frame(n)
+    levels = frame["output_raw"]
+    norm = MonthlySeries("output_normalized", levels.months[3:], normalize_output(levels.values))
+    return {**frame, "output_normalized": norm}
 
 
 class TestBuildLaggedMatrix:
     spec = BaseSetSpec(1, ("a", "b"), lags=(1,))
 
-    def levels(self, frame):
-        return MonthlySeries("levels", frame.months, frame.columns[OUTPUT_COLUMN])
-
     def test_lag_zero_shares_dates(self):
         frame = little_frame(40)
-        m = build_lagged_matrix(frame, self.spec, 0, self.levels(frame))
+        m = build_lagged_matrix(frame, self.spec, 0)
         assert np.array_equal(m.months_in(), m.months_out)
 
     def test_row_date_invariant_exhaustive(self):
         frame = little_frame(60)
         for lag in range(0, 11):
-            m = build_lagged_matrix(frame, self.spec, lag, self.levels(frame))
+            m = build_lagged_matrix(frame, self.spec, lag)
             assert np.array_equal(m.months_in() + lag, m.months_out)
             # input rows carry the values dated months_out - lag
             for i in (0, m.rows - 1):
-                src = int(m.months_out[i] - lag - frame.months[0])
-                assert m.inputs[i, 0] == frame.columns["a"][src]
+                src = int(m.months_out[i] - lag - frame["a"].first_month)
+                assert m.inputs[i, 0] == frame["a"].values[src]
 
     def test_cap_at_89_most_recent(self):
         frame = little_frame(130)
-        m = build_lagged_matrix(frame, self.spec, 5, self.levels(frame))
+        m = build_lagged_matrix(frame, self.spec, 5)
         assert m.rows == 89
-        assert m.months_out[-1] == frame.months[-1]  # oldest rows dropped
+        assert m.months_out[-1] == frame["a"].last_month  # oldest rows dropped
 
     def test_insufficient_rows(self):
         frame = little_frame(35)
         with pytest.raises(InsufficientRows):
-            build_lagged_matrix(frame, self.spec, 10, self.levels(frame))
+            build_lagged_matrix(frame, self.spec, 10)
 
     def test_missing_column(self):
         frame = little_frame(40)
         spec = BaseSetSpec(1, ("a", "missing"), lags=(1,))
         with pytest.raises(MissingColumn):
-            build_lagged_matrix(frame, spec, 1, self.levels(frame))
+            build_lagged_matrix(frame, spec, 1)
 
     def test_normalized_recipe_prior_levels(self):
-        frame = little_frame(50)
-        levels = self.levels(frame)
-        norm = normalize_output(frame.columns[OUTPUT_COLUMN])
-        norm_frame = AlignedFrame(
-            frame.months[3:],
-            {
-                "a": frame.columns["a"][3:],
-                "b": frame.columns["b"][3:],
-                OUTPUT_COLUMN: norm,
-            },
-        )
+        frame = normalized_frame(50)
+        levels = frame["output_raw"]
         spec = BaseSetSpec(8, ("a", "b"), output_recipe="normalized", lags=(2,))
-        m = build_lagged_matrix(norm_frame, spec, 2, levels)
+        m = build_lagged_matrix(frame, spec, 2)
         # denormalizing the true normalized outputs must reproduce the levels
         rebuilt = m.denormalize_predictions(m.output)
         assert np.allclose(rebuilt, m.output_levels, rtol=1e-12)
@@ -325,35 +321,72 @@ class TestBuildLaggedMatrix:
         assert np.array_equal(m.levels, by_month)
         assert np.array_equal(m.output_levels, m.levels[3:])
 
+    # The raw recipe's output column is the levels column itself, so only the
+    # normalized recipe can have levels that do not cover its rows.
     @pytest.mark.parametrize("recipe, lo, hi", [
-        ("raw", 1, 50),          # levels start after the first row's month
-        ("raw", 0, 49),          # ... or end before the last row's month
+        ("normalized", 1, 50),   # levels start after the first row's history starts
+        ("normalized", 0, 49),   # ... or end before the last row's month
         ("normalized", 3, 50),   # levels lack the three months before the first row
     ])
     def test_levels_must_cover_rows(self, recipe, lo, hi):
-        frame = little_frame(50)
-        if recipe == "normalized":
-            frame = AlignedFrame(frame.months[3:], {k: v[3:] for k, v in frame.columns.items()})
-        levels = self.levels(little_frame(50))
+        frame = normalized_frame(50)
+        levels = frame["output_raw"]
         short = MonthlySeries("levels", levels.months[lo:hi], levels.values[lo:hi])
         spec = BaseSetSpec(8, ("a", "b"), output_recipe=recipe, lags=(0,))
-        build_lagged_matrix(frame, spec, 0, levels)  # the full series covers them
+        build_lagged_matrix(frame, spec, 0)  # the full series covers them
         with pytest.raises(InsufficientHistory, match="do not cover"):
-            build_lagged_matrix(frame, spec, 0, short)
+            build_lagged_matrix({**frame, "output_raw": short}, spec, 0)
 
     def test_slice_rows_keeps_history(self):
-        frame = little_frame(50)
-        levels = self.levels(frame)
-        norm = normalize_output(frame.columns[OUTPUT_COLUMN])
-        norm_frame = AlignedFrame(
-            frame.months[3:],
-            {"a": frame.columns["a"][3:], "b": frame.columns["b"][3:], OUTPUT_COLUMN: norm},
-        )
+        frame = normalized_frame(50)
         spec = BaseSetSpec(8, ("a", "b"), output_recipe="normalized", lags=(1,))
-        m = build_lagged_matrix(norm_frame, spec, 1, levels)
+        m = build_lagged_matrix(frame, spec, 1)
         tail = m.slice_rows(30, m.rows)
         rebuilt = tail.denormalize_predictions(tail.output)
         assert np.allclose(rebuilt, tail.output_levels, rtol=1e-12)
+
+    @settings(max_examples=200)
+    @given(
+        trims=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=3, max_size=3),
+        n=st.integers(42, 150),
+        lag=st.integers(0, 10),
+        recipe=st.sampled_from(["raw", "normalized"]),
+        missing=st.sampled_from([None, "a", "b", "output", "output_raw"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_staggered_columns(self, trims, n, lag, recipe, missing, seed):
+        # inputs a, b and the recipe's output each cover n months less a head and a
+        # tail of their own (possibly disjoint); the normalized recipe's raw levels
+        # cover all n and the three months before, the raw recipe's are its output
+        assume(all(head + tail < n for head, tail in trims))
+        rng = np.random.default_rng(seed)
+        out_name = f"output_{recipe}"
+        axis = months("2000-01", n + 3)
+        frame = {"output_raw": MonthlySeries("output_raw", axis, rng.uniform(50, 150, n + 3))}
+        for name, (head, tail) in zip(("a", "b", out_name), trims):
+            cut = axis[3 + head : n + 3 - tail]
+            frame[name] = MonthlySeries(name, cut, rng.uniform(50, 150, len(cut)))
+        spec = BaseSetSpec(8, ("a", "b"), output_recipe=recipe, lags=(lag,))
+        if missing is not None:
+            del frame[out_name if missing == "output" else missing]
+            with pytest.raises(MissingColumn, match="base set 8"):
+                build_lagged_matrix(frame, spec, lag)
+            return
+        columns = [frame["a"], frame["b"], frame[out_name]]
+        first = max(s.first_month for s in columns)
+        last = min(s.last_month for s in columns)
+        rows = last - first + 1 - lag
+        if rows < 30:
+            with pytest.raises(InsufficientRows):
+                build_lagged_matrix(frame, spec, lag)
+            return
+        m = build_lagged_matrix(frame, spec, lag)
+        assert m.rows == min(rows, 89)
+        assert m.months_out.tolist() == list(range(last + 1 - m.rows, last + 1))
+        for i, month in enumerate(m.months_out.tolist()):
+            assert m.inputs[i].tolist() == [frame[c].value_at(month - lag) for c in ("a", "b")]
+            assert m.output[i] == frame[out_name].value_at(month)
+            assert m.output_levels[i] == frame["output_raw"].value_at(month)
 
 
 class TestDenormalizePredictions:
@@ -456,10 +489,7 @@ class TestAssembleBaseSets:
             assert m.rows <= 89
 
     def test_missing_column_raises(self, demo_frame):
-        broken = AlignedFrame(
-            demo_frame.months,
-            {k: v for k, v in demo_frame.columns.items() if k != "embi_global"},
-        )
+        broken = {k: v for k, v in demo_frame.items() if k != "embi_global"}
         with pytest.raises(MissingColumn):
             assemble_base_sets(broken)
 
@@ -472,9 +502,9 @@ class TestAssembleBaseSets:
         derived = build_derived_columns(demo_frame)
         var = derived["var"]
         # VaR needs one month for returns plus the 65-month window
-        assert var.months[0] == demo_frame.months[66]
+        assert var.months[0] == demo_frame["igaem"].months[66]
         assert len(derived["var_smooth"]) == len(var)
-        assert derived["output_normalized"].months[0] == demo_frame.months[3]
+        assert derived["output_normalized"].months[0] == demo_frame["igaem"].months[3]
 
 
 DERIVED_NAMES = ("var", "var_smooth", "var_double", "global", "tbill", "var_ma1", "var_ma2",
@@ -482,7 +512,7 @@ DERIVED_NAMES = ("var", "var_smooth", "var_double", "global", "tbill", "var_ma1"
 
 
 def with_column(frame, name, values):
-    return AlignedFrame(frame.months, {**frame.columns, name: values})
+    return {**frame, name: MonthlySeries(name, frame[name].months, values)}
 
 
 class TestDerivedColumnsByName:
@@ -528,7 +558,7 @@ class TestDerivedColumnsByName:
         # The one change from building every column: a fault in a column
         # nobody names no longer fails the call. Here a non-positive
         # indicator level breaks only the VaR chain.
-        igaem = demo_frame.columns["igaem"].copy()
+        igaem = demo_frame["igaem"].values.copy()
         igaem[100] = 0.0
         broken = with_column(demo_frame, "igaem", igaem)
         with pytest.raises(NonPositiveValue):
@@ -544,7 +574,7 @@ class TestDerivedColumnsByName:
 
     def test_unnamed_output_transform_cannot_fail(self, demo_frame):
         # a zero trailing mean breaks only the normalized output
-        output = demo_frame.columns["embi_venezuela"].copy()
+        output = demo_frame["embi_venezuela"].values.copy()
         output[10:13] = 0.0
         broken = with_column(demo_frame, "embi_venezuela", output)
         with pytest.raises(ZeroTrailingMean):

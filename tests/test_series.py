@@ -20,7 +20,6 @@ from spreadnet.errors import (
 )
 from spreadnet.preprocess import TrainingMatrix
 from spreadnet.series import (
-    AlignedFrame,
     MonthlySeries,
     _check_months,
     _derived,
@@ -274,18 +273,18 @@ class TestAlign:
         a = MonthlySeries("a", months("2001-01", 12), np.arange(12.0))
         b = MonthlySeries("b", months("2001-06", 13), np.arange(13.0))
         frame = align([a, b])
-        assert len(frame) == 7
-        assert format_month(frame.months[0]) == "2001-06"
-        assert format_month(frame.months[-1]) == "2001-12"
-        assert frame.columns["a"].tolist() == list(range(5, 12))
-        assert frame.columns["b"].tolist() == list(range(7))
+        assert len(frame["a"]) == 7
+        assert format_month(frame["a"].months[0]) == "2001-06"
+        assert format_month(frame["a"].months[-1]) == "2001-12"
+        assert frame["a"].values.tolist() == list(range(5, 12))
+        assert frame["b"].values.tolist() == list(range(7))
 
     def test_identical_ranges_identity(self):
         a = MonthlySeries("a", months("2001-01", 5), np.arange(5.0))
         b = MonthlySeries("b", months("2001-01", 5), np.arange(5.0) * 2)
         frame = align([a, b])
-        assert np.array_equal(frame.columns["a"], a.values)
-        assert np.array_equal(frame.columns["b"], b.values)
+        assert np.array_equal(frame["a"].values, a.values)
+        assert np.array_equal(frame["b"].values, b.values)
 
     def test_disjoint_ranges(self):
         a = MonthlySeries("a", months("2001-01", 3), np.ones(3))
@@ -300,10 +299,40 @@ class TestAlign:
             for i, n in enumerate((30, 25, 28))
         ]
         once = align(series)
-        twice = align([once.series(name) for name in once.column_names()])
-        assert np.array_equal(once.months, twice.months)
-        for name in once.column_names():
-            assert np.array_equal(once.columns[name], twice.columns[name])
+        twice = align(list(once.values()))
+        for name in once:
+            assert np.array_equal(once[name].months, twice[name].months)
+            assert np.array_equal(once[name].values, twice[name].values)
+
+    @settings(max_examples=200)
+    @given(spans=st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 12)), min_size=1,
+                          max_size=5),
+           seed=st.integers(0, 2**16))
+    def test_shared_axis_of_input_slices(self, spans, seed):
+        # series starting at staggered months, of staggered lengths
+        rng = np.random.default_rng(seed)
+        series = [MonthlySeries(f"s{i}", months("2001-01", n) + first, rng.standard_normal(n))
+                  for i, (first, n) in enumerate(spans)]
+        start = max(s.first_month for s in series)
+        stop = min(s.last_month for s in series)
+        if start > stop:
+            with pytest.raises(EmptyIntersection):
+                align(series)
+            return
+        once = align(series)
+        assert list(once) == [s.name for s in series]
+        shared = once["s0"].months
+        assert shared.tolist() == list(range(start, stop + 1))
+        for s in series:
+            got = once[s.name]
+            assert got.months is shared  # one array, not equal copies
+            lo = start - s.first_month
+            assert got.values.tolist() == s.values[lo : lo + len(shared)].tolist()
+            assert np.shares_memory(got.values, s.values)  # a slice, not a copy
+        twice = align(list(once.values()))
+        for name, got in once.items():
+            assert np.array_equal(twice[name].months, got.months)
+            assert np.array_equal(twice[name].values, got.values)
 
 
 class TestLogReturns:
@@ -370,7 +399,7 @@ class TestInvariants:
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(steps=st.lists(st.sampled_from([-1, 0, 1, 2]), max_size=7))
     def test_one_month_rule(self, tmp_path, steps):
-        # a file, a series, a frame and a matrix accept the same axes, and refuse
+        # a file, a series and a matrix accept the same axes, and refuse
         # the others with the same fault, named by the first step that is not +1
         keys = parse_month("1999-11") + np.cumsum([0, *steps])
         labels = [format_month(k) for k in keys]
@@ -381,7 +410,6 @@ class TestInvariants:
         builders = {  # the place each names a fault at
             f"{path} row {(bad or 0) + 2}": lambda: load_series(path, {"v": "v"}),
             "series 'v'": lambda: MonthlySeries("v", keys, np.ones(n)),
-            "frame": lambda: AlignedFrame(keys, {"v": np.ones(n)}),
             "set01_lag01": lambda: TrainingMatrix(1, 1, ("v",), np.ones((n, 1)), np.ones(n), keys),
         }
         for place, build in builders.items():
